@@ -182,6 +182,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 # --- selftest -------------------------------------------------------------------
 
 
+def _require(ok: bool, message: str) -> None:
+    """Raise unless ``ok``; unlike ``assert``, this also runs under ``python -O``."""
+    if not ok:
+        raise AssertionError(message)
+
+
 def _check_pair_correlations() -> None:
     from .qcore import Basis, QuantumRegister
 
@@ -192,7 +198,7 @@ def _check_pair_correlations() -> None:
         basis = Basis.Z if int(rng.integers(2)) == 0 else Basis.X
         a = reg.measure(qa, basis, rng).bit
         b = reg.measure(qb, basis, rng).bit
-        assert a == b, f"same-basis outcomes differ in {basis}"
+        _require(a == b, f"same-basis outcomes differ in {basis}")
         reg.discard(qa)
         reg.discard(qb)
 
@@ -206,7 +212,7 @@ def _check_coding_roundtrip() -> None:
         qa, qb = reg.prepare_epr_pair()
         reg.apply_pauli(qa, code)
         outcome = reg.bell_measure(qa, qb, rng)
-        assert outcome.bits == code.bits, f"{code} decoded as {outcome.bits}"
+        _require(outcome.bits == code.bits, f"{code} decoded as {outcome.bits}")
 
 
 def _check_probe_parity() -> None:
@@ -221,9 +227,9 @@ def _check_probe_parity() -> None:
         reg.apply_pauli(qa, code)
         reg.apply_cnot(qa, probe)
         bit = reg.measure(probe, Basis.Z, rng).bit
-        assert bit == code.bits[0], f"probe read {bit} for {code}"
+        _require(bit == code.bits[0], f"probe read {bit} for {code}")
         outcome = reg.bell_measure(qa, qb, rng)
-        assert outcome.bits == code.bits, f"{code} not decodable after probing"
+        _require(outcome.bits == code.bits, f"{code} not decodable after probing")
         reg.discard(probe)
 
 
@@ -235,7 +241,7 @@ def _check_clone_table() -> None:
     fids = attempt_clone_unitary(cnot_matrix(), ("0", "1", "+", "-"))
     expected = {"0": 1.0, "1": 1.0, "+": 0.5, "-": 0.0}
     for label, want in expected.items():
-        assert math.isclose(fids[label], want, abs_tol=1e-12), (label, fids[label])
+        _require(math.isclose(fids[label], want, abs_tol=1e-12), f"{label}: fidelity {fids[label]}")
 
 
 def _check_oracle_values() -> None:
@@ -248,11 +254,19 @@ def _check_oracle_values() -> None:
         modification_detection,
     )
 
-    assert math.isclose(intercept_resend_detection(1), 0.25, abs_tol=1e-15)
-    assert math.isclose(intercept_resend_detection(10), 1 - 0.75**10, abs_tol=1e-15)
-    assert math.isclose(dense_coding_detection(3), 1 - 0.5**3, abs_tol=1e-15)
-    assert math.isclose(entanglement_swap_detection(4), 1 - 0.5**4, abs_tol=1e-15)
-    assert math.isclose(modification_detection("all_slots", 5, 7), 1 - 0.5**5, abs_tol=1e-15)
+    cases = (
+        ("intercept_resend_detection(1)", intercept_resend_detection(1), 0.25),
+        ("intercept_resend_detection(10)", intercept_resend_detection(10), 1 - 0.75**10),
+        ("dense_coding_detection(3)", dense_coding_detection(3), 1 - 0.5**3),
+        ("entanglement_swap_detection(4)", entanglement_swap_detection(4), 1 - 0.5**4),
+        (
+            "modification_detection('all_slots', 5, 7)",
+            modification_detection("all_slots", 5, 7),
+            1 - 0.5**5,
+        ),
+    )
+    for name, got, want in cases:
+        _require(math.isclose(got, want, abs_tol=1e-15), f"{name} = {got}, expected {want}")
 
 
 def _check_honest_establishment() -> None:
@@ -261,12 +275,12 @@ def _check_honest_establishment() -> None:
 
     cfg = EstablishmentConfig(m_pairs=6, n_decoys=4)
     out = run_establishment(cfg, rng=rng)
-    assert out.established, f"honest run aborted: {out.detail}"
+    _require(out.established, f"honest run aborted: {out.detail}")
     target = ghz_target_vector(2)
     reg = out.session.register
     for i in range(out.pairs_established):
         fid = reg.state_fidelity(out.pair_group(i), target)
-        assert fid >= 1 - 1e-10, f"pair {i} fidelity {fid}"
+        _require(fid >= 1 - 1e-10, f"pair {i} fidelity {fid}")
 
 
 def _check_honest_messaging() -> None:
@@ -275,17 +289,17 @@ def _check_honest_messaging() -> None:
     rng = np.random.default_rng(19)
     cfg = EstablishmentConfig(m_pairs=6, n_decoys=4, check_fraction=0.5)
     out = run_qsdc(cfg, rng=rng)
-    assert out.delivered, f"honest message not delivered: {out.detail}"
-    assert out.decoded == out.message.bits, "decoded bits differ from the message"
+    _require(out.delivered, f"honest message not delivered: {out.detail}")
+    _require(out.decoded == out.message.bits, "decoded bits differ from the message")
 
 
 def _check_game_extremes() -> None:
     from .harness import run_distinguishing_game
 
     clone = run_distinguishing_game(GameSpec(strategy="fiat_clone"), 200, seed=23)
-    assert clone.advantage > 0.9, f"cloner advantage only {clone.advantage}"
+    _require(clone.advantage > 0.9, f"cloner advantage only {clone.advantage}")
     passive = run_distinguishing_game(GameSpec(strategy="passive"), 400, seed=29)
-    assert passive.advantage < 0.2, f"passive advantage {passive.advantage}"
+    _require(passive.advantage < 0.2, f"passive advantage {passive.advantage}")
 
 
 def selftest() -> int:

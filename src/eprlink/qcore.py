@@ -142,6 +142,8 @@ _BELL_VECTORS = {
 }
 
 _BELL_MATRIX = np.stack([_BELL_VECTORS[o] for o in _BELL_ORDER])
+# Row i gives the amplitude <bell_i|psi> for a pair flattened as 2*a + b.
+_BELL_PROJECTOR = _BELL_MATRIX.conj()
 
 # Applying the coded operation to the first half of a phi+ pair lands exactly
 # on the matching Bell state, which is what makes dense coding decodable.
@@ -154,14 +156,21 @@ _BELL_TO_PAULI = {
 _PAULI_TO_BELL = {v: k for k, v in _BELL_TO_PAULI.items()}
 
 
-@dataclass(frozen=True)
-class QubitRef:
-    """Opaque handle for one simulated qubit; ids are never reused."""
+class QubitRef(int):
+    """Opaque handle for one simulated qubit; ids are never reused.
 
-    uid: int
+    An ``int`` subclass, so hashing and equality (the register's dictionary
+    lookups) run at C speed.
+    """
+
+    __slots__ = ()
+
+    @property
+    def uid(self) -> int:
+        return int(self)
 
     def __repr__(self) -> str:
-        return f"q{self.uid}"
+        return f"q{int(self)}"
 
 
 @dataclass(frozen=True)
@@ -231,6 +240,12 @@ def ghz_vector(k: int) -> np.ndarray:
     return vec
 
 
+def _axis_slices(k: int) -> Tuple[tuple, tuple]:
+    """Index tuples selecting the |0> and |1> slices of axis k."""
+    lead = (slice(None),) * k
+    return lead + (0,), lead + (1,)
+
+
 def _check_unitary(u: np.ndarray, dim: int) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.shape != (dim, dim):
@@ -258,10 +273,6 @@ class StateVector:
 
     def norm_error(self) -> float:
         return abs(float(np.sum(np.abs(self.amps) ** 2)) - 1.0)
-
-    def flat(self) -> np.ndarray:
-        """Amplitudes flattened in qubit_order, first qubit most significant."""
-        return self.amps.reshape(-1).copy()
 
 
 class QuantumRegister:
@@ -314,9 +325,6 @@ class QuantumRegister:
     def live_qubits(self) -> List[QubitRef]:
         return list(self._where)
 
-    def factor_of(self, q: QubitRef) -> StateVector:
-        return self._locate(q)[1]
-
     def max_norm_error(self) -> float:
         if not self._factors:
             return 0.0
@@ -352,10 +360,14 @@ class QuantumRegister:
     # -- unitaries ---------------------------------------------------------
 
     def _apply_1q(self, sv: StateVector, k: int, u: np.ndarray) -> None:
-        if sv.amps.ndim == 1:
-            sv.amps = u @ sv.amps
-        else:
-            sv.amps = np.moveaxis(np.tensordot(u, sv.amps, axes=(1, k)), 0, k)
+        (u00, u01), (u10, u11) = u.tolist()
+        amps = sv.amps
+        sl0, sl1 = _axis_slices(k)
+        b0, b1 = amps[sl0], amps[sl1]
+        new = np.empty_like(amps)
+        new[sl0] = u00 * b0 + u01 * b1
+        new[sl1] = u10 * b0 + u11 * b1
+        sv.amps = new
 
     def _apply_2q(self, sv: StateVector, ka: int, kb: int, u4: np.ndarray) -> None:
         u = u4.reshape(2, 2, 2, 2)
@@ -393,31 +405,35 @@ class QuantumRegister:
     # -- measurement -------------------------------------------------------
 
     def measure(self, q: QubitRef, basis: Basis, rng: np.random.Generator) -> MeasurementOutcome:
-        """Projective measurement; the qubit survives in the post-measurement state."""
+        """Projective measurement; the qubit survives in the post-measurement state.
+
+        The qubit's axis slices b0, b1 are projected directly: onto b0 and b1
+        in the Z basis, onto (b0 + b1)/sqrt2 and (b0 - b1)/sqrt2 in the X basis.
+        """
         fid, sv = self._locate(q)
-        k = sv.axis_of(q)
-        if basis is Basis.X:
-            self._apply_1q(sv, k, _HADAMARD)
         amps = sv.amps
-        if amps.ndim == 1:
-            a1 = amps[1]
-            p1 = float(a1.real * a1.real + a1.imag * a1.imag)
-            bit = 1 if rng.random() < p1 else 0
-            kept = amps[bit] / math.sqrt(p1 if bit else 1.0 - p1)
-            new = np.zeros(2, dtype=complex)
-            new[bit] = kept
-            sv.amps = new
+        x_basis = basis is Basis.X
+        sl0, sl1 = _axis_slices(sv.axis_of(q))
+        single = amps.ndim == 1
+        # A 1-qubit factor is read as two Python complex scalars, cheaper than numpy ones.
+        b0, b1 = amps.tolist() if single else (amps[sl0], amps[sl1])
+        if x_basis:
+            # sqrt2 <+|psi> and sqrt2 <-|psi>; the 1/sqrt2 factors go into p1 and scale.
+            b0, b1 = b0 + b1, b0 - b1
+        p1 = b1.real * b1.real + b1.imag * b1.imag if single else float(np.vdot(b1, b1).real)
+        if x_basis:
+            p1 *= 0.5
+        bit = 1 if rng.random() < p1 else 0
+        scale = 1.0 / math.sqrt(p1 if bit else 1.0 - p1)
+        if x_basis:
+            # The normalised |+> (|->) component: (b0 +- b1) / (2 sqrt(p)) on
+            # slice 0, and plus (minus) that on slice 1.
+            kept = (b1 if bit else b0) * (0.5 * scale)
+            amps[sl0] = kept
+            amps[sl1] = -kept if bit else kept
         else:
-            sl: List = [slice(None)] * amps.ndim
-            sl[k] = 1
-            branch = amps[tuple(sl)]
-            p1 = float(np.sum(branch.real**2 + branch.imag**2))
-            bit = 1 if rng.random() < p1 else 0
-            sl[k] = 1 - bit
-            amps[tuple(sl)] = 0.0
-            amps *= 1.0 / math.sqrt(p1 if bit else 1.0 - p1)
-        if basis is Basis.X:
-            self._apply_1q(sv, k, _HADAMARD)
+            amps[sl1 if bit else sl0] *= scale
+            amps[sl0 if bit else sl1] = 0.0
         return MeasurementOutcome(basis, bit)
 
     def bell_measure(self, q1: QubitRef, q2: QubitRef, rng: np.random.Generator) -> BellOutcome:
@@ -432,22 +448,25 @@ class QuantumRegister:
         fid2, _ = self._locate(q2)
         _, sv = self._merge(fid1, fid2)
         ka, kb = sv.axis_of(q1), sv.axis_of(q2)
-        moved = np.moveaxis(sv.amps, [ka, kb], [0, 1])
-        rest_shape = moved.shape[2:]
-        arr = moved.reshape(4, -1)
-        coeffs = _BELL_MATRIX.conj() @ arr
-        probs = np.sum(coeffs.real**2 + coeffs.imag**2, axis=1)
+        # (q1, q2) become the leading axes; a bare pair is its flat 4-vector,
+        # transposed when q1 is the second axis.
+        perm = [ka, kb] + [i for i in range(sv.amps.ndim) if i != ka and i != kb]
+        moved = sv.amps.transpose(perm)
+        coeffs = _BELL_PROJECTOR @ moved.reshape(4, -1)
+        parts = coeffs.view(np.float64)  # real and imaginary parts side by side
+        probs = np.square(parts).sum(axis=1).tolist()
         r = rng.random()
         acc = 0.0
-        idx = 3
-        for i in range(4):
-            acc += probs[i]
+        for idx, p in enumerate(probs):
+            acc += p
             if r < acc:
-                idx = i
                 break
-        picked = coeffs[idx] / math.sqrt(probs[idx])
-        new = np.outer(_BELL_MATRIX[idx], picked).reshape((2, 2) + rest_shape)
-        sv.amps = np.moveaxis(new, [0, 1], [ka, kb])
+        else:
+            # Rounding left sum(probs) <= r: take the last outcome that can occur.
+            idx = max(i for i, p in enumerate(probs) if p > 0.0)
+        picked = coeffs[idx] * (1.0 / math.sqrt(probs[idx]))
+        new = (_BELL_MATRIX[idx, :, None] * picked).reshape(moved.shape)
+        sv.amps = new.transpose(sorted(range(len(perm)), key=perm.__getitem__))
         return _BELL_ORDER[idx]
 
     # -- disposal ----------------------------------------------------------
@@ -455,22 +474,22 @@ class QuantumRegister:
     def discard(self, q: QubitRef) -> None:
         """Remove a qubit that is in a product state with everything else."""
         fid, sv = self._locate(q)
-        if sv.amps.ndim == 1:
+        amps = sv.amps
+        if amps.ndim == 1:
             del self._factors[fid]
         else:
-            k = sv.axis_of(q)
-            moved = np.moveaxis(sv.amps, k, 0)
-            rest_shape = moved.shape[1:]
-            arr = moved.reshape(2, -1)
-            rho = arr @ arr.conj().T
-            purity = float(np.trace(rho @ rho).real)
+            # The qubit's reduced state is the Gram matrix of its two axis slices.
+            sl0, sl1 = _axis_slices(sv.axis_of(q))
+            r0, r1 = amps[sl0], amps[sl1]
+            g00 = np.vdot(r0, r0).real
+            g11 = np.vdot(r1, r1).real
+            g01 = np.vdot(r0, r1)
+            purity = float(g00 * g00 + g11 * g11 + 2.0 * (g01.real**2 + g01.imag**2))
             if purity < 1.0 - PURITY_ATOL:
                 raise EntangledDiscardError(f"{q} is still entangled (purity {purity:.6f})")
-            evals, evecs = np.linalg.eigh(rho)
-            v = evecs[:, int(np.argmax(evals))]
-            rest = v.conj() @ arr
-            rest = rest / math.sqrt(float(np.sum(np.abs(rest) ** 2)))
-            sv.amps = rest.reshape(rest_shape)
+            # In a product state both slices are multiples of the remainder;
+            # the larger one, normalised, is it up to a global phase.
+            sv.amps = r0 / math.sqrt(g00) if g00 >= g11 else r1 / math.sqrt(g11)
             sv.qubit_order = [r for r in sv.qubit_order if r != q]
         del self._where[q]
         self._consumed.add(q)

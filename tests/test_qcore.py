@@ -454,3 +454,231 @@ def test_no_unitary_clones_all_four_states():
         fids = attempt_clone_unitary(u, labels)
         best = max(best, min(fids.values()))
     assert best < 1 - 1e-6
+
+
+# --- slice kernels against the matrix-based reference ---------------------------------
+#
+# The reference versions below are the register's earlier kernels: a Hadamard
+# sandwich around a Z projection for X measurements, tensordot/moveaxis for
+# one-qubit gates, an eigendecomposition for discards and moveaxis for Bell
+# measurements.  Both sides see the same random draw.
+
+
+class _RecordingDraw(float):
+    """A random draw that records every threshold it is compared against."""
+
+    def __new__(cls, value, seen):
+        draw = super().__new__(cls, value)
+        draw.seen = seen
+        return draw
+
+    def __lt__(self, other):
+        self.seen.append(float(other))
+        return float(self) < other
+
+
+class _RecordingRng:
+    """Stands in for a Generator: one fixed draw, thresholds kept in ``seen``."""
+
+    def __init__(self, value):
+        self.value = value
+        self.seen = []
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return _RecordingDraw(self.value, self.seen)
+
+
+def _ref_apply_1q(amps, k, u):
+    if amps.ndim == 1:
+        return u @ amps
+    return np.moveaxis(np.tensordot(u, amps, axes=(1, k)), 0, k)
+
+
+def _ref_measure(amps, k, basis, r):
+    """(p1, bit, post-state) of the Hadamard-Z-Hadamard measurement."""
+    if basis is Basis.X:
+        amps = _ref_apply_1q(amps, k, H)
+    amps = amps.copy()
+    sl = [slice(None)] * amps.ndim
+    sl[k] = 1
+    branch = amps[tuple(sl)]
+    p1 = float(np.sum(branch.real**2 + branch.imag**2))
+    bit = 1 if r < p1 else 0
+    sl[k] = 1 - bit
+    amps[tuple(sl)] = 0.0
+    amps *= 1.0 / np.sqrt(p1 if bit else 1.0 - p1)
+    if basis is Basis.X:
+        amps = _ref_apply_1q(amps, k, H)
+    return p1, bit, amps
+
+
+def _ref_discard(amps, k):
+    """(purity, remainder) from the eigendecomposition of the qubit's state."""
+    moved = np.moveaxis(amps, k, 0)
+    arr = moved.reshape(2, -1)
+    rho = arr @ arr.conj().T
+    purity = float(np.trace(rho @ rho).real)
+    evals, evecs = np.linalg.eigh(rho)
+    v = evecs[:, int(np.argmax(evals))]
+    rest = v.conj() @ arr
+    rest = rest / np.linalg.norm(rest)
+    return purity, rest.reshape(moved.shape[1:])
+
+
+_REF_BELL = np.stack([bell_vector(o) for o in BellOutcome])
+
+
+def _ref_bell_measure(amps, ka, kb, r):
+    """(probs, index, post-state) with the pair moved to the leading axes."""
+    moved = np.moveaxis(amps, [ka, kb], [0, 1])
+    coeffs = _REF_BELL.conj() @ moved.reshape(4, -1)
+    probs = np.sum(coeffs.real**2 + coeffs.imag**2, axis=1)
+    idx = int(np.searchsorted(np.cumsum(probs), r, side="right"))
+    picked = coeffs[idx] / np.sqrt(probs[idx])
+    new = np.outer(_REF_BELL[idx], picked).reshape(moved.shape)
+    return probs, idx, np.moveaxis(new, [0, 1], [ka, kb])
+
+
+def _random_state(rng, n):
+    raw = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return (raw / np.linalg.norm(raw)).reshape((2,) * n)
+
+
+def _random_unitary(rng, dim):
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def _loaded_register(amps):
+    """A register whose only factor holds ``amps``, one qubit per axis."""
+    reg = QuantumRegister()
+    refs = [reg._new_ref() for _ in range(amps.ndim)]
+    reg._add_factor(amps.copy(), refs)
+    return reg, refs
+
+
+def _factor_amps(reg, q):
+    return reg._locate(q)[1].amps
+
+
+def _assert_same_up_to_phase(got, want):
+    assert got.shape == want.shape
+    overlap = np.vdot(got, want)
+    phase = overlap / abs(overlap)
+    assert np.max(np.abs(got * phase - want)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("basis", [Basis.Z, Basis.X])
+def test_measure_kernel_matches_reference(n, basis):
+    rng = np.random.default_rng(1000 + n)
+    for _ in range(25):
+        amps = _random_state(rng, n)
+        for k in range(n):
+            draw = float(rng.random())
+            want_p1, want_bit, want_post = _ref_measure(amps, k, basis, draw)
+            reg, refs = _loaded_register(amps)
+            stub = _RecordingRng(draw)
+            got = reg.measure(refs[k], basis, stub)
+            assert stub.draws == 1 and len(stub.seen) == 1
+            assert abs(stub.seen[0] - want_p1) < 1e-12
+            assert got.bit == want_bit and got.basis is basis
+            _assert_same_up_to_phase(_factor_amps(reg, refs[0]), want_post)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_one_qubit_gate_kernel_matches_reference(n):
+    rng = np.random.default_rng(2000 + n)
+    for _ in range(25):
+        amps = _random_state(rng, n)
+        u = _random_unitary(rng, 2)
+        for k in range(n):
+            reg, refs = _loaded_register(amps)
+            sv = reg._locate(refs[k])[1]
+            reg._apply_1q(sv, k, u)
+            want = _ref_apply_1q(amps, k, u)
+            assert np.max(np.abs(sv.amps - want)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_discard_kernel_matches_reference_on_product_states(n):
+    rng = np.random.default_rng(3000 + n)
+    for _ in range(25):
+        for k in range(n):
+            single = _random_state(rng, 1)
+            rest = _random_state(rng, n - 1)
+            amps = np.moveaxis(np.multiply.outer(single, rest), 0, k)
+            purity, want_rest = _ref_discard(amps, k)
+            assert purity == pytest.approx(1.0, abs=1e-12)
+            reg, refs = _loaded_register(amps)
+            reg.discard(refs[k])
+            assert not reg.is_live(refs[k])
+            survivor = refs[1] if k == 0 else refs[0]
+            sv = reg._locate(survivor)[1]
+            assert sv.qubit_order == [q for q in refs if q != refs[k]]
+            _assert_same_up_to_phase(sv.amps, want_rest)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_discard_kernel_rejects_what_the_reference_finds_entangled(n):
+    rng = np.random.default_rng(4000 + n)
+    for _ in range(10):
+        amps = _random_state(rng, n)
+        for k in range(n):
+            purity, _ = _ref_discard(amps, k)
+            assert purity < 1.0 - 1e-6  # a random state is entangled across every cut
+            reg, refs = _loaded_register(amps)
+            with pytest.raises(EntangledDiscardError):
+                reg.discard(refs[k])
+            assert reg.is_live(refs[k])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_bell_measure_kernel_matches_reference(n):
+    rng = np.random.default_rng(5000 + n)
+    for _ in range(15):
+        amps = _random_state(rng, n)
+        for ka in range(n):
+            for kb in range(n):
+                if ka == kb:
+                    continue
+                draw = float(rng.random())
+                want_probs, want_idx, want_post = _ref_bell_measure(amps, ka, kb, draw)
+                reg, refs = _loaded_register(amps)
+                stub = _RecordingRng(draw)
+                got = reg.bell_measure(refs[ka], refs[kb], stub)
+                assert stub.draws == 1
+                # the kernel compares the draw against the running sum of probabilities
+                cumulative = np.cumsum(want_probs)[: len(stub.seen)]
+                assert np.max(np.abs(np.array(stub.seen) - cumulative)) < 1e-12
+                assert got is list(BellOutcome)[want_idx]
+                _assert_same_up_to_phase(_factor_amps(reg, refs[0]), want_post)
+
+
+def test_bell_measure_rounding_fall_through_picks_a_possible_outcome():
+    """A draw at or past the summed probabilities must not pick a zero-probability outcome."""
+    reg = QuantumRegister()
+    qa, qb = reg.prepare_epr_pair()
+
+    class _EdgeRng:
+        def random(self):
+            return 1.0
+
+    outcome = reg.bell_measure(qa, qb, _EdgeRng())
+    assert outcome is BellOutcome.PHI_PLUS
+    rho = reg.reduced_density([qa, qb])
+    assert np.all(np.isfinite(rho))
+    assert reg.state_fidelity([qa, qb], bell_vector(BellOutcome.PHI_PLUS)) == pytest.approx(
+        1.0, abs=1e-12
+    )
+
+
+def test_qubit_handles_are_ints_with_stable_repr():
+    reg = QuantumRegister()
+    qa, qb = reg.prepare_epr_pair()
+    assert isinstance(qa, int) and qa.uid == int(qa)
+    assert repr(qa) == f"q{qa.uid}" and str(qb) == f"q{qb.uid}"
+    assert {qa: "a"}[type(qa)(qa.uid)] == "a"
