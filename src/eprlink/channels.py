@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import permutations
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,14 +29,25 @@ class ChannelContractError(RuntimeError):
     """Raised when code violates a channel guarantee (e.g. classical tampering)."""
 
 
-@dataclass(frozen=True, order=True)
-class PartyId:
-    """Stable identity of a protocol participant or adversary."""
+class PartyId(NamedTuple):
+    """Stable identity of a protocol participant or adversary.
+
+    A one-field tuple, so hashing (dictionary keys, edge lookups) and ordering
+    run at C speed.  It never compares equal to a plain tuple.
+    """
 
     name: str
 
     def __str__(self) -> str:
         return self.name
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, PartyId) and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
 ALICE = PartyId("Alice")
@@ -202,18 +214,31 @@ class Transcript:
 # --- topology ----------------------------------------------------------------
 
 
+def _ordered_pairs(edges: frozenset) -> frozenset:
+    """Both orientations of every edge, so an edge lookup builds no set."""
+    if any(len(e) != 2 for e in edges):
+        raise ValueError("every link joins two distinct parties")
+    return frozenset(pair for e in edges for pair in permutations(e, 2))
+
+
 @dataclass(frozen=True)
 class Topology:
     """Which undirected quantum/classical links exist."""
 
     quantum_edges: frozenset
     classical_edges: frozenset
+    _quantum_pairs: frozenset = field(init=False, repr=False, compare=False)
+    _classical_pairs: frozenset = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_quantum_pairs", _ordered_pairs(self.quantum_edges))
+        object.__setattr__(self, "_classical_pairs", _ordered_pairs(self.classical_edges))
 
     def has_quantum(self, a: PartyId, b: PartyId) -> bool:
-        return frozenset((a, b)) in self.quantum_edges
+        return (a, b) in self._quantum_pairs
 
     def has_classical(self, a: PartyId, b: PartyId) -> bool:
-        return frozenset((a, b)) in self.classical_edges
+        return (a, b) in self._classical_pairs
 
     @classmethod
     def for_parties(cls, parties: Sequence[PartyId]) -> "Topology":

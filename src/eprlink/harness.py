@@ -45,7 +45,6 @@ from .channels import (
     TP1,
     TP2,
     Ack,
-    Basis,
     MeasurementResults,
     Network,
     PartyId,
@@ -65,7 +64,7 @@ from .protocol import (
     run_establishment,
     run_multiparty,
 )
-from .qcore import QuantumRegister, cnot_matrix
+from .qcore import BASIS_BY_BIT, QuantumRegister, cnot_matrix
 from .qsdc import run_qsdc
 
 SCENARIOS = ("establish", "qsdc", "multiparty", "game")
@@ -263,6 +262,9 @@ class ExperimentConfig:
                 )
             if not self.sweep_values:
                 raise ValueError("sweep_values must be a non-empty list")
+            # Reject a bad point before any point of the sweep runs.
+            for value in self.sweep_values:
+                _sweep_point_cfg(self, value)
 
 
 # --- per-trial and aggregate records ----------------------------------------------
@@ -626,23 +628,27 @@ def _aggregate(ec: ExperimentConfig, reports: List[TrialReport]) -> AggregateRep
     )
 
 
+def _sweep_point_cfg(ec: ExperimentConfig, value) -> EstablishmentConfig:
+    """The run configuration of one sweep point; raises ValueError if invalid."""
+    if ec.sweep_param == "n_decoys":
+        return replace(ec.cfg, n_decoys=int(value))
+    if ec.sweep_param == "check_fraction":
+        return replace(ec.cfg, check_fraction=float(value))
+    # checked_count: express the target count as a fraction of m
+    target, m = int(value), ec.cfg.m_pairs
+    cfg = replace(ec.cfg, check_fraction=target / m) if 0 < target < m else None
+    if cfg is None or cfg.checked_count != target:
+        raise ValueError(f"cannot spot-check {target} of {m} positions")
+    return cfg
+
+
 def run_sweep(ec: ExperimentConfig) -> List[AggregateReport]:
     """Repeat the experiment across the configured parameter values."""
     if ec.sweep_param is None or not ec.sweep_values:
         raise ValueError("sweep requires sweep_param and sweep_values")
     out: List[AggregateReport] = []
     for i, value in enumerate(ec.sweep_values):
-        if ec.sweep_param == "n_decoys":
-            cfg = replace(ec.cfg, n_decoys=int(value))
-        elif ec.sweep_param == "check_fraction":
-            cfg = replace(ec.cfg, check_fraction=float(value))
-        else:  # checked_count: express the target count as a fraction of m
-            target = int(value)
-            cfg = replace(ec.cfg, check_fraction=target / ec.cfg.m_pairs)
-            if cfg.checked_count != target:
-                raise ValueError(
-                    f"cannot spot-check {target} of {ec.cfg.m_pairs} positions"
-                )
+        cfg = _sweep_point_cfg(ec, value)
         point_seed = int(np.random.SeedSequence([ec.seed, i]).generate_state(1)[0])
         point = replace(ec, cfg=cfg, seed=point_seed, sweep_param=None, sweep_values=None)
         out.append(run_experiment(point))
@@ -689,7 +695,7 @@ class GameInstance:
         net = Network(Topology.two_party(), reg, rng)
         L = challenge_len
         if discussion == "decoy":
-            labels = tuple(DECOY_LABELS[int(rng.integers(4))] for _ in range(L))
+            labels = tuple(DECOY_LABELS[i] for i in rng.integers(4, size=L).tolist())
             qubits = [reg.prepare_single(lab) for lab in labels]
             net.send_quantum(TP1, ALICE, qubits)
             net.send_classical(ALICE, TP1, Ack())
@@ -697,7 +703,7 @@ class GameInstance:
             net.send_classical(
                 TP1, ALICE, PositionsBases(STAGE_DECOY, tuple(range(L)), bases)
             )
-            bits = tuple(reg.measure(q, b, rng).bit for q, b in zip(qubits, bases))
+            bits = tuple(reg.measure_all(qubits, bases, rng))
             net.send_classical(ALICE, TP1, MeasurementResults(STAGE_DECOY, bits))
             self._secret = labels
             self._results = bits
@@ -710,14 +716,12 @@ class GameInstance:
                 b_qubits.append(qb)
             net.send_quantum(TP1, ALICE, a_qubits)
             net.send_quantum(TP1, BOB, b_qubits)
-            bases = tuple(
-                Basis.Z if int(rng.integers(2)) == 0 else Basis.X for _ in range(L)
-            )
+            bases = tuple(BASIS_BY_BIT[b] for b in rng.integers(2, size=L).tolist())
             announce = PositionsBases(STAGE_PAIR_CHECK, tuple(range(L)), bases)
             net.send_classical(TP2, ALICE, announce)
             net.send_classical(TP2, BOB, announce)
-            a_bits = tuple(reg.measure(q, b, rng).bit for q, b in zip(a_qubits, bases))
-            b_bits = tuple(reg.measure(q, b, rng).bit for q, b in zip(b_qubits, bases))
+            a_bits = tuple(reg.measure_all(a_qubits, bases, rng))
+            b_bits = tuple(reg.measure_all(b_qubits, bases, rng))
             net.send_classical(ALICE, TP2, MeasurementResults(STAGE_PAIR_CHECK, a_bits))
             net.send_classical(BOB, TP2, MeasurementResults(STAGE_PAIR_CHECK, b_bits))
             # Honest halves always agree in both bases; the challenge string is

@@ -21,7 +21,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .channels import (
     TP2,
     end_parties,
 )
-from .qcore import Basis, QuantumRegister, QubitRef, ghz_vector
+from .qcore import BASIS_BY_BIT, Basis, QuantumRegister, QubitRef, ghz_vector
 
 # Decoy photons are drawn uniformly from the four single-qubit states; the
 # label fixes both the preparation basis and the expected measurement bit.
@@ -53,8 +54,7 @@ LABEL_EXPECTATION = {
 }
 
 
-@dataclass(frozen=True)
-class DecoyRecord:
+class DecoyRecord(NamedTuple):
     """Sender-side note of one hidden decoy: where it is and what it must read."""
 
     position: int
@@ -184,32 +184,25 @@ class Session:
 
     # -- helpers -------------------------------------------------------------
 
-    def _random_decoy(self) -> Tuple[QubitRef, DecoyRecord, int]:
-        label = DECOY_LABELS[int(self.rng.integers(4))]
-        basis, bit = LABEL_EXPECTATION[label]
-        return self.register.prepare_single(label), basis, bit
-
     def build_decoyed_sequence(
         self, payload: Sequence[QubitRef]
     ) -> Tuple[List[QubitRef], List[DecoyRecord]]:
         """Insert fresh random decoys at secret positions, payload order kept."""
         n = self.cfg.n_decoys
-        total = len(payload) + n
-        if n:
-            positions = sorted(int(p) for p in self.rng.choice(total, size=n, replace=False))
-        else:
-            positions = []
-        records: List[DecoyRecord] = []
+        if not n:
+            return list(payload), []
+        rng = self.rng
+        positions = sorted(rng.choice(len(payload) + n, size=n, replace=False).tolist())
+        labels = [DECOY_LABELS[i] for i in rng.integers(4, size=n).tolist()]
+        prepare = self.register.prepare_single
+        decoys = [prepare(lab) for lab in labels]
+        records = [DecoyRecord(pos, *LABEL_EXPECTATION[lab]) for pos, lab in zip(positions, labels)]
         sequence: List[QubitRef] = []
-        decoy_at = set(positions)
-        it = iter(payload)
-        for slot in range(total):
-            if slot in decoy_at:
-                q, basis, bit = self._random_decoy()
-                records.append(DecoyRecord(slot, basis, bit))
-                sequence.append(q)
-            else:
-                sequence.append(next(it))
+        rest = iter(payload)
+        for pos, q in zip(positions, decoys):
+            sequence.extend(islice(rest, pos - len(sequence)))
+            sequence.append(q)
+        sequence.extend(rest)
         return sequence, records
 
     def run_decoy_discussion(
@@ -234,10 +227,9 @@ class Session:
             tuple(r.basis for r in records),
         )
         net.send_classical(checker, holder, announce)
-        bits = [
-            self.register.measure(holder_sequence[r.position], r.basis, self.rng).bit
-            for r in records
-        ]
+        bits = self.register.measure_all(
+            [holder_sequence[r.position] for r in records], announce.bases, self.rng
+        )
         net.send_classical(holder, checker, MeasurementResults(stage, tuple(bits)))
         failed: Optional[int] = None
         mismatches = 0
@@ -362,14 +354,14 @@ def _pair_check(
     cfg, net, reg, rng = session.cfg, session.net, session.register, session.rng
     m, c = cfg.m_pairs, cfg.checked_count
     positions = sorted(int(p) for p in rng.choice(m, size=c, replace=False))
-    bases = [Basis.Z if int(rng.integers(2)) == 0 else Basis.X for _ in positions]
+    bases = [BASIS_BY_BIT[b] for b in rng.integers(2, size=c).tolist()]
     announce = PositionsBases(STAGE_PAIR_CHECK, tuple(positions), tuple(bases))
     # Everyone hears the challenge before anyone answers.
     for p in session.parties:
         net.send_classical(TP2, p, announce)
     reported: Dict[PartyId, List[int]] = {}
     for p in session.parties:
-        bits = [reg.measure(payload[p][pos], b, rng).bit for pos, b in zip(positions, bases)]
+        bits = reg.measure_all([payload[p][pos] for pos in positions], bases, rng)
         net.send_classical(p, TP2, MeasurementResults(STAGE_PAIR_CHECK, tuple(bits)))
         reported[p] = bits
     check_log: List[CheckEntry] = []

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,6 +61,10 @@ class Basis(Enum):
 
     Z = "Z"
     X = "X"
+
+
+# Index 0 selects Z and 1 selects X, for bases drawn as random bits.
+BASIS_BY_BIT = (Basis.Z, Basis.X)
 
 
 class PauliCode(Enum):
@@ -173,8 +177,7 @@ class QubitRef(int):
         return f"q{int(self)}"
 
 
-@dataclass(frozen=True)
-class MeasurementOutcome:
+class MeasurementOutcome(NamedTuple):
     basis: Basis
     bit: int
 
@@ -404,17 +407,25 @@ class QuantumRegister:
 
     # -- measurement -------------------------------------------------------
 
-    def measure(self, q: QubitRef, basis: Basis, rng: np.random.Generator) -> MeasurementOutcome:
+    def measure(
+        self,
+        q: QubitRef,
+        basis: Basis,
+        rng: np.random.Generator,
+        draw: Optional[float] = None,
+    ) -> MeasurementOutcome:
         """Projective measurement; the qubit survives in the post-measurement state.
 
         The qubit's axis slices b0, b1 are projected directly: onto b0 and b1
         in the Z basis, onto (b0 + b1)/sqrt2 and (b0 - b1)/sqrt2 in the X basis.
+        The outcome is 1 exactly when ``draw < p1``; without a ``draw`` the
+        uniform number is ``rng.random()``.
         """
         fid, sv = self._locate(q)
         amps = sv.amps
         x_basis = basis is Basis.X
-        sl0, sl1 = _axis_slices(sv.axis_of(q))
         single = amps.ndim == 1
+        sl0, sl1 = (0, 1) if single else _axis_slices(sv.axis_of(q))
         # A 1-qubit factor is read as two Python complex scalars, cheaper than numpy ones.
         b0, b1 = amps.tolist() if single else (amps[sl0], amps[sl1])
         if x_basis:
@@ -423,7 +434,9 @@ class QuantumRegister:
         p1 = b1.real * b1.real + b1.imag * b1.imag if single else float(np.vdot(b1, b1).real)
         if x_basis:
             p1 *= 0.5
-        bit = 1 if rng.random() < p1 else 0
+        if draw is None:
+            draw = rng.random()
+        bit = 1 if draw < p1 else 0
         scale = 1.0 / math.sqrt(p1 if bit else 1.0 - p1)
         if x_basis:
             # The normalised |+> (|->) component: (b0 +- b1) / (2 sqrt(p)) on
@@ -435,6 +448,23 @@ class QuantumRegister:
             amps[sl1 if bit else sl0] *= scale
             amps[sl0 if bit else sl1] = 0.0
         return MeasurementOutcome(basis, bit)
+
+    def measure_all(
+        self, qubits: Sequence[QubitRef], bases: Sequence[Basis], rng: np.random.Generator
+    ) -> List[int]:
+        """Measure each qubit in its basis, in order; returns the bits.
+
+        Draws ``rng.random(len(qubits))`` once, which yields exactly the values
+        of one ``rng.random()`` per qubit, so the outcomes and the generator's
+        state afterwards equal those of a loop of :meth:`measure` calls.  Each
+        qubit is still read by one :meth:`measure` call, so anything that
+        counts or times ``measure`` sees every single-qubit measurement.
+        """
+        if len(qubits) != len(bases):
+            raise ValueError("measure_all needs one basis per qubit")
+        measure = self.measure
+        draws = rng.random(len(qubits)).tolist()
+        return [measure(q, b, rng, d).bit for q, b, d in zip(qubits, bases, draws)]
 
     def bell_measure(self, q1: QubitRef, q2: QubitRef, rng: np.random.Generator) -> BellOutcome:
         """Joint projective measurement of (q1, q2) in the Bell basis.
@@ -498,6 +528,8 @@ class QuantumRegister:
 
     def reduced_density(self, qubits: Sequence[QubitRef]) -> np.ndarray:
         """Density matrix of the listed qubits, in the listed order."""
+        if not qubits:
+            raise ValueError("reduced_density needs at least one qubit")
         if len(set(qubits)) != len(qubits):
             raise ValueError("duplicate qubit in reduced_density request")
         by_factor: Dict[int, List[QubitRef]] = {}
@@ -514,7 +546,6 @@ class QuantumRegister:
             block = arr @ arr.conj().T
             rho = block if rho is None else np.kron(rho, block)
             built_order.extend(qs)
-        assert rho is not None
         if built_order != list(qubits):
             m = len(qubits)
             perm = [built_order.index(q) for q in qubits]

@@ -16,6 +16,7 @@ from eprlink.channels import (
     ChannelContractError,
     MeasurementResults,
     Network,
+    PartyId,
     PositionsBases,
     STAGE_DECOY,
     Topology,
@@ -53,6 +54,33 @@ def test_star_topology_edges():
     assert not topo.has_classical(ALICE, BOB)
     assert not topo.has_quantum(TP1, TP2)
     assert not topo.has_classical(TP1, TP2)
+
+
+def test_party_ids_compare_order_and_print_like_their_names():
+    p3 = PartyId("P3")
+    assert p3 == participant(3) and hash(p3) == hash(participant(3))
+    assert PartyId("Alice") == ALICE and ALICE != BOB
+    assert ALICE != "Alice" and ALICE != ("Alice",) and not (ALICE == ("Alice",))
+    assert sorted([TP2, BOB, p3, ALICE, TP1]) == [ALICE, BOB, p3, TP1, TP2]
+    assert str(ALICE) == "Alice" and type(str(ALICE)) is str and f"{TP1}" == "TP1"
+    assert ALICE.name == "Alice" and repr(ALICE) == "PartyId(name='Alice')"
+    assert {ALICE: 1}[PartyId("Alice")] == 1
+
+
+def test_edge_checks_agree_with_the_edge_sets():
+    parties = end_parties(3)
+    topo = Topology(
+        quantum_edges=frozenset(frozenset((TP1, p)) for p in parties),
+        classical_edges=frozenset(frozenset((tp, p)) for tp in (TP1, TP2) for p in parties),
+    )
+    everyone = [TP1, TP2, EVE, *parties]
+    for a in everyone:
+        for b in everyone:
+            assert topo.has_quantum(a, b) == (frozenset((a, b)) in topo.quantum_edges)
+            assert topo.has_classical(a, b) == (frozenset((a, b)) in topo.classical_edges)
+    assert topo == Topology(topo.quantum_edges, topo.classical_edges)
+    with pytest.raises(ValueError):
+        Topology(frozenset({frozenset({ALICE})}), frozenset())
 
 
 def test_send_rejects_missing_edges():

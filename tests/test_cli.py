@@ -1,14 +1,19 @@
-"""The selftest subcommand keeps its exit-code contract under ``python -O``.
+"""The command line keeps its exit-code contract.
 
-``-O`` strips ``assert`` statements, so these run the command in a fresh
-optimised interpreter: a healthy build must pass all checks, and a build with
-a broken oracle must fail with exit code 1.
+``-O`` strips ``assert`` statements, so the selftest checks run the command in
+a fresh optimised interpreter: a healthy build must pass all checks, and a
+build with a broken oracle must fail with exit code 1.  A configuration error
+exits with code 2 before any trial runs.
 """
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from eprlink.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -43,3 +48,17 @@ def test_selftest_fails_under_optimised_python_when_an_oracle_is_wrong():
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "FAIL - detection oracle values" in proc.stdout
     assert "7/8 selftest checks passed" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--param", "checked_count", "--values", "3,11", "--pairs", "10"],
+        ["--param", "n_decoys", "--values", "2,-1"],
+    ],
+)
+def test_sweep_rejects_a_bad_point_before_running_any(args, capsys):
+    assert main(["sweep", *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -293,14 +293,19 @@ def test_sweep_over_checked_positions():
 
 @pytest.mark.parametrize("target", [0, 10])
 def test_sweep_checked_positions_must_be_feasible(target):
-    ec = ExperimentConfig(
+    kwargs = dict(
         scenario="establish",
         cfg=EstablishmentConfig(m_pairs=10, n_decoys=1),
         trials=5,
         sweep_param="checked_count",
-        sweep_values=(target,),
     )
-    with pytest.raises(ValueError):
+    # An infeasible point is rejected when the config is built, before any runs.
+    with pytest.raises(ValueError, match="cannot spot-check"):
+        ExperimentConfig(**kwargs, sweep_values=(target,))
+    # run_sweep still checks each point of a config changed after it was built.
+    ec = ExperimentConfig(**kwargs, sweep_values=(3,))
+    ec.sweep_values = (target,)
+    with pytest.raises(ValueError, match="cannot spot-check"):
         run_sweep(ec)
 
 

@@ -9,6 +9,8 @@ from scipy.stats import chisquare
 from eprlink.channels import ALICE, BOB, EVE, TP1, TP2
 from eprlink.protocol import (
     DECOY_LABELS,
+    LABEL_EXPECTATION,
+    DecoyRecord,
     EstablishStatus,
     EstablishmentConfig,
     Session,
@@ -156,6 +158,52 @@ def test_decoys_preserve_payload_order():
 
 def test_decoy_labels_cover_both_bases():
     assert set(DECOY_LABELS) == {"0", "1", "+", "-"}
+
+
+def _ref_build_decoyed_sequence(session, payload):
+    """The slot-by-slot version: one label draw and one preparation per decoy."""
+    n = session.cfg.n_decoys
+    total = len(payload) + n
+    if n:
+        positions = sorted(int(p) for p in session.rng.choice(total, size=n, replace=False))
+    else:
+        positions = []
+    records, sequence = [], []
+    decoy_at = set(positions)
+    it = iter(payload)
+    for slot in range(total):
+        if slot in decoy_at:
+            label = DECOY_LABELS[int(session.rng.integers(4))]
+            basis, bit = LABEL_EXPECTATION[label]
+            records.append(DecoyRecord(slot, basis, bit))
+            sequence.append(session.register.prepare_single(label))
+        else:
+            sequence.append(next(it))
+    return sequence, records
+
+
+@pytest.mark.parametrize("m,n", [(1, 0), (3, 1), (10, 10), (4, 9), (12, 3)])
+def test_build_decoyed_sequence_matches_the_slot_loop(m, n):
+    for seed in range(20):
+        sessions = [
+            Session(EstablishmentConfig(m_pairs=m, n_decoys=n), rng=np.random.default_rng(seed))
+            for _ in range(2)
+        ]
+        payloads = [[s.register.prepare_epr_pair()[0] for _ in range(m)] for s in sessions]
+        # An odd number of small-integer draws first leaves a spare half-word
+        # buffered in the generator, the state the label draws must respect.
+        for s in sessions:
+            s.rng.integers(2, size=seed % 3)
+        want_seq, want_records = _ref_build_decoyed_sequence(sessions[0], payloads[0])
+        got_seq, got_records = sessions[1].build_decoyed_sequence(payloads[1])
+        assert got_seq == want_seq
+        assert got_records == want_records
+        for q in got_seq:
+            np.testing.assert_array_equal(
+                sessions[1].register._locate(q)[1].amps, sessions[0].register._locate(q)[1].amps
+            )
+        assert sessions[1].rng.integers(4) == sessions[0].rng.integers(4)
+        assert sessions[1].rng.random() == sessions[0].rng.random()
 
 
 # --- aborts ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from scipy.stats import chisquare
 
 from eprlink.qcore import (
+    BASIS_BY_BIT,
     Basis,
     BellOutcome,
     DeadQubitError,
@@ -682,3 +683,61 @@ def test_qubit_handles_are_ints_with_stable_repr():
     assert isinstance(qa, int) and qa.uid == int(qa)
     assert repr(qa) == f"q{qa.uid}" and str(qb) == f"q{qb.uid}"
     assert {qa: "a"}[type(qa)(qa.uid)] == "a"
+
+
+def test_reduced_density_rejects_an_empty_request():
+    reg = QuantumRegister()
+    reg.prepare_epr_pair()
+    with pytest.raises(ValueError):
+        reg.reduced_density([])
+
+
+# --- sequence-level calls ------------------------------------------------------------
+
+
+def _mixed_register():
+    """A phi+ pair, a three-party shared group, lone qubits and a rotated pair."""
+    reg = QuantumRegister()
+    qubits = list(reg.prepare_epr_pair()) + reg.prepare_ghz(3) + [reg.prepare_single(lab) for lab in "01+-"]
+    qa, qb = reg.prepare_epr_pair()
+    reg.apply_hadamard(qa)
+    return reg, qubits + [qb, qa]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_measure_all_matches_a_loop_of_measure(seed):
+    pick = np.random.default_rng(seed)
+    reg_loop, qubits = _mixed_register()
+    reg_all, _ = _mixed_register()
+    # Random order and bases, so qubits sharing a factor are read in every order.
+    order = [qubits[i] for i in pick.permutation(len(qubits))]
+    bases = [BASIS_BY_BIT[b] for b in pick.integers(2, size=len(order))]
+    rng_loop, rng_all = np.random.default_rng(100 + seed), np.random.default_rng(100 + seed)
+    want = [reg_loop.measure(q, b, rng_loop).bit for q, b in zip(order, bases)]
+    got = reg_all.measure_all(order, bases, rng_all)
+    assert got == want
+    for q in qubits:
+        np.testing.assert_array_equal(_factor_amps(reg_all, q), _factor_amps(reg_loop, q))
+    assert rng_all.random() == rng_loop.random()
+    assert rng_all.integers(4) == rng_loop.integers(4)
+
+
+def test_measure_all_checks_its_arguments():
+    reg = QuantumRegister()
+    q = reg.prepare_single("+")
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    assert reg.measure_all([], [], rng) == []
+    assert rng.bit_generator.state == state
+    with pytest.raises(ValueError):
+        reg.measure_all([q], [Basis.Z, Basis.X], rng)
+
+
+def test_measure_with_a_given_draw_reads_no_random_number():
+    reg = QuantumRegister()
+    q0, q1 = reg.prepare_single("+"), reg.prepare_single("+")
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    assert reg.measure(q0, Basis.Z, rng, 0.49).bit == 1
+    assert reg.measure(q1, Basis.Z, rng, 0.51).bit == 0
+    assert rng.bit_generator.state == state
