@@ -42,7 +42,7 @@ from .protocol import (
     run_multiparty,
 )
 from .qsdc import Message, QsdcOutcome, QsdcStatus, mac_protect, mac_verify, run_qsdc
-from .adversaries import AttackKind, AttackReport, AttackSpec, build_adversary
+from .adversaries import AttackKind, AttackSpec, build_adversary
 from .harness import (
     AggregateReport,
     ExperimentConfig,

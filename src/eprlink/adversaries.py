@@ -154,17 +154,6 @@ class AttackSpec:
         return None
 
 
-@dataclass
-class AttackReport:
-    """What one run's adversary got away with (filled in by the harness)."""
-
-    detected: bool
-    detected_at: Optional[str]
-    guessed_bits: Optional[List[Optional[Tuple[int, int]]]] = None
-    ancilla_outcomes: Optional[List[int]] = None
-    trojan_leak: bool = False
-
-
 class Adversary:
     """Base adversary: sees all public traffic, taps nothing, does nothing."""
 

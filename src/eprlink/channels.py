@@ -242,16 +242,23 @@ class Topology:
 
     @classmethod
     def for_parties(cls, parties: Sequence[PartyId]) -> "Topology":
-        """Star topology: each relay node linked to every end party, both media."""
-        edges = frozenset(frozenset((tp, p)) for tp in (TP1, TP2) for p in parties)
-        return cls(quantum_edges=edges, classical_edges=edges)
+        """Star topology: each relay node linked to every end party, both media.
+
+        Built once per party tuple and then shared, since a topology is immutable.
+        """
+        key = tuple(parties)
+        topology = _STAR_TOPOLOGIES.get(key)
+        if topology is None:
+            edges = frozenset(frozenset((tp, p)) for tp in (TP1, TP2) for p in key)
+            topology = _STAR_TOPOLOGIES[key] = cls(quantum_edges=edges, classical_edges=edges)
+        return topology
 
     @classmethod
     def two_party(cls) -> "Topology":
-        return _TWO_PARTY
+        return cls.for_parties((ALICE, BOB))
 
 
-_TWO_PARTY = Topology.for_parties([ALICE, BOB])
+_STAR_TOPOLOGIES: Dict[Tuple[PartyId, ...], Topology] = {}
 
 
 # --- network -----------------------------------------------------------------

@@ -1013,7 +1013,7 @@ def load_config(path: str) -> ExperimentConfig:
         "config",
     )
     cfg_data = data.get("cfg", {})
-    _check_keys(cfg_data, ("m_pairs", "n_decoys", "check_fraction", "parties", "seed"), "cfg")
+    _check_keys(cfg_data, ("m_pairs", "n_decoys", "check_fraction", "parties"), "cfg")
     cfg = EstablishmentConfig(
         m_pairs=int(cfg_data.get("m_pairs", 10)),
         n_decoys=int(cfg_data.get("n_decoys", 10)),

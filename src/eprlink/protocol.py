@@ -420,7 +420,7 @@ def _run(session: Session) -> EstablishmentOutcome:
     )
 
 
-def _coerce_adversary(attack: Optional[object], rng: Optional[np.random.Generator]) -> Optional[object]:
+def _coerce_adversary(attack: Optional[object]) -> Optional[object]:
     if attack is None:
         return None
     if hasattr(attack, "on_quantum_in_flight"):
@@ -441,7 +441,7 @@ def run_establishment(
     """Run one two-party establishment attempt end to end."""
     if cfg.parties != 2:
         raise ValueError("run_establishment is the two-party entry point; use run_multiparty")
-    session = Session(cfg, _coerce_adversary(attack, rng), rng, filters_enabled=filters_enabled)
+    session = Session(cfg, _coerce_adversary(attack), rng, filters_enabled=filters_enabled)
     return _run(session)
 
 
@@ -457,7 +457,7 @@ def run_multiparty(
     of size two is the usual maximally entangled pair and the diagonal-basis
     parity rule degenerates to outcome equality.
     """
-    session = Session(cfg, _coerce_adversary(attack, rng), rng, filters_enabled=filters_enabled)
+    session = Session(cfg, _coerce_adversary(attack), rng, filters_enabled=filters_enabled)
     return _run(session)
 
 

@@ -243,6 +243,14 @@ def ghz_vector(k: int) -> np.ndarray:
     return vec
 
 
+# Flat indices of the |0> and |1> slices of axis k of a 2-qubit factor, whose
+# amplitudes are read as [a00, a01, a10, a11].
+_PAIR_SLICES = (((0, 1), (2, 3)), ((0, 2), (1, 3)))
+
+# Real rows of _BELL_MATRIX, for rebuilding a collapsed pair from Python scalars.
+_BELL_ROWS = _BELL_MATRIX.real.tolist()
+
+
 def _axis_slices(k: int) -> Tuple[tuple, tuple]:
     """Index tuples selecting the |0> and |1> slices of axis k."""
     lead = (slice(None),) * k
@@ -256,6 +264,42 @@ def _check_unitary(u: np.ndarray, dim: int) -> np.ndarray:
     if np.max(np.abs(u.conj().T @ u - np.eye(dim))) > UNITARY_ATOL:
         raise NonUnitaryError("matrix is not unitary within tolerance")
     return u
+
+
+def _measure_pair(
+    amps: np.ndarray, k: int, x_basis: bool, rng: np.random.Generator, draw: Optional[float]
+) -> int:
+    """:meth:`QuantumRegister.measure` of axis k of a 2-qubit factor, in place.
+
+    The same projection, draw and comparison as the general kernel, on the
+    four amplitudes read as Python complex scalars.
+    """
+    a = amps.ravel().tolist()
+    (i0, j0), (i1, j1) = _PAIR_SLICES[k]
+    # Slice 0 is (x0, x1), slice 1 is (y0, y1).
+    x0, x1, y0, y1 = a[i0], a[j0], a[i1], a[j1]
+    if x_basis:
+        x0, x1, y0, y1 = x0 + y0, x1 + y1, x0 - y0, x1 - y1
+    p1 = (y0.real * y0.real + y0.imag * y0.imag) + (y1.real * y1.real + y1.imag * y1.imag)
+    if x_basis:
+        p1 *= 0.5
+    if draw is None:
+        draw = rng.random()
+    bit = 1 if draw < p1 else 0
+    scale = 1.0 / math.sqrt(p1 if bit else 1.0 - p1)
+    if x_basis:
+        half = 0.5 * scale
+        k0, k1 = (y0 * half, y1 * half) if bit else (x0 * half, x1 * half)
+        a[i0], a[j0] = k0, k1
+        a[i1], a[j1] = (-k0, -k1) if bit else (k0, k1)
+    elif bit:
+        a[i0] = a[j0] = 0j
+        a[i1], a[j1] = y0 * scale, y1 * scale
+    else:
+        a[i0], a[j0] = x0 * scale, x1 * scale
+        a[i1] = a[j1] = 0j
+    amps.flat = a
+    return bit
 
 
 class StateVector:
@@ -365,6 +409,15 @@ class QuantumRegister:
     def _apply_1q(self, sv: StateVector, k: int, u: np.ndarray) -> None:
         (u00, u01), (u10, u11) = u.tolist()
         amps = sv.amps
+        if amps.ndim == 2:
+            # A pair is read and written as four Python complex scalars.
+            a = amps.ravel().tolist()
+            (i0, j0), (i1, j1) = _PAIR_SLICES[k]
+            x0, x1, y0, y1 = a[i0], a[j0], a[i1], a[j1]
+            a[i0], a[j0] = u00 * x0 + u01 * y0, u00 * x1 + u01 * y1
+            a[i1], a[j1] = u10 * x0 + u11 * y0, u10 * x1 + u11 * y1
+            amps.flat = a
+            return
         sl0, sl1 = _axis_slices(k)
         b0, b1 = amps[sl0], amps[sl1]
         new = np.empty_like(amps)
@@ -424,6 +477,9 @@ class QuantumRegister:
         fid, sv = self._locate(q)
         amps = sv.amps
         x_basis = basis is Basis.X
+        if amps.ndim == 2:
+            bit = _measure_pair(amps, sv.axis_of(q), x_basis, rng, draw)
+            return MeasurementOutcome(basis, bit)
         single = amps.ndim == 1
         sl0, sl1 = (0, 1) if single else _axis_slices(sv.axis_of(q))
         # A 1-qubit factor is read as two Python complex scalars, cheaper than numpy ones.
@@ -477,14 +533,23 @@ class QuantumRegister:
         fid1, _ = self._locate(q1)
         fid2, _ = self._locate(q2)
         _, sv = self._merge(fid1, fid2)
-        ka, kb = sv.axis_of(q1), sv.axis_of(q2)
-        # (q1, q2) become the leading axes; a bare pair is its flat 4-vector,
-        # transposed when q1 is the second axis.
-        perm = [ka, kb] + [i for i in range(sv.amps.ndim) if i != ka and i != kb]
-        moved = sv.amps.transpose(perm)
-        coeffs = _BELL_PROJECTOR @ moved.reshape(4, -1)
-        parts = coeffs.view(np.float64)  # real and imaginary parts side by side
-        probs = np.square(parts).sum(axis=1).tolist()
+        pair = sv.amps.ndim == 2
+        if pair:
+            # A bare pair is read as four Python complex scalars.  Exchanging
+            # the two qubits negates only psi-, in both its coefficient and its
+            # state, so the result is the same whichever axis holds q1.
+            a00, a01, a10, a11 = sv.amps.ravel().tolist()
+            s = _SQRT_HALF
+            coeffs = (s * (a00 + a11), s * (a00 - a11), s * (a01 + a10), s * (a01 - a10))
+            probs = [c.real * c.real + c.imag * c.imag for c in coeffs]
+        else:
+            # (q1, q2) become the leading axes of the flattened factor.
+            ka, kb = sv.axis_of(q1), sv.axis_of(q2)
+            perm = [ka, kb] + [i for i in range(sv.amps.ndim) if i != ka and i != kb]
+            moved = sv.amps.transpose(perm)
+            coeffs = _BELL_PROJECTOR @ moved.reshape(4, -1)
+            parts = coeffs.view(np.float64)  # real and imaginary parts side by side
+            probs = np.square(parts).sum(axis=1).tolist()
         r = rng.random()
         acc = 0.0
         for idx, p in enumerate(probs):
@@ -495,8 +560,11 @@ class QuantumRegister:
             # Rounding left sum(probs) <= r: take the last outcome that can occur.
             idx = max(i for i, p in enumerate(probs) if p > 0.0)
         picked = coeffs[idx] * (1.0 / math.sqrt(probs[idx]))
-        new = (_BELL_MATRIX[idx, :, None] * picked).reshape(moved.shape)
-        sv.amps = new.transpose(sorted(range(len(perm)), key=perm.__getitem__))
+        if pair:
+            sv.amps.flat = [v * picked for v in _BELL_ROWS[idx]]
+        else:
+            new = (_BELL_MATRIX[idx, :, None] * picked).reshape(moved.shape)
+            sv.amps = new.transpose(sorted(range(len(perm)), key=perm.__getitem__))
         return _BELL_ORDER[idx]
 
     # -- disposal ----------------------------------------------------------
@@ -509,17 +577,33 @@ class QuantumRegister:
             del self._factors[fid]
         else:
             # The qubit's reduced state is the Gram matrix of its two axis slices.
-            sl0, sl1 = _axis_slices(sv.axis_of(q))
-            r0, r1 = amps[sl0], amps[sl1]
-            g00 = np.vdot(r0, r0).real
-            g11 = np.vdot(r1, r1).real
-            g01 = np.vdot(r0, r1)
+            k = sv.axis_of(q)
+            if amps.ndim == 2:
+                # A pair's slices are read as Python complex scalars.
+                a = amps.ravel().tolist()
+                (i0, j0), (i1, j1) = _PAIR_SLICES[k]
+                x0, x1, y0, y1 = a[i0], a[j0], a[i1], a[j1]
+                r0, r1 = (x0, x1), (y0, y1)
+                g00 = (x0.real**2 + x0.imag**2) + (x1.real**2 + x1.imag**2)
+                g11 = (y0.real**2 + y0.imag**2) + (y1.real**2 + y1.imag**2)
+                g01 = x0.conjugate() * y0 + x1.conjugate() * y1
+            else:
+                sl0, sl1 = _axis_slices(k)
+                r0, r1 = amps[sl0], amps[sl1]
+                g00 = np.vdot(r0, r0).real
+                g11 = np.vdot(r1, r1).real
+                g01 = np.vdot(r0, r1)
             purity = float(g00 * g00 + g11 * g11 + 2.0 * (g01.real**2 + g01.imag**2))
             if purity < 1.0 - PURITY_ATOL:
                 raise EntangledDiscardError(f"{q} is still entangled (purity {purity:.6f})")
             # In a product state both slices are multiples of the remainder;
             # the larger one, normalised, is it up to a global phase.
-            sv.amps = r0 / math.sqrt(g00) if g00 >= g11 else r1 / math.sqrt(g11)
+            kept, g = (r0, g00) if g00 >= g11 else (r1, g11)
+            norm = math.sqrt(g)
+            if amps.ndim == 2:
+                sv.amps = np.array([kept[0] / norm, kept[1] / norm])
+            else:
+                sv.amps = kept / norm
             sv.qubit_order = [r for r in sv.qubit_order if r != q]
         del self._where[q]
         self._consumed.add(q)

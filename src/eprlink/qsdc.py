@@ -182,7 +182,7 @@ def run_qsdc(
     length = expected_message_length(cfg)
     if message is not None and len(message) != length:
         raise ValueError(f"this configuration carries {length} bits, got {len(message)}")
-    session = Session(cfg, _coerce_adversary(attack, rng), rng, filters_enabled=filters_enabled)
+    session = Session(cfg, _coerce_adversary(attack), rng, filters_enabled=filters_enabled)
     adversary = session.adversary
     est = _run(session)
     if not est.established:

@@ -56,6 +56,13 @@ def test_star_topology_edges():
     assert not topo.has_classical(TP1, TP2)
 
 
+def test_star_topologies_are_shared_per_party_list():
+    assert Topology.for_parties([ALICE, BOB]) is Topology.for_parties((ALICE, BOB))
+    assert Topology.two_party() is Topology.for_parties(end_parties(2))
+    assert Topology.for_parties(end_parties(3)) is Topology.for_parties(end_parties(3))
+    assert Topology.for_parties(end_parties(3)) is not Topology.two_party()
+
+
 def test_party_ids_compare_order_and_print_like_their_names():
     p3 = PartyId("P3")
     assert p3 == participant(3) and hash(p3) == hash(participant(3))

@@ -6,6 +6,7 @@ build with a broken oracle must fail with exit code 1.  A configuration error
 exits with code 2 before any trial runs.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -62,3 +63,13 @@ def test_sweep_rejects_a_bad_point_before_running_any(args, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_config_rejects_a_seed_inside_cfg(tmp_path, capsys):
+    """The batch seed is a top-level key; a seed under "cfg" would be ignored."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"scenario": "establish", "cfg": {"seed": 5}, "trials": 1}))
+    assert main(["establish", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.strip() == "error: unknown cfg keys: ['seed']"
