@@ -168,13 +168,23 @@ class ClassicalMessage:
 # --- transcript --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
+    """One transcript entry; ``payload`` is a summary string or a classical payload."""
+
     step: int
     kind: str
     frm: str
     to: str
-    payload_summary: str
+    payload: object
+
+    @property
+    def payload_summary(self) -> str:
+        """The payload's one-line summary, formatted when read.
+
+        Payloads are frozen values, so the text is the same whenever it is read.
+        """
+        payload = self.payload
+        return payload if isinstance(payload, str) else payload.summary()
 
 
 class Transcript:
@@ -183,9 +193,10 @@ class Transcript:
     def __init__(self) -> None:
         self.events: List[Event] = []
 
-    def log(self, kind: str, frm: PartyId, to: PartyId, payload_summary: str) -> int:
+    def log(self, kind: str, frm: PartyId, to: PartyId, payload: object) -> int:
+        """Append an event; ``payload`` is a summary string or an object with ``summary()``."""
         step = len(self.events)
-        self.events.append(Event(step, kind, str(frm), str(to), payload_summary))
+        self.events.append(Event(step, kind, str(frm), str(to), payload))
         return step
 
     def __iter__(self) -> Iterator[Event]:
@@ -340,7 +351,7 @@ class Network:
         if kind is None:
             raise ChannelContractError("classical payload outside the protocol vocabulary")
         msg = ClassicalMessage(sender, receiver, payload)
-        self.transcript.log(kind, sender, receiver, payload.summary())
+        self.transcript.log(kind, sender, receiver, payload)
         for adv in self.interceptors:
             adv.on_classical_observed(self, msg)
         return msg

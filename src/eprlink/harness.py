@@ -952,6 +952,22 @@ def _check_keys(mapping: dict, allowed: Sequence[str], where: str) -> None:
         raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
 
 
+def _json_int(data: dict, key: str, default: int) -> int:
+    """An integer config value; a float, string or JSON boolean is an error, not truncated."""
+    value = data.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _json_bool(data: dict, key: str, default: bool) -> bool:
+    """A JSON boolean config value; ``"false"`` or 0 is an error, not coerced."""
+    value = data.get(key, default)
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def _parse_matrix(rows) -> tuple:
     """Nested lists of numbers or [re, im] pairs -> nested tuples of complex."""
 
@@ -1015,10 +1031,10 @@ def load_config(path: str) -> ExperimentConfig:
     cfg_data = data.get("cfg", {})
     _check_keys(cfg_data, ("m_pairs", "n_decoys", "check_fraction", "parties"), "cfg")
     cfg = EstablishmentConfig(
-        m_pairs=int(cfg_data.get("m_pairs", 10)),
-        n_decoys=int(cfg_data.get("n_decoys", 10)),
+        m_pairs=_json_int(cfg_data, "m_pairs", 10),
+        n_decoys=_json_int(cfg_data, "n_decoys", 10),
         check_fraction=float(cfg_data.get("check_fraction", 0.3)),
-        parties=int(cfg_data.get("parties", 2)),
+        parties=_json_int(cfg_data, "parties", 2),
     )
     attack = parse_attack(data["attack"]) if data.get("attack") is not None else None
     out_data = data.get("output", {})
@@ -1031,7 +1047,7 @@ def load_config(path: str) -> ExperimentConfig:
             discussion=game_data.get("discussion", "decoy"),
             strategy=game_data.get("strategy", "passive"),
             queries=tuple(game_data.get("queries", ("execute", "send", "test"))),
-            challenge_len=int(game_data.get("challenge_len", 8)),
+            challenge_len=_json_int(game_data, "challenge_len", 8),
         )
     sweep_param = None
     sweep_values: Optional[Tuple[int, ...]] = None
@@ -1044,13 +1060,13 @@ def load_config(path: str) -> ExperimentConfig:
         scenario=data.get("scenario", "establish"),
         cfg=cfg,
         attack=attack,
-        trials=int(data.get("trials", 1000)),
-        seed=int(data.get("seed", 0)),
+        trials=_json_int(data, "trials", 1000),
+        seed=_json_int(data, "seed", 0),
         output_path=out_data.get("path"),
         output_format=out_data.get("format", "json"),
         game=game,
-        filters_enabled=bool(data.get("filters_enabled", True)),
-        measure_fidelity=bool(data.get("measure_fidelity", True)),
+        filters_enabled=_json_bool(data, "filters_enabled", True),
+        measure_fidelity=_json_bool(data, "measure_fidelity", True),
         sweep_param=sweep_param,
         sweep_values=sweep_values,
     )

@@ -9,7 +9,9 @@ is back in a product state shrinks its factor again.
 
 Conventions:
   * amplitudes of an n-qubit factor are stored as a complex ndarray of shape
-    (2,) * n; the qubit at position k of ``qubit_order`` owns axis k,
+    (2,) * n; the qubit at position k of ``qubit_order`` owns axis k.  A
+    1-qubit factor is always a 2-tuple of Python complex numbers instead, so a
+    lone decoy is prepared, measured and dropped without allocating an array,
   * measurement bits: 0 means |0> (Z) or |+> (X), 1 means |1> or |->,
   * all randomness is drawn from an explicitly passed ``numpy.random.Generator``.
 """
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -31,11 +33,12 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 SINGLE_STATE_LABELS = ("0", "1", "+", "-")
 
+# Immutable, so a fresh qubit shares its label's tuple.
 _SINGLE_STATES = {
-    "0": np.array([1.0, 0.0], dtype=complex),
-    "1": np.array([0.0, 1.0], dtype=complex),
-    "+": np.array([_SQRT_HALF, _SQRT_HALF], dtype=complex),
-    "-": np.array([_SQRT_HALF, -_SQRT_HALF], dtype=complex),
+    "0": (1 + 0j, 0j),
+    "1": (0j, 1 + 0j),
+    "+": (complex(_SQRT_HALF), complex(_SQRT_HALF)),
+    "-": (complex(_SQRT_HALF), complex(-_SQRT_HALF)),
 }
 
 _ID2 = np.eye(2, dtype=complex)
@@ -205,8 +208,12 @@ class NonUnitaryError(ValueError):
 
 def state_vector_for_label(label: str) -> np.ndarray:
     """Return the 2-vector for one of the four preparation labels."""
+    return np.array(_single_state(label))
+
+
+def _single_state(label: str) -> Tuple[complex, complex]:
     try:
-        return _SINGLE_STATES[label].copy()
+        return _SINGLE_STATES[label]
     except KeyError:
         raise ValueError(f"unknown state label {label!r}") from None
 
@@ -302,12 +309,44 @@ def _measure_pair(
     return bit
 
 
+Amplitudes = Union[np.ndarray, Tuple[complex, complex]]
+
+
+def _measure_single(
+    amps: Amplitudes, x_basis: bool, rng: np.random.Generator, draw: Optional[float]
+) -> Tuple[Tuple[complex, complex], int]:
+    """:meth:`QuantumRegister.measure` of a 1-qubit factor: the new amplitudes and the bit.
+
+    The same projection, draw and comparison as the general kernel, on the
+    two amplitudes as Python complex scalars.
+    """
+    b0, b1 = amps
+    if x_basis:
+        # sqrt2 <+|psi> and sqrt2 <-|psi>; the 1/sqrt2 factors go into p1 and scale.
+        b0, b1 = b0 + b1, b0 - b1
+    p1 = b1.real * b1.real + b1.imag * b1.imag
+    if x_basis:
+        p1 *= 0.5
+    if draw is None:
+        draw = rng.random()
+    bit = 1 if draw < p1 else 0
+    scale = 1.0 / math.sqrt(p1 if bit else 1.0 - p1)
+    if x_basis:
+        kept = (b1 if bit else b0) * (0.5 * scale)
+        return ((kept, -kept) if bit else (kept, kept)), bit
+    return ((0j, b1 * scale) if bit else (b0 * scale, 0j)), bit
+
+
 class StateVector:
-    """One independent tensor factor of the run's global state."""
+    """One independent tensor factor of the run's global state.
+
+    ``amps`` is a 2-tuple of Python complex numbers for one qubit and an
+    ndarray of shape (2,) * n for n >= 2 qubits.
+    """
 
     __slots__ = ("amps", "qubit_order")
 
-    def __init__(self, amps: np.ndarray, qubit_order: List[QubitRef]):
+    def __init__(self, amps: Amplitudes, qubit_order: List[QubitRef]):
         self.amps = amps
         self.qubit_order = qubit_order
 
@@ -319,7 +358,7 @@ class StateVector:
         return self.qubit_order.index(q)
 
     def norm_error(self) -> float:
-        return abs(float(np.sum(np.abs(self.amps) ** 2)) - 1.0)
+        return abs(float(np.sum(np.abs(np.asarray(self.amps)) ** 2)) - 1.0)
 
 
 class QuantumRegister:
@@ -339,7 +378,7 @@ class QuantumRegister:
         self._next_uid += 1
         return ref
 
-    def _add_factor(self, amps: np.ndarray, refs: List[QubitRef]) -> None:
+    def _add_factor(self, amps: Amplitudes, refs: List[QubitRef]) -> None:
         fid = self._next_fid
         self._next_fid += 1
         self._factors[fid] = StateVector(amps, refs)
@@ -381,7 +420,7 @@ class QuantumRegister:
 
     def prepare_single(self, label: str) -> QubitRef:
         """Create one fresh qubit in |0>, |1>, |+> or |->."""
-        vec = state_vector_for_label(label)
+        vec = _single_state(label)
         ref = self._new_ref()
         self._add_factor(vec, [ref])
         return ref
@@ -409,6 +448,10 @@ class QuantumRegister:
     def _apply_1q(self, sv: StateVector, k: int, u: np.ndarray) -> None:
         (u00, u01), (u10, u11) = u.tolist()
         amps = sv.amps
+        if len(sv.qubit_order) == 1:
+            x, y = amps
+            sv.amps = (u00 * x + u01 * y, u10 * x + u11 * y)
+            return
         if amps.ndim == 2:
             # A pair is read and written as four Python complex scalars.
             a = amps.ravel().tolist()
@@ -477,17 +520,18 @@ class QuantumRegister:
         fid, sv = self._locate(q)
         amps = sv.amps
         x_basis = basis is Basis.X
+        if len(sv.qubit_order) == 1:
+            sv.amps, bit = _measure_single(amps, x_basis, rng, draw)
+            return MeasurementOutcome(basis, bit)
         if amps.ndim == 2:
             bit = _measure_pair(amps, sv.axis_of(q), x_basis, rng, draw)
             return MeasurementOutcome(basis, bit)
-        single = amps.ndim == 1
-        sl0, sl1 = (0, 1) if single else _axis_slices(sv.axis_of(q))
-        # A 1-qubit factor is read as two Python complex scalars, cheaper than numpy ones.
-        b0, b1 = amps.tolist() if single else (amps[sl0], amps[sl1])
+        sl0, sl1 = _axis_slices(sv.axis_of(q))
+        b0, b1 = amps[sl0], amps[sl1]
         if x_basis:
             # sqrt2 <+|psi> and sqrt2 <-|psi>; the 1/sqrt2 factors go into p1 and scale.
             b0, b1 = b0 + b1, b0 - b1
-        p1 = b1.real * b1.real + b1.imag * b1.imag if single else float(np.vdot(b1, b1).real)
+        p1 = float(np.vdot(b1, b1).real)
         if x_basis:
             p1 *= 0.5
         if draw is None:
@@ -573,7 +617,7 @@ class QuantumRegister:
         """Remove a qubit that is in a product state with everything else."""
         fid, sv = self._locate(q)
         amps = sv.amps
-        if amps.ndim == 1:
+        if len(sv.qubit_order) == 1:
             del self._factors[fid]
         else:
             # The qubit's reduced state is the Gram matrix of its two axis slices.
@@ -601,7 +645,7 @@ class QuantumRegister:
             kept, g = (r0, g00) if g00 >= g11 else (r1, g11)
             norm = math.sqrt(g)
             if amps.ndim == 2:
-                sv.amps = np.array([kept[0] / norm, kept[1] / norm])
+                sv.amps = (kept[0] / norm, kept[1] / norm)
             else:
                 sv.amps = kept / norm
             sv.qubit_order = [r for r in sv.qubit_order if r != q]
@@ -626,7 +670,7 @@ class QuantumRegister:
             sv = self._factors[fid]
             axes = [sv.axis_of(q) for q in qs]
             r = len(qs)
-            arr = np.moveaxis(sv.amps, axes, range(r)).reshape(2**r, -1)
+            arr = np.moveaxis(np.asarray(sv.amps), axes, range(r)).reshape(2**r, -1)
             block = arr @ arr.conj().T
             rho = block if rho is None else np.kron(rho, block)
             built_order.extend(qs)
@@ -643,8 +687,26 @@ class QuantumRegister:
         target = np.asarray(target, dtype=complex).reshape(-1)
         if target.shape != (2 ** len(qubits),):
             raise ValueError("target vector has the wrong dimension")
-        rho = self.reduced_density(qubits)
+        rho = self._density(qubits)
         return float((target.conj() @ rho @ target).real)
+
+    def _density(self, qubits: Sequence[QubitRef]) -> np.ndarray:
+        """:meth:`reduced_density`, built directly when the qubits are exactly one factor.
+
+        The whole factor's block is the same outer product of the same values
+        in the same order, so the matrix is bit-identical; any other qubit set
+        goes through :meth:`reduced_density`.
+        """
+        fid = self._where.get(qubits[0]) if qubits else None
+        if fid is not None:
+            order = self._factors[fid].qubit_order
+            if len(order) == len(qubits) and set(order) == set(qubits):
+                amps = np.asarray(self._factors[fid].amps)
+                if order != list(qubits):
+                    amps = amps.transpose([order.index(q) for q in qubits])
+                arr = amps.reshape(-1, 1)
+                return arr @ arr.conj().T
+        return self.reduced_density(qubits)
 
 
 def is_bell_product(register: QuantumRegister, q1: QubitRef, q2: QubitRef) -> BellPairCheck:
@@ -654,7 +716,7 @@ def is_bell_product(register: QuantumRegister, q1: QubitRef, q2: QubitRef) -> Be
     (no residual entanglement with anything else) and overlap with the phi+
     state of at least 1 - 1e-9.
     """
-    rho = register.reduced_density([q1, q2])
+    rho = register._density([q1, q2])
     purity = float(np.trace(rho @ rho).real)
     target = _BELL_VECTORS[BellOutcome.PHI_PLUS]
     fidelity = float((target.conj() @ rho @ target).real)

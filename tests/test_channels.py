@@ -12,13 +12,16 @@ from eprlink.channels import (
     EVE,
     TP1,
     TP2,
+    AbortNotice,
     Ack,
     ChannelContractError,
+    MacTag,
     MeasurementResults,
     Network,
     PartyId,
     PositionsBases,
     STAGE_DECOY,
+    STAGE_PAIR_CHECK,
     Topology,
     TopologyError,
     TrojanKind,
@@ -146,6 +149,62 @@ def test_transcript_reproducible_for_same_seed():
         return net.transcript.to_jsonl()
 
     assert round_trip(4) == round_trip(4)
+
+
+def _eager_jsonl(rows):
+    """The transcript lines as formatted when every summary was a string built at send time."""
+    return "\n".join(
+        json.dumps({"step": i, "kind": k, "from": f, "to": t, "payload_summary": summary})
+        for i, (k, f, t, summary) in enumerate(rows)
+    )
+
+
+def test_lazy_transcript_serializes_like_eager_summaries():
+    net = _net()
+    q = net.register.prepare_single("+")
+    net.plant_tag(q, TrojanTag(TrojanKind.DELAY_PHOTON, EVE))
+    net.scan_trojan(ALICE, net.send_quantum(TP1, ALICE, [q]))
+    rows = [
+        ("quantum_send", "TP1", "Alice", "1 qubits"),
+        ("quantum_deliver", "TP1", "Alice", "1 qubits"),
+        ("trojan_detected", "Alice", "Alice", "1 probe tag(s)"),
+    ]
+    payloads = [
+        Ack(),
+        Ack("ready"),
+        PositionsBases(STAGE_DECOY, (0, 3, 5), (Basis.Z, Basis.X, Basis.Z)),
+        PositionsBases(STAGE_PAIR_CHECK, (), ()),
+        MeasurementResults(STAGE_DECOY, (0, 1, 1)),
+        AbortNotice(STAGE_PAIR_CHECK, "mismatch"),
+        MacTag("0f"),
+    ]
+    for payload in payloads:
+        rows.append((payload.KIND, "Bob", "TP2", payload.summary()))
+        net.send_classical(BOB, TP2, payload)
+    assert net.transcript.to_jsonl() == _eager_jsonl(rows)
+    events = list(net.transcript)
+    assert [e.payload_summary for e in events] == [r[3] for r in rows]
+    assert [e.payload for e in events[3:]] == payloads
+    assert net.transcript.to_jsonl() == _eager_jsonl(rows)
+
+
+def test_send_classical_defers_the_summary_until_it_is_read():
+    @dataclasses.dataclass(frozen=True)
+    class Counted:
+        KIND = "ack"
+        calls: list
+
+        def summary(self):
+            self.calls.append(1)
+            return "counted"
+
+    net = _net()
+    payload = Counted([])
+    net.send_classical(ALICE, TP1, payload)
+    assert payload.calls == []
+    (event,) = net.transcript
+    assert event.payload is payload and event.payload_summary == "counted"
+    assert len(payload.calls) == 1
 
 
 # --- interceptors ----------------------------------------------------------------

@@ -73,3 +73,49 @@ def test_config_rejects_a_seed_inside_cfg(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.strip() == "error: unknown cfg keys: ['seed']"
+
+
+@pytest.mark.parametrize(
+    "config,key",
+    [
+        ({"measure_fidelity": "false"}, "measure_fidelity"),
+        ({"measure_fidelity": 0}, "measure_fidelity"),
+        ({"filters_enabled": "false"}, "filters_enabled"),
+        ({"filters_enabled": None}, "filters_enabled"),
+        ({"cfg": {"m_pairs": 2.9}}, "m_pairs"),
+        ({"cfg": {"n_decoys": "3"}}, "n_decoys"),
+        ({"cfg": {"parties": True}}, "parties"),
+        ({"trials": 3.7}, "trials"),
+        ({"trials": None}, "trials"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": False}, "seed"),
+        ({"scenario": "game", "game": {"challenge_len": 8.0}}, "challenge_len"),
+    ],
+)
+def test_config_rejects_values_it_would_coerce(tmp_path, capsys, config, key):
+    """A flag must be a JSON boolean and a count a JSON integer: no truncation, no truthiness."""
+    data = {"scenario": "establish", "trials": 1, **config}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    command = data["scenario"]
+    assert main([command, "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {key} must be ") and "Traceback" not in err
+
+
+def test_config_accepts_json_booleans_and_integers(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    data = {
+        "scenario": "establish",
+        "cfg": {"m_pairs": 4, "n_decoys": 2, "parties": 2},
+        "trials": 2,
+        "seed": 3,
+        "measure_fidelity": False,
+        "filters_enabled": True,
+        "output": {"path": str(tmp_path / "report.json")},
+    }
+    path.write_text(json.dumps(data))
+    assert main(["establish", "--config", str(path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["trials"] == 2 and report["min_pair_fidelity"] is None

@@ -4,6 +4,9 @@ The oracle side of each test builds plain numpy vectors with kron products and
 projectors, never touching the register implementation under test.
 """
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
@@ -14,6 +17,7 @@ from eprlink.qcore import (
     BellOutcome,
     DeadQubitError,
     EntangledDiscardError,
+    MeasurementOutcome,
     NonUnitaryError,
     PauliCode,
     QuantumRegister,
@@ -562,7 +566,7 @@ def _loaded_register(amps):
 
 
 def _factor_amps(reg, q):
-    return reg._locate(q)[1].amps
+    return np.asarray(reg._locate(q)[1].amps)
 
 
 def _assert_same_up_to_phase(got, want):
@@ -601,7 +605,7 @@ def test_one_qubit_gate_kernel_matches_reference(n):
             sv = reg._locate(refs[k])[1]
             reg._apply_1q(sv, k, u)
             want = _ref_apply_1q(amps, k, u)
-            assert np.max(np.abs(sv.amps - want)) < 1e-12
+            assert np.max(np.abs(np.asarray(sv.amps) - want)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -620,7 +624,7 @@ def test_discard_kernel_matches_reference_on_product_states(n):
             survivor = refs[1] if k == 0 else refs[0]
             sv = reg._locate(survivor)[1]
             assert sv.qubit_order == [q for q in refs if q != refs[k]]
-            _assert_same_up_to_phase(sv.amps, want_rest)
+            _assert_same_up_to_phase(np.asarray(sv.amps), want_rest)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -741,3 +745,246 @@ def test_measure_with_a_given_draw_reads_no_random_number():
     assert reg.measure(q0, Basis.Z, rng, 0.49).bit == 1
     assert reg.measure(q1, Basis.Z, rng, 0.51).bit == 0
     assert rng.bit_generator.state == state
+
+
+# --- lone qubits: tuple kernels against the ndarray kernels they replace --------------
+#
+# A 1-qubit factor is a pair of Python complex numbers.  The references below are
+# the register's earlier kernels for a (2,) ndarray factor; each side gets its own
+# generator from the same seed, so equal next draws mean equal consumption.
+
+
+def _ref_lone_measure(vec, basis, rng, draw=None):
+    """(bit, post-state) of the earlier 1-qubit ``measure`` on a (2,) ndarray."""
+    amps = np.array(vec, dtype=complex)
+    x_basis = basis is Basis.X
+    b0, b1 = amps.tolist()
+    if x_basis:
+        b0, b1 = b0 + b1, b0 - b1
+    p1 = b1.real * b1.real + b1.imag * b1.imag
+    if x_basis:
+        p1 *= 0.5
+    if draw is None:
+        draw = rng.random()
+    bit = 1 if draw < p1 else 0
+    scale = 1.0 / math.sqrt(p1 if bit else 1.0 - p1)
+    if x_basis:
+        kept = (b1 if bit else b0) * (0.5 * scale)
+        amps[0] = kept
+        amps[1] = -kept if bit else kept
+    else:
+        amps[1 if bit else 0] *= scale
+        amps[0 if bit else 1] = 0.0
+    return bit, amps
+
+
+def _ref_lone_gate(vec, u):
+    """The earlier ``_apply_1q`` on a (2,) ndarray: its two axis slices."""
+    amps = np.array(vec, dtype=complex)
+    (u00, u01), (u10, u11) = u.tolist()
+    b0, b1 = amps[(0,)], amps[(1,)]
+    new = np.empty_like(amps)
+    new[(0,)] = u00 * b0 + u01 * b1
+    new[(1,)] = u10 * b0 + u11 * b1
+    return new
+
+
+def _ref_pair_discard(amps, k):
+    """The earlier pair ``discard`` remainder: the larger slice of axis k, normalised."""
+    moved = np.moveaxis(amps, k, 0)
+    r0, r1 = moved[0], moved[1]
+    g00, g11 = np.vdot(r0, r0).real, np.vdot(r1, r1).real
+    kept, g = (r0, g00) if g00 >= g11 else (r1, g11)
+    return np.array([kept[0] / math.sqrt(g), kept[1] / math.sqrt(g)])
+
+
+def _lone_states():
+    rng = np.random.default_rng(6000)
+    return [state_vector_for_label(lab) for lab in "01+-"] + [
+        _random_state(rng, 1) for _ in range(20)
+    ]
+
+
+def _lone_register(vec):
+    """A register holding one qubit whose factor is ``vec`` as Python complex numbers."""
+    reg = QuantumRegister()
+    q = reg.prepare_single("0")
+    reg._locate(q)[1].amps = tuple(complex(v) for v in vec)
+    return reg, q
+
+
+def _assert_lone_tuple(reg, q, want):
+    amps = reg._locate(q)[1].amps
+    assert type(amps) is tuple and len(amps) == 2
+    assert all(type(a) is complex for a in amps)
+    assert np.max(np.abs(np.asarray(amps) - want)) < 1e-12
+
+
+def test_prepare_single_shares_its_label_tuple():
+    reg = QuantumRegister()
+    for lab in "01+-":
+        q = reg.prepare_single(lab)
+        _assert_lone_tuple(reg, q, state_vector_for_label(lab))
+        assert reg._locate(q)[1].amps is reg._locate(reg.prepare_single(lab))[1].amps
+    with pytest.raises(ValueError, match="unknown state label"):
+        reg.prepare_single("y")
+
+
+@pytest.mark.parametrize("given_draw", [False, True])
+@pytest.mark.parametrize("basis", [Basis.Z, Basis.X])
+def test_lone_measure_matches_the_ndarray_kernel(basis, given_draw):
+    for i, vec in enumerate(_lone_states()):
+        draw = float(np.random.default_rng(700 + i).random()) if given_draw else None
+        rng_ref, rng_got = np.random.default_rng(i), np.random.default_rng(i)
+        want_bit, want = _ref_lone_measure(vec, basis, rng_ref, draw)
+        reg, q = _lone_register(vec)
+        assert reg.measure(q, basis, rng_got, draw) == MeasurementOutcome(basis, want_bit)
+        _assert_lone_tuple(reg, q, want)
+        assert rng_got.random() == rng_ref.random()
+        # Measuring again in the same basis repeats the bit and keeps the state.
+        assert reg.measure(q, basis, rng_got).bit == want_bit
+        _assert_lone_tuple(reg, q, want)
+
+
+@pytest.mark.parametrize("gate", ["I", "Z", "X", "iY", "H"])
+def test_lone_gate_matches_the_ndarray_kernel(gate):
+    for vec in _lone_states():
+        reg, q = _lone_register(vec)
+        if gate == "H":
+            reg.apply_hadamard(q)
+            u = H
+        else:
+            reg.apply_pauli(q, PauliCode(gate))
+            u = PauliCode(gate).matrix
+        _assert_lone_tuple(reg, q, _ref_lone_gate(vec, u))
+
+
+def test_discard_leaves_a_lone_tuple_matching_the_ndarray_kernel():
+    rng = np.random.default_rng(6100)
+    for k in (0, 1):
+        for _ in range(20):
+            amps = np.moveaxis(
+                np.multiply.outer(_random_state(rng, 1), _random_state(rng, 1)), 0, k
+            )
+            reg, refs = _loaded_register(amps)
+            reg.discard(refs[k])
+            _assert_lone_tuple(reg, refs[1 - k], _ref_pair_discard(amps, k))
+            reg.discard(refs[1 - k])
+            assert reg.live_qubits() == [] and reg._factors == {}
+
+
+def test_lone_qubits_merge_like_ndarray_factors():
+    phi = bell_vector(BellOutcome.PHI_PLUS)
+    for i, (la, lb) in enumerate(itertools.product("01+-", repeat=2)):
+        va, vb = state_vector_for_label(la), state_vector_for_label(lb)
+        # Two lone qubits under a CNOT.
+        reg = QuantumRegister()
+        qa, qb = reg.prepare_single(la), reg.prepare_single(lb)
+        reg.apply_cnot(qa, qb)
+        want = (cnot_matrix() @ np.kron(va, vb)).reshape(2, 2)
+        assert reg._locate(qa)[1].qubit_order == [qa, qb]
+        assert np.max(np.abs(_factor_amps(reg, qa) - want)) < 1e-12
+        # A lone control and the first half of a pair.
+        reg = QuantumRegister()
+        c = reg.prepare_single(la)
+        p0, p1 = reg.prepare_epr_pair()
+        reg.apply_cnot(c, p0)
+        want = (np.kron(cnot_matrix(), np.eye(2)) @ np.kron(va, phi)).reshape(2, 2, 2)
+        assert reg._locate(c)[1].qubit_order == [c, p0, p1]
+        assert np.max(np.abs(_factor_amps(reg, c) - want)) < 1e-12
+        # Two lone qubits read in the Bell basis.
+        reg = QuantumRegister()
+        qa, qb = reg.prepare_single(la), reg.prepare_single(lb)
+        rng_ref, rng_got = np.random.default_rng(i), np.random.default_rng(i)
+        probs, idx, post = _ref_bell_measure(np.multiply.outer(va, vb), 0, 1, rng_ref.random())
+        assert reg.bell_measure(qa, qb, rng_got) is list(BellOutcome)[idx]
+        _assert_same_up_to_phase(_factor_amps(reg, qa), post)
+        assert rng_got.random() == rng_ref.random()
+
+
+# --- whole-factor fidelity against reduced_density --------------------------------------
+
+
+def _forbid_reduced_density(reg):
+    def forbidden(qubits):
+        raise AssertionError("whole-factor fidelity went through reduced_density")
+
+    reg.reduced_density = forbidden
+
+
+def _fidelity_via_reduced_density(reg, qubits, target):
+    rho = QuantumRegister.reduced_density(reg, qubits)
+    return float((target.conj() @ rho @ target).real)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_whole_factor_fidelity_is_bit_identical_to_reduced_density(n):
+    rng = np.random.default_rng(8000 + n)
+    for _ in range(10):
+        amps = _random_state(rng, n)
+        reg, refs = _loaded_register(amps)
+        if n == 1:
+            reg._locate(refs[0])[1].amps = tuple(amps.tolist())
+        _forbid_reduced_density(reg)
+        target = _random_state(rng, n).reshape(-1)
+        for order in itertools.permutations(refs):
+            order = list(order)
+            want = _fidelity_via_reduced_density(reg, order, target)
+            assert reg.state_fidelity(order, target) == want
+            assert reg.state_fidelity(tuple(order), target) == want
+
+
+def test_whole_factor_fidelity_keeps_the_ghz_bits():
+    reg = QuantumRegister()
+    qs = reg.prepare_ghz(3)
+    target = ghz_vector(3)
+    want = _fidelity_via_reduced_density(reg, qs, target)
+    _forbid_reduced_density(reg)
+    for order in itertools.permutations(qs):
+        assert reg.state_fidelity(list(order), target) == want
+    # |<t|psi>|^2 would round to another last bit here.
+    assert want == 0.9999999999999997
+
+
+def test_is_bell_product_on_a_whole_pair_is_bit_identical_to_reduced_density():
+    rng = np.random.default_rng(8100)
+    phi = bell_vector(BellOutcome.PHI_PLUS)
+    states = [phi.reshape(2, 2)] + [_random_state(rng, 2) for _ in range(10)]
+    for amps in states:
+        reg, (qa, qb) = _loaded_register(amps)
+        _forbid_reduced_density(reg)
+        for q1, q2 in ((qa, qb), (qb, qa)):
+            rho = QuantumRegister.reduced_density(reg, [q1, q2])
+            check = is_bell_product(reg, q1, q2)
+            assert check.purity == float(np.trace(rho @ rho).real)
+            assert check.fidelity == float((phi.conj() @ rho @ phi).real)
+
+
+def test_fidelity_of_part_of_a_factor_or_several_factors_uses_reduced_density():
+    rng = np.random.default_rng(8200)
+    reg, refs = _loaded_register(_random_state(rng, 3))
+    lone = reg.prepare_single("+")
+    calls = []
+
+    def counting(qubits):
+        calls.append(list(qubits))
+        return QuantumRegister.reduced_density(reg, qubits)
+
+    reg.reduced_density = counting
+    target2 = _random_state(rng, 2).reshape(-1)
+    target3 = _random_state(rng, 3).reshape(-1)
+    requests = [
+        ([refs[0], refs[2]], target2),
+        ([refs[2], refs[1]], target2),
+        ([refs[1], lone], target2),
+        ([lone, refs[0]], target2),
+        ([refs[0], lone, refs[2]], target3),
+    ]
+    for qubits, target in requests:
+        got = reg.state_fidelity(qubits, target)
+        assert got == _fidelity_via_reduced_density(reg, qubits, target)
+    assert calls == [qubits for qubits, _ in requests]
+    with pytest.raises(ValueError, match="duplicate"):
+        reg.state_fidelity([refs[0], refs[0], refs[1]], target3)
+    with pytest.raises(ValueError, match="at least one qubit"):
+        reg.state_fidelity([], np.ones(1))

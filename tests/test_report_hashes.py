@@ -1,9 +1,13 @@
 """Byte-stability guard: small seeded batches must emit exactly the same report.
 
-Each case hashes the JSON that ``emit_report`` writes for a small batch.  The
+Each case hashes the JSON that ``emit_report`` writes for a small batch.  Most
 chosen reports hold only counts and closed-form rates (no fidelities, no
 timings), so the bytes do not depend on the host's floating-point libraries.
-Honest runs always establish and deliver, so their cases pin the report layout
+The two ``*_fidelity`` cases also pin ``min_pair_fidelity`` to the last bit
+(0.9999999999999997, where |<t|psi>|^2 would give another value), so any
+change to how a fidelity is computed shows; their bytes depend on numpy's
+matrix-product rounding, so another numpy build may need them re-derived from
+an unchanged tree.  Honest runs always establish and deliver, so their cases pin the report layout
 and counts; the attacked cases and the games count outcomes that depend on
 every draw, so a change that consumes randomness in another order changes
 their hashes.  Update a pinned value only for a change that is meant to alter
@@ -69,6 +73,26 @@ CASES = {
             seed=13,
         ),
         "864e9bea0befc0acba6f1bf18eda53f6eeae7ddd65e83a3558b4e0fe505c15d9",
+    ),
+    "multiparty_k3_fidelity": (
+        lambda: ExperimentConfig(
+            scenario="multiparty",
+            cfg=EstablishmentConfig(m_pairs=10, n_decoys=10, parties=3),
+            measure_fidelity=True,
+            trials=40,
+            seed=18,
+        ),
+        "367f1f5a02fb8ca2983390aed7afbaf475c0ea993e7fc6d014558ca9434e7c39",
+    ),
+    "establish_fidelity": (
+        lambda: ExperimentConfig(
+            scenario="establish",
+            cfg=EstablishmentConfig(m_pairs=10, n_decoys=10),
+            measure_fidelity=True,
+            trials=40,
+            seed=19,
+        ),
+        "3f15ed196ab103faf73a3a14b60c2fafdd5d6cca5d840a977308343930ac79f5",
     ),
     "game_decoy": (
         lambda: ExperimentConfig(scenario="game", game=GameSpec(), trials=300, seed=14),
