@@ -240,10 +240,15 @@ class Topology:
     classical_edges: frozenset
     _quantum_pairs: frozenset = field(init=False, repr=False, compare=False)
     _classical_pairs: frozenset = field(init=False, repr=False, compare=False)
+    # Every party at the end of a quantum link.
+    quantum_parties: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_quantum_pairs", _ordered_pairs(self.quantum_edges))
         object.__setattr__(self, "_classical_pairs", _ordered_pairs(self.classical_edges))
+        object.__setattr__(
+            self, "quantum_parties", frozenset(p for edge in self.quantum_edges for p in edge)
+        )
 
     def has_quantum(self, a: PartyId, b: PartyId) -> bool:
         return (a, b) in self._quantum_pairs
@@ -290,8 +295,9 @@ class Network:
         self.transcript = Transcript()
         self.interceptors: List[object] = []
         # Parties equipped with ideal probe filters (photon-number split and
-        # wavelength); scanning without a filter sees nothing.
-        self.filtered_parties: set = {p for edge in topology.quantum_edges for p in edge}
+        # wavelength); scanning without a filter sees nothing.  A fresh set per
+        # network, since a run may switch its filters off.
+        self.filtered_parties: set = set(topology.quantum_parties)
         self._tags: Dict[QubitRef, TrojanTag] = {}
 
     def add_interceptor(self, adversary: object) -> None:

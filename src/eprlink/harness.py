@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -66,6 +67,7 @@ from .protocol import (
 )
 from .qcore import BASIS_BY_BIT, QuantumRegister, cnot_matrix
 from .qsdc import run_qsdc
+from .seeding import MAX_TRIALS, sweep_seed, trial_rngs
 
 SCENARIOS = ("establish", "qsdc", "multiparty", "game")
 
@@ -233,13 +235,15 @@ class ExperimentConfig:
     filters_enabled: bool = True
     measure_fidelity: bool = True
     sweep_param: Optional[str] = None
-    sweep_values: Optional[Tuple[int, ...]] = None
+    sweep_values: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ValueError(f"trials must be between 1 and {MAX_TRIALS}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.output_format not in ("json", "csv"):
             raise ValueError("output_format must be 'json' or 'csv'")
         if self.scenario in ("establish", "qsdc") and self.cfg.parties != 2:
@@ -482,6 +486,14 @@ def _attacked_leg(spec: Optional[AttackSpec]) -> Optional[Tuple[str, PartyId]]:
     return _EDGE_TO_DECOY_LEG.get(spec.edge)
 
 
+# --- the trial loop ----------------------------------------------------------------
+
+
+def _trials(seed: int, count: int, fn: Callable[[object, int], object]) -> list:
+    """``fn(rng, index)`` for every trial of a batch, in index order."""
+    return [fn(rng, index) for index, rng in enumerate(trial_rngs(seed, count))]
+
+
 # --- trial runners -----------------------------------------------------------------
 
 
@@ -543,23 +555,22 @@ def _trial_qsdc(ec: ExperimentConfig, cfg: EstablishmentConfig, rng, index: int)
 def run_experiment(ec: ExperimentConfig) -> Union["AggregateReport", "GameResult"]:
     """Run the configured batch and aggregate it.
 
-    Per-trial randomness comes from independent children of one seed sequence
-    and each trial gets a freshly built adversary, so batches are reproducible
-    and trials are statistically independent.  A trial that raises is recorded
-    as a failed trial rather than aborting the batch.
+    Trial i draws from the i-th spawned child of ``SeedSequence(ec.seed)`` and
+    gets a freshly built adversary, so batches are reproducible and trials are
+    statistically independent.  A trial that raises is recorded as a failed
+    trial rather than aborting the batch.
     """
     if ec.scenario == "game":
         return run_distinguishing_game(ec.game, ec.trials, ec.seed)
     trial_fn = _trial_qsdc if ec.scenario == "qsdc" else _trial_establish
-    children = np.random.SeedSequence(ec.seed).spawn(ec.trials)
-    reports: List[TrialReport] = []
-    for index, child in enumerate(children):
-        rng = np.random.default_rng(child)
+
+    def trial(rng, index: int) -> TrialReport:
         try:
-            reports.append(trial_fn(ec, ec.cfg, rng, index))
+            return trial_fn(ec, ec.cfg, rng, index)
         except Exception as exc:  # noqa: BLE001 - a bad trial must not kill the batch
-            reports.append(TrialReport(index=index, error=f"{type(exc).__name__}: {exc}"))
-    return _aggregate(ec, reports)
+            return TrialReport(index=index, error=f"{type(exc).__name__}: {exc}")
+
+    return _aggregate(ec, _trials(ec.seed, ec.trials, trial))
 
 
 def _aggregate(ec: ExperimentConfig, reports: List[TrialReport]) -> AggregateReport:
@@ -630,6 +641,12 @@ def _aggregate(ec: ExperimentConfig, reports: List[TrialReport]) -> AggregateRep
 
 def _sweep_point_cfg(ec: ExperimentConfig, value) -> EstablishmentConfig:
     """The run configuration of one sweep point; raises ValueError if invalid."""
+    if ec.sweep_param == "check_fraction":
+        kind, wanted = "numbers", numbers.Real
+    else:
+        kind, wanted = "integers", numbers.Integral
+    if isinstance(value, bool) or not isinstance(value, wanted):
+        raise ValueError(f"{ec.sweep_param} sweep values must be {kind}, got {value!r}")
     if ec.sweep_param == "n_decoys":
         return replace(ec.cfg, n_decoys=int(value))
     if ec.sweep_param == "check_fraction":
@@ -649,7 +666,7 @@ def run_sweep(ec: ExperimentConfig) -> List[AggregateReport]:
     out: List[AggregateReport] = []
     for i, value in enumerate(ec.sweep_values):
         cfg = _sweep_point_cfg(ec, value)
-        point_seed = int(np.random.SeedSequence([ec.seed, i]).generate_state(1)[0])
+        point_seed = sweep_seed(ec.seed, i)
         point = replace(ec, cfg=cfg, seed=point_seed, sweep_param=None, sweep_values=None)
         out.append(run_experiment(point))
     return out
@@ -866,18 +883,14 @@ def run_distinguishing_game(
     the tally, as are instances the strategy never brought to challenge.
     """
     fn = strategy if strategy is not None else _STRATEGIES[spec.strategy]
-    children = np.random.SeedSequence(seed).spawn(instances)
-    valid = successes = 0
-    for child in children:
-        rng = np.random.default_rng(child)
+
+    def play(rng, index: int) -> Optional[bool]:
         inst = GameInstance(spec.discussion, spec.challenge_len, rng, spec.queries)
         challenge = inst.test()
-        guess = fn(inst, challenge, rng)
-        verdict = inst.judge(guess)
-        if verdict is None:
-            continue
-        valid += 1
-        successes += int(verdict)
+        return inst.judge(fn(inst, challenge, rng))
+
+    verdicts = [v for v in _trials(seed, instances, play) if v is not None]
+    valid, successes = len(verdicts), sum(verdicts)
     advantage = abs(2.0 * successes / valid - 1.0) if valid else 0.0
     label = spec.strategy if strategy is None else getattr(strategy, "__name__", "custom")
     return GameResult(
@@ -960,6 +973,14 @@ def _json_int(data: dict, key: str, default: int) -> int:
     return value
 
 
+def _json_number(data: dict, key: str, default: float) -> float:
+    """A JSON number config value; a string such as ``"0.3"`` or a boolean is an error."""
+    value = data.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _json_bool(data: dict, key: str, default: bool) -> bool:
     """A JSON boolean config value; ``"false"`` or 0 is an error, not coerced."""
     value = data.get(key, default)
@@ -1033,7 +1054,7 @@ def load_config(path: str) -> ExperimentConfig:
     cfg = EstablishmentConfig(
         m_pairs=_json_int(cfg_data, "m_pairs", 10),
         n_decoys=_json_int(cfg_data, "n_decoys", 10),
-        check_fraction=float(cfg_data.get("check_fraction", 0.3)),
+        check_fraction=_json_number(cfg_data, "check_fraction", 0.3),
         parties=_json_int(cfg_data, "parties", 2),
     )
     attack = parse_attack(data["attack"]) if data.get("attack") is not None else None
@@ -1050,12 +1071,15 @@ def load_config(path: str) -> ExperimentConfig:
             challenge_len=_json_int(game_data, "challenge_len", 8),
         )
     sweep_param = None
-    sweep_values: Optional[Tuple[int, ...]] = None
+    sweep_values: Optional[Tuple[float, ...]] = None
     if data.get("sweep") is not None:
         sweep_data = data["sweep"]
         _check_keys(sweep_data, ("param", "values"), "sweep")
         sweep_param = sweep_data.get("param")
-        sweep_values = tuple(sweep_data.get("values", ()))
+        values = sweep_data.get("values", [])
+        if not isinstance(values, list):
+            raise ValueError(f"sweep values must be a JSON list, got {values!r}")
+        sweep_values = tuple(values)
     return ExperimentConfig(
         scenario=data.get("scenario", "establish"),
         cfg=cfg,

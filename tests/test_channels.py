@@ -291,6 +291,19 @@ def test_trojan_scan_clean_when_nothing_planted():
     assert net.scan_trojan(ALICE, msg) == []
 
 
+def test_filtered_parties_is_a_fresh_set_per_network():
+    """Networks share one cached topology; changing one network's filters touches no other."""
+    topo = Topology.two_party()
+    first, second = _net(), _net()
+    assert first.topology is topo and second.topology is topo
+    assert first.filtered_parties == {ALICE, BOB, TP1, TP2}
+    first.filtered_parties.clear()
+    second.filtered_parties.discard(ALICE)
+    assert topo.quantum_parties == frozenset({ALICE, BOB, TP1, TP2})
+    assert second.filtered_parties == {BOB, TP1, TP2}
+    assert _net().filtered_parties == {ALICE, BOB, TP1, TP2}
+
+
 def test_unfiltered_receiver_sees_nothing():
     net = _net()
     net.filtered_parties = set()

@@ -90,6 +90,10 @@ def test_config_rejects_a_seed_inside_cfg(tmp_path, capsys):
         ({"seed": 1.5}, "seed"),
         ({"seed": False}, "seed"),
         ({"scenario": "game", "game": {"challenge_len": 8.0}}, "challenge_len"),
+        ({"seed": -1}, "seed"),
+        ({"cfg": {"check_fraction": "0.3"}}, "check_fraction"),
+        ({"cfg": {"check_fraction": True}}, "check_fraction"),
+        ({"cfg": {"check_fraction": None}}, "check_fraction"),
     ],
 )
 def test_config_rejects_values_it_would_coerce(tmp_path, capsys, config, key):
@@ -119,3 +123,63 @@ def test_config_accepts_json_booleans_and_integers(tmp_path, capsys):
     assert main(["establish", "--config", str(path)]) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["trials"] == 2 and report["min_pair_fidelity"] is None
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["establish", "--seed", "-1", "--trials", "1"],
+        ["game", "--seed", "-5", "--trials", "1"],
+        ["sweep", "--param", "n_decoys", "--values", "1", "--seed", "-2"],
+    ],
+)
+def test_a_negative_seed_is_a_config_error(args, capsys):
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.strip() == "error: seed must be >= 0"
+
+
+@pytest.mark.parametrize(
+    "sweep,message",
+    [
+        ({"param": "n_decoys", "values": "12"}, "sweep values must be a JSON list, got '12'"),
+        ({"param": "n_decoys", "values": 3}, "sweep values must be a JSON list, got 3"),
+        ({"param": "n_decoys", "values": [2.5]}, "n_decoys sweep values must be integers, got 2.5"),
+        ({"param": "n_decoys", "values": [1, True]}, "n_decoys sweep values must be integers, got True"),
+        (
+            {"param": "checked_count", "values": ["3"]},
+            "checked_count sweep values must be integers, got '3'",
+        ),
+        (
+            {"param": "check_fraction", "values": ["0.3"]},
+            "check_fraction sweep values must be numbers, got '0.3'",
+        ),
+        (
+            {"param": "check_fraction", "values": [0.3, False]},
+            "check_fraction sweep values must be numbers, got False",
+        ),
+    ],
+)
+def test_config_sweep_values_must_be_a_list_of_numbers(tmp_path, capsys, sweep, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"scenario": "establish", "trials": 1, "sweep": sweep}))
+    assert main(["sweep", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.strip() == f"error: {message}"
+
+
+def test_config_sweep_accepts_numbers_for_check_fraction(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    data = {
+        "scenario": "establish",
+        "cfg": {"m_pairs": 4, "n_decoys": 2, "check_fraction": 0.5},
+        "trials": 2,
+        "sweep": {"param": "check_fraction", "values": [0.25, 0.5]},
+        "output": {"path": str(tmp_path / "report.json")},
+    }
+    path.write_text(json.dumps(data))
+    assert main(["sweep", "--config", str(path)]) == 0
+    reports = json.loads((tmp_path / "report.json").read_text())
+    assert [r["c"] for r in reports] == [1, 2]

@@ -1,8 +1,13 @@
-"""Harness tests: oracle routing, experiment configs, reproducible reports,
-report serialization, config-file parsing, and the distinguishing game."""
+"""Harness tests: oracle routing, experiment configs, the seeded trial loop,
+reproducible reports, report serialization, config-file parsing, and the
+distinguishing game."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ import pytest
 from eprlink.adversaries import AttackKind, AttackSpec
 from eprlink.channels import ALICE, BOB, EVE, TP1, TP2, TrojanKind
 from eprlink.protocol import EstablishmentConfig
+from eprlink import harness, seeding
 from eprlink.harness import (
     ATTACK_NAMES,
     CSV_COLUMNS,
@@ -133,6 +139,8 @@ def test_attack_labels():
         ),
         (dict(sweep_param="m_pairs", sweep_values=(1, 2)), "sweep_param"),
         (dict(sweep_param="n_decoys"), "sweep_values"),
+        (dict(trials=2**32 + 1), "trials must be between 1 and 4294967296"),
+        (dict(seed=-1), "seed must be >= 0"),
     ],
 )
 def test_experiment_config_rejects_bad_setups(kwargs, match):
@@ -223,6 +231,79 @@ def test_run_experiment_is_deterministic_per_seed():
         ExperimentConfig(scenario="establish", cfg=SMALL, attack=spec, trials=60, seed=10)
     )
     assert [t.status for t in a.trial_reports] != [t.status for t in c.trial_reports]
+
+
+# --- the trial loop -------------------------------------------------------------------
+
+
+SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 9, 2**130 + 77)
+
+
+def _assert_same_generators(ours, seed: int, count: int) -> None:
+    children = np.random.SeedSequence(seed).spawn(count)
+    assert len(ours) == count
+    for child, rng in zip(children, ours):
+        reference = np.random.default_rng(child)
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert rng.random() == reference.random()
+        assert rng.integers(4, size=5).tolist() == reference.integers(4, size=5).tolist()
+
+
+@pytest.mark.parametrize("count", [0, 1, 300])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_trial_generators_are_numpys_spawned_children(seed, count):
+    _assert_same_generators(list(seeding.trial_rngs(seed, count)), seed, count)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sweep_point_seeds_match_numpy(seed):
+    for i in (0, 1, 7, 2**32 + 3):
+        expected = int(np.random.SeedSequence([seed, i]).generate_state(1)[0])
+        assert seeding.sweep_seed(seed, i) == expected
+
+
+def test_trial_generators_reject_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        next(seeding.trial_rngs(-1, 1))
+
+
+def test_derived_child_words_only_seed_pcg64():
+    row = seeding._child_states(5, 1)[0]
+    words = seeding._child_words_type()(row)
+    assert words.generate_state(4, np.uint64) is row
+    with pytest.raises(ValueError):
+        words.generate_state(8, np.uint32)
+
+
+def test_a_trial_replays_from_its_batch_seed_and_index():
+    spec = AttackSpec(kind=AttackKind.INTERCEPT_RESEND)
+    ec = ExperimentConfig(scenario="establish", cfg=SMALL, attack=spec, trials=12, seed=41)
+    batch = run_experiment(ec).trial_reports
+    child = np.random.SeedSequence(41).spawn(12)[9]
+    replayed = harness._trial_establish(ec, ec.cfg, np.random.default_rng(child), 9)
+    assert replayed == batch[9]
+
+
+def test_loading_a_config_leaves_numpy_random_unimported(tmp_path):
+    """Generators are built only when a batch runs, so setup never pays for numpy.random."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"scenario": "game", "trials": 3, "seed": 2}))
+    probe = (
+        "import sys\n"
+        "import eprlink\n"
+        "from eprlink.harness import load_config\n"
+        "load_config(sys.argv[1])\n"
+        "print('numpy' in sys.modules, 'numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, str(config)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]
 
 
 def test_failing_trials_are_recorded_not_raised():
