@@ -14,7 +14,7 @@ nodes at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -47,13 +47,6 @@ from .qcore import (
     state_vector_for_label,
 )
 
-_QUANTUM_EDGES = {
-    (TP1, ALICE),
-    (TP1, BOB),
-    (ALICE, TP2),
-    (TP2, BOB),
-}
-
 _PAULI_CHOICES = (PauliCode.I, PauliCode.Z, PauliCode.X, PauliCode.IY)
 
 
@@ -69,7 +62,8 @@ class AttackKind(Enum):
 
 MODIFICATION_STRATEGIES = ("all_slots", "single_slot", "tp2_decoy_aware")
 
-# Where each attack is expected to trip an alarm, keyed by the attacked edge.
+# Where each attack is expected to trip an alarm, keyed by the attacked edge;
+# the keys are every quantum channel an attack can tap.
 _EDGE_TO_SITE = {
     (TP1, ALICE): "step2",
     (TP1, BOB): "step2",
@@ -135,7 +129,7 @@ class AttackSpec:
             edge = edge or (TP1, ALICE)
             object.__setattr__(self, "trojan", self.trojan or TrojanKind.INVISIBLE_PHOTON)
         if edge is not None:
-            if edge not in _QUANTUM_EDGES:
+            if edge not in _EDGE_TO_SITE:
                 raise ValueError(f"{edge[0]}->{edge[1]} is not a quantum channel")
             if actor in edge:
                 raise ValueError("a channel endpoint cannot also tap that channel in flight")
@@ -155,14 +149,23 @@ class AttackSpec:
 
 
 class Adversary:
-    """Base adversary: sees all public traffic, taps nothing, does nothing."""
+    """Base adversary: hears all public traffic, taps only its ``edge`` (if any), does nothing.
 
-    def __init__(self, actor: PartyId):
+    Every interceptor subclasses it; the network and the protocol call each
+    hook directly, so an attack overrides only the hooks it acts through.
+    """
+
+    # True when the adversary, not TP1, makes every payload group.
+    supplies_source = False
+
+    def __init__(self, actor: PartyId, edge: Optional[Tuple[PartyId, PartyId]] = None):
         self.actor = actor
-        self.supplies_source = False
+        self.edge = edge
+        # Two-bit guesses at the message, one per relayed pair, for attacks that read it.
+        self._guesses: List[Optional[Tuple[int, int]]] = []
 
     def quantum_taps(self) -> List[Tuple[PartyId, PartyId]]:
-        return []
+        return [] if self.edge is None else [self.edge]
 
     def on_quantum_in_flight(
         self, net: Network, edge: Tuple[PartyId, PartyId], msg: QuantumMessage
@@ -178,7 +181,7 @@ class Adversary:
         pass
 
     def guessed_bits(self) -> Optional[List[Optional[Tuple[int, int]]]]:
-        return None
+        return self._guesses or None
 
     def ancilla_outcomes(self) -> Optional[List[int]]:
         return None
@@ -191,12 +194,8 @@ class InterceptResend(Adversary):
     """Measure every in-flight qubit in a random basis and resend what was seen."""
 
     def __init__(self, actor: PartyId = TP2, edge: Tuple[PartyId, PartyId] = (TP1, ALICE)):
-        super().__init__(actor)
-        self.edge = edge
+        super().__init__(actor, edge)
         self.observations: List[Tuple[Basis, int]] = []
-
-    def quantum_taps(self):
-        return [self.edge]
 
     def on_quantum_in_flight(self, net, edge, msg):
         reg, rng = net.register, net.rng
@@ -223,14 +222,10 @@ class EntangleMeasure(Adversary):
         actor: PartyId = EVE,
         edge: Tuple[PartyId, PartyId] = (TP1, ALICE),
     ):
-        super().__init__(actor)
-        self.edge = edge
+        super().__init__(actor, edge)
         self.unitary = np.asarray(unitary if unitary is not None else cnot_matrix(), dtype=complex)
         self.probes: List = []
         self._outcomes: Optional[List[int]] = None
-
-    def quantum_taps(self):
-        return [self.edge]
 
     def on_quantum_in_flight(self, net, edge, msg):
         reg = net.register
@@ -260,14 +255,14 @@ class EntanglementSwapSource(Adversary):
     encoded qubit in transit with its retained partner.
     """
 
+    supplies_source = True
+
     def __init__(self, actor: PartyId = TP1):
         super().__init__(actor)
-        self.supplies_source = True
         self.retained: List[Tuple] = []
         self._sent_to_alice: Dict = {}
         self.swap_outcomes: Dict[int, BellOutcome] = {}
         self._acted = False
-        self._guesses: List[Optional[Tuple[int, int]]] = []
 
     def quantum_taps(self):
         return [(ALICE, TP2)]
@@ -305,9 +300,6 @@ class EntanglementSwapSource(Adversary):
                 self._guesses.append(outcome.bits)
         return msg
 
-    def guessed_bits(self):
-        return self._guesses or None
-
 
 class CorrelationElicitation(Adversary):
     """TP2 copies correlations out of Bob's sequence with controlled-NOT probes.
@@ -323,7 +315,6 @@ class CorrelationElicitation(Adversary):
         super().__init__(actor)
         self._slot_probes: List = []
         self._bob_decoy_positions: Optional[Tuple[int, ...]] = None
-        self._guesses: List[Optional[Tuple[int, int]]] = []
         self._outcomes: List[int] = []
 
     def quantum_taps(self):
@@ -362,9 +353,6 @@ class CorrelationElicitation(Adversary):
             # The probe only ever learns flip-or-not; the phase bit is a coin toss.
             self._guesses.append((bit, int(rng.integers(2))))
 
-    def guessed_bits(self):
-        return self._guesses or None
-
     def ancilla_outcomes(self):
         return self._outcomes or None
 
@@ -381,7 +369,6 @@ class DenseCodingSubstitution(Adversary):
         super().__init__(actor)
         self._partner: Dict = {}
         self.stolen: List = []
-        self._guesses: List[Optional[Tuple[int, int]]] = []
 
     def quantum_taps(self):
         return [(TP1, ALICE), (ALICE, TP2)]
@@ -403,9 +390,6 @@ class DenseCodingSubstitution(Adversary):
                 self._guesses.append(outcome.bits)
         return msg
 
-    def guessed_bits(self):
-        return self._guesses or None
-
 
 class Modification(Adversary):
     """Scramble transmission slots with uniformly random encoding operations."""
@@ -418,9 +402,8 @@ class Modification(Adversary):
     ):
         if strategy not in MODIFICATION_STRATEGIES:
             raise ValueError(f"unknown modification strategy {strategy!r}")
-        super().__init__(actor)
+        super().__init__(actor, edge)
         self.strategy = strategy
-        self.edge = edge
         self.applied: List[Tuple[int, PauliCode]] = []
 
     def quantum_taps(self):
@@ -465,9 +448,8 @@ class TrojanHorse(Adversary):
         actor: PartyId = EVE,
         edge: Tuple[PartyId, PartyId] = (TP1, ALICE),
     ):
-        super().__init__(actor)
+        super().__init__(actor, edge)
         self.kind = kind
-        self.edge = edge
         self._leak = False
 
     def quantum_taps(self):
@@ -514,21 +496,16 @@ def build_adversary(spec: AttackSpec) -> Adversary:
 
 
 def intercept_resend_detection(n_decoys: int) -> float:
-    """Detection probability of measure-and-resend across n decoys.
+    """Detection probability of measure-and-resend, or of CNOT probes, across n decoys.
 
-    Per decoy: a right-basis guess (half the time) passes for sure, a
+    Measure-and-resend: a right-basis guess (half the time) passes for sure, a
     wrong-basis resend still passes half the time, so each decoy survives
     with probability 3/4.
-    """
-    return 1.0 - 0.75**n_decoys
 
-
-def correlation_elicitation_detection(n_decoys: int) -> float:
-    """Detection probability of the CNOT-probe attack across n decoys.
-
-    Computational-basis decoys commute with the probe coupling; diagonal-basis
-    decoys (half of them) are flipped half the time, so each decoy trips the
-    alarm with probability 1/4.
+    CNOT probes (the correlation-elicitation attack): computational-basis
+    decoys commute with the probe coupling; diagonal-basis decoys (half of
+    them) are flipped half the time, so each decoy again trips the alarm with
+    probability 1/4.
     """
     return 1.0 - 0.75**n_decoys
 

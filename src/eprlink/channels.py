@@ -301,7 +301,7 @@ class Network:
         self._tags: Dict[QubitRef, TrojanTag] = {}
 
     def add_interceptor(self, adversary: object) -> None:
-        """Register an in-flight tap; invocation follows registration order."""
+        """Register an ``Adversary``; its hooks run in registration order."""
         self.interceptors.append(adversary)
 
     # -- trojan bookkeeping -------------------------------------------------
@@ -336,8 +336,7 @@ class Network:
         msg = QuantumMessage(sender, receiver, tuple(qubits))
         self.transcript.log("quantum_send", sender, receiver, f"{len(msg.qubits)} qubits")
         for adv in self.interceptors:
-            taps = getattr(adv, "quantum_taps", None)
-            if taps is not None and (sender, receiver) not in taps():
+            if (sender, receiver) not in adv.quantum_taps():
                 continue
             out = adv.on_quantum_in_flight(self, (sender, receiver), msg)
             if out is not None:

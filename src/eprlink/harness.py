@@ -23,7 +23,9 @@ import io
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+import os
+from collections import Counter
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -32,7 +34,6 @@ from .adversaries import (
     AttackKind,
     AttackSpec,
     build_adversary,
-    correlation_elicitation_detection,
     dense_coding_detection,
     entanglement_swap_detection,
     intercept_resend_detection,
@@ -124,10 +125,8 @@ def analytic_detection(
     rate is obtained by enumeration rather than a closed form.
     """
     kind = _resolve_kind(attack)
-    if kind is AttackKind.INTERCEPT_RESEND:
+    if kind in (AttackKind.INTERCEPT_RESEND, AttackKind.CORRELATION_ELICITATION):
         return intercept_resend_detection(n_decoys)
-    if kind is AttackKind.CORRELATION_ELICITATION:
-        return correlation_elicitation_detection(n_decoys)
     if kind is AttackKind.DENSE_CODING:
         return dense_coding_detection(n_decoys)
     if kind is AttackKind.ENTANGLEMENT_SWAP:
@@ -246,6 +245,8 @@ class ExperimentConfig:
             raise ValueError("seed must be >= 0")
         if self.output_format not in ("json", "csv"):
             raise ValueError("output_format must be 'json' or 'csv'")
+        if self.output_path is not None:
+            _check_output_path(self.output_path)
         if self.scenario in ("establish", "qsdc") and self.cfg.parties != 2:
             raise ValueError(f"the {self.scenario} scenario runs between two end parties")
         if self.scenario == "game" and self.game is None:
@@ -269,6 +270,17 @@ class ExperimentConfig:
             # Reject a bad point before any point of the sweep runs.
             for value in self.sweep_values:
                 _sweep_point_cfg(self, value)
+
+
+def _check_output_path(path) -> None:
+    """Reject a report path that cannot be written, before any trial runs."""
+    if not isinstance(path, str) or not path:
+        raise ValueError(f"output path must be a file name, got {path!r}")
+    if os.path.isdir(path):
+        raise ValueError(f"output path {path!r} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"output directory {parent!r} does not exist")
 
 
 # --- per-trial and aggregate records ----------------------------------------------
@@ -295,6 +307,10 @@ class TrialReport:
     leak_first_correct: int = 0
     leak_second_correct: int = 0
     leak_pairs: int = 0
+
+
+# The per-trial counters an aggregate report carries as batch totals.
+_SUMMED_COUNTS = tuple(f.name for f in fields(TrialReport) if f.type == "int" and f.name != "index")
 
 
 @dataclass
@@ -444,21 +460,12 @@ def _fmt(x: Optional[float]) -> str:
 # --- oracle routing ---------------------------------------------------------------
 
 
-def _oracle_for(ec: ExperimentConfig) -> Tuple[Optional[float], str]:
+def _oracle_for(ec: ExperimentConfig) -> Tuple[float, str]:
     """(expected site-detection rate, how it was obtained) for this experiment."""
     spec, cfg = ec.attack, ec.cfg
     if spec is None:
         return 0.0, "closed_form"
-    kind = spec.kind
-    n = cfg.n_decoys
-    if kind in (
-        AttackKind.INTERCEPT_RESEND,
-        AttackKind.CORRELATION_ELICITATION,
-        AttackKind.DENSE_CODING,
-    ):
-        return analytic_detection(kind, n), "closed_form"
-    if kind is AttackKind.ENTANGLEMENT_SWAP:
-        return analytic_detection(kind, n, cfg.checked_count), "closed_form"
+    kind, n = spec.kind, cfg.n_decoys
     if kind is AttackKind.MODIFICATION:
         payload = cfg.m_pairs - cfg.checked_count
         return modification_detection(spec.strategy, n, payload), "closed_form"
@@ -468,22 +475,18 @@ def _oracle_for(ec: ExperimentConfig) -> Tuple[Optional[float], str]:
     if kind is AttackKind.TROJAN_HORSE:
         # Ideal probe filters flag every planted slot; without them, nothing does.
         return (1.0 if ec.filters_enabled else 0.0), "deterministic"
-    return None, "none"
+    return analytic_detection(kind, n, cfg.checked_count), "closed_form"
 
 
-# Which decoy discussion an attacked edge is graded by: (stage, holder).
-_EDGE_TO_DECOY_LEG = {
-    (TP1, ALICE): (STAGE_DECOY, ALICE),
-    (TP1, BOB): (STAGE_DECOY, BOB),
-    (ALICE, TP2): (STAGE_RELAY_IN, TP2),
-    (TP2, BOB): (STAGE_RELAY_OUT, BOB),
-}
+# The decoy discussion behind each edge attack's detection site.
+_SITE_STAGE = {"step2": STAGE_DECOY, "step5": STAGE_RELAY_IN, "step7": STAGE_RELAY_OUT}
 
 
 def _attacked_leg(spec: Optional[AttackSpec]) -> Optional[Tuple[str, PartyId]]:
+    """(stage, holder) of the discussion that grades the attacked edge."""
     if spec is None or spec.edge is None:
         return None
-    return _EDGE_TO_DECOY_LEG.get(spec.edge)
+    return _SITE_STAGE[spec.detection_site], spec.edge[1]
 
 
 # --- the trial loop ----------------------------------------------------------------
@@ -588,16 +591,9 @@ def _aggregate(ec: ExperimentConfig, reports: List[TrialReport]) -> AggregateRep
     oracle, source = _oracle_for(ec)
     sigma3: Optional[float] = None
     passed = errors == 0 and completed > 0
-    if oracle is not None and completed:
+    if completed:
         sigma3 = 3.0 * math.sqrt(oracle * (1.0 - oracle) / completed)
         passed = passed and abs(detection_rate - oracle) <= sigma3
-
-    status_counts: Dict[str, int] = {}
-    site_counts: Dict[str, int] = {}
-    for r in ok:
-        status_counts[r.status] = status_counts.get(r.status, 0) + 1
-        if r.detected_at is not None:
-            site_counts[r.detected_at] = site_counts.get(r.detected_at, 0) + 1
 
     fids = [r.min_pair_fidelity for r in ok if r.min_pair_fidelity is not None]
     return AggregateReport(
@@ -619,23 +615,15 @@ def _aggregate(ec: ExperimentConfig, reports: List[TrialReport]) -> AggregateRep
         oracle_source=source,
         sigma3=sigma3,
         passed=passed,
-        status_counts=status_counts,
-        site_counts=site_counts,
+        status_counts=dict(Counter(r.status for r in ok)),
+        site_counts=dict(Counter(r.detected_at for r in ok if r.detected_at is not None)),
         established=sum(1 for r in ok if r.status not in ("aborted_step2", "aborted_step3")),
         delivered=sum(1 for r in ok if r.delivered),
         delivered_wrong=sum(1 for r in ok if r.delivered and (r.bit_errors or 0) > 0),
         min_pair_fidelity=float(min(fids)) if fids else None,
-        decoys_checked=sum(r.decoys_checked for r in ok),
-        decoy_mismatches=sum(r.decoy_mismatches for r in ok),
-        positions_checked=sum(r.positions_checked for r in ok),
-        position_failures=sum(r.position_failures for r in ok),
-        leak_bits_correct=sum(r.leak_bits_correct for r in ok),
-        leak_bits_total=sum(r.leak_bits_total for r in ok),
-        leak_first_correct=sum(r.leak_first_correct for r in ok),
-        leak_second_correct=sum(r.leak_second_correct for r in ok),
-        leak_pairs=sum(r.leak_pairs for r in ok),
         filters_enabled=ec.filters_enabled,
         trial_reports=reports,
+        **{name: sum(getattr(r, name) for r in ok) for name in _SUMMED_COUNTS},
     )
 
 
@@ -960,6 +948,8 @@ def _parse_party(name: str) -> PartyId:
 
 
 def _check_keys(mapping: dict, allowed: Sequence[str], where: str) -> None:
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{where} must be a JSON object, got {mapping!r}")
     unknown = set(mapping) - set(allowed)
     if unknown:
         raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
@@ -990,15 +980,23 @@ def _json_bool(data: dict, key: str, default: bool) -> bool:
 
 
 def _parse_matrix(rows) -> tuple:
-    """Nested lists of numbers or [re, im] pairs -> nested tuples of complex."""
+    """Nested lists of JSON numbers or [re, im] pairs of them -> nested tuples of complex.
 
-    def cell(x):
-        if isinstance(x, (list, tuple)):
-            if len(x) != 2:
-                raise ValueError("matrix entries must be numbers or [re, im] pairs")
-            return complex(float(x[0]), float(x[1]))
-        return complex(x)
+    A string or boolean entry is an error, never coerced.
+    """
 
+    def number(x) -> float:
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise ValueError(f"unitary entries must be numbers or [re, im] pairs, got {x!r}")
+        return float(x)
+
+    def cell(x) -> complex:
+        if isinstance(x, list) and len(x) == 2:
+            return complex(number(x[0]), number(x[1]))
+        return complex(number(x))
+
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError(f"unitary must be a list of rows, got {rows!r}")
     return tuple(tuple(cell(x) for x in row) for row in rows)
 
 

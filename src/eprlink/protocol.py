@@ -26,6 +26,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .adversaries import Adversary, AttackSpec, build_adversary
 from .channels import (
     STAGE_DECOY,
     STAGE_PAIR_CHECK,
@@ -35,7 +36,6 @@ from .channels import (
     Network,
     PartyId,
     PositionsBases,
-    QuantumMessage,
     Topology,
     TP1,
     TP2,
@@ -165,7 +165,7 @@ class Session:
     def __init__(
         self,
         cfg: EstablishmentConfig,
-        adversary: Optional[object] = None,
+        adversary: Optional[Adversary] = None,
         rng: Optional[np.random.Generator] = None,
         filters_enabled: bool = True,
     ) -> None:
@@ -289,7 +289,7 @@ def _distribute(session: Session) -> Tuple[Optional[EstablishmentOutcome], dict,
     adversary = session.adversary
     groups: List[List[QubitRef]] = []
     for _ in range(cfg.m_pairs):
-        if adversary is not None and getattr(adversary, "supplies_source", False):
+        if adversary is not None and adversary.supplies_source:
             groups.append(list(adversary.make_payload_group(session.net, k)))
         else:
             groups.append(reg.prepare_ghz(k))
@@ -336,15 +336,10 @@ def _decoy_discussions(
     return None
 
 
-def _strip_decoys(
-    holder_seqs: Dict[PartyId, List[QubitRef]],
-    records: Dict[PartyId, List[DecoyRecord]],
-) -> Dict[PartyId, List[QubitRef]]:
-    payload: Dict[PartyId, List[QubitRef]] = {}
-    for p, seq in holder_seqs.items():
-        drop = {r.position for r in records[p]}
-        payload[p] = [q for i, q in enumerate(seq) if i not in drop]
-    return payload
+def strip_decoys(sequence: Sequence[QubitRef], records: Sequence[DecoyRecord]) -> List[QubitRef]:
+    """The payload a decoyed sequence carries: every slot but the decoys', in order."""
+    drop = {r.position for r in records}
+    return [q for i, q in enumerate(sequence) if i not in drop]
 
 
 def _pair_check(
@@ -403,7 +398,7 @@ def _run(session: Session) -> EstablishmentOutcome:
     failure = _decoy_discussions(session, holder_seqs, records)
     if failure is not None:
         return failure
-    payload = _strip_decoys(holder_seqs, records)
+    payload = {p: strip_decoys(seq, records[p]) for p, seq in holder_seqs.items()}
     failure, check_log, checked = _pair_check(session, payload)
     if failure is not None:
         return failure
@@ -420,16 +415,12 @@ def _run(session: Session) -> EstablishmentOutcome:
     )
 
 
-def _coerce_adversary(attack: Optional[object]) -> Optional[object]:
-    if attack is None:
-        return None
-    if hasattr(attack, "on_quantum_in_flight"):
+def _coerce_adversary(attack: Optional[object]) -> Optional[Adversary]:
+    if attack is None or isinstance(attack, Adversary):
         return attack
-    from .adversaries import AttackSpec, build_adversary
-
     if isinstance(attack, AttackSpec):
         return build_adversary(attack)
-    raise TypeError("attack must be an AttackSpec or an adversary instance")
+    raise TypeError("attack must be an AttackSpec or an Adversary instance")
 
 
 def run_establishment(
@@ -441,8 +432,7 @@ def run_establishment(
     """Run one two-party establishment attempt end to end."""
     if cfg.parties != 2:
         raise ValueError("run_establishment is the two-party entry point; use run_multiparty")
-    session = Session(cfg, _coerce_adversary(attack), rng, filters_enabled=filters_enabled)
-    return _run(session)
+    return run_multiparty(cfg, attack, rng, filters_enabled)
 
 
 def run_multiparty(

@@ -14,12 +14,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .adversaries import Adversary
 from .channels import (
     ALICE,
     BOB,
@@ -27,8 +28,8 @@ from .channels import (
     STAGE_RELAY_OUT,
     AbortNotice,
     MacTag,
+    PartyId,
     Transcript,
-    TP1,
     TP2,
 )
 from .protocol import (
@@ -37,8 +38,9 @@ from .protocol import (
     Session,
     _coerce_adversary,
     _run,
+    strip_decoys,
 )
-from .qcore import BellOutcome, PauliCode, QuantumRegister, QubitRef
+from .qcore import PauliCode, QuantumRegister, QubitRef
 
 
 class QsdcStatus(Enum):
@@ -185,15 +187,14 @@ def run_qsdc(
     session = Session(cfg, _coerce_adversary(attack), rng, filters_enabled=filters_enabled)
     adversary = session.adversary
     est = _run(session)
-    if not est.established:
+
+    def aborted(status: QsdcStatus, detail: str) -> QsdcOutcome:
         return QsdcOutcome(
-            status=_EST_TO_QSDC[est.status],
-            decoded=None,
-            message=message,
-            establishment=est,
-            detail=est.detail,
-            session=session,
+            status, None, message=message, establishment=est, detail=detail, session=session
         )
+
+    if not est.established:
+        return aborted(_EST_TO_QSDC[est.status], est.detail)
     if message is None:
         message = Message.random(session.rng, length)
     net, reg = session.net, session.register
@@ -205,123 +206,63 @@ def run_qsdc(
     encode_message(reg, alice_held, message)
 
     # Step 5: Alice -> TP2, protected by decoys of Alice's own choosing.
-    out_seq, out_records = session.build_decoyed_sequence(alice_held)
-    msg_in = net.send_quantum(ALICE, TP2, out_seq)
-    if net.scan_trojan(TP2, msg_in):
-        net.send_classical(TP2, ALICE, AbortNotice(STAGE_RELAY_IN, "probe photons found"))
-        return _finish_leak(
-            QsdcOutcome(
-                QsdcStatus.ABORTED_STEP5,
-                None,
-                message=message,
-                establishment=est,
-                detail="probe photons found at TP2",
-                session=session,
-            ),
-            adversary,
-            message,
-            est.pairs_established,
-            decoded_stage_reached=False,
-        )
-    bad = session.run_decoy_discussion(ALICE, TP2, STAGE_RELAY_IN, list(msg_in.qubits), out_records)
-    if bad is not None:
-        net.send_classical(ALICE, TP2, AbortNotice(STAGE_RELAY_IN, f"decoy mismatch at slot {bad}"))
-        return _finish_leak(
-            QsdcOutcome(
-                QsdcStatus.ABORTED_STEP5,
-                None,
-                message=message,
-                establishment=est,
-                detail=f"decoy mismatch at slot {bad}",
-                session=session,
-            ),
-            adversary,
-            message,
-            est.pairs_established,
-            decoded_stage_reached=False,
-        )
-    drop = {r.position for r in out_records}
-    relay_payload = [q for i, q in enumerate(msg_in.qubits) if i not in drop]
+    relay_payload, detail = _relay_leg(session, ALICE, TP2, STAGE_RELAY_IN, alice_held, TP2)
+    if relay_payload is None:
+        return aborted(QsdcStatus.ABORTED_STEP5, detail)
     if adversary is not None:
-        hook = getattr(adversary, "on_relay_payload", None)
-        if hook is not None:
-            hook(net, relay_payload, list(est.surviving_indices))
+        adversary.on_relay_payload(net, relay_payload, list(est.surviving_indices))
 
     # Step 6: TP2 -> Bob behind fresh decoys chosen by TP2.
-    fwd_seq, fwd_records = session.build_decoyed_sequence(relay_payload)
-    msg_out = net.send_quantum(TP2, BOB, fwd_seq)
-    if net.scan_trojan(BOB, msg_out):
-        net.send_classical(BOB, TP2, AbortNotice(STAGE_RELAY_OUT, "probe photons found"))
-        return _finish_leak(
-            QsdcOutcome(
-                QsdcStatus.ABORTED_STEP7,
-                None,
-                message=message,
-                establishment=est,
-                detail="probe photons found at Bob",
-                session=session,
-            ),
-            adversary,
-            message,
-            est.pairs_established,
-            decoded_stage_reached=False,
-        )
-    bad = session.run_decoy_discussion(TP2, BOB, STAGE_RELAY_OUT, list(msg_out.qubits), fwd_records)
-    if bad is not None:
-        net.send_classical(TP2, ALICE, AbortNotice(STAGE_RELAY_OUT, f"decoy mismatch at slot {bad}"))
-        return _finish_leak(
-            QsdcOutcome(
-                QsdcStatus.ABORTED_STEP7,
-                None,
-                message=message,
-                establishment=est,
-                detail=f"decoy mismatch at slot {bad}",
-                session=session,
-            ),
-            adversary,
-            message,
-            est.pairs_established,
-            decoded_stage_reached=False,
-        )
-    drop = {r.position for r in fwd_records}
-    delivered = [q for i, q in enumerate(msg_out.qubits) if i not in drop]
+    delivered, detail = _relay_leg(session, TP2, BOB, STAGE_RELAY_OUT, relay_payload, ALICE)
+    if delivered is None:
+        return aborted(QsdcStatus.ABORTED_STEP7, detail)
 
     # Step 7: Bob reads the pairs and checks the integrity tag.
     net.send_classical(TP2, BOB, MacTag(tag))
     decoded = decode_pairs(reg, delivered, bob_held, session.rng)
     status = QsdcStatus.DELIVERED if mac_verify(decoded, tag) else QsdcStatus.MAC_REJECTED
-    return _finish_leak(
-        QsdcOutcome(
-            status,
-            decoded,
-            message=message,
-            establishment=est,
-            session=session,
-        ),
-        adversary,
-        message,
-        est.pairs_established,
-        decoded_stage_reached=True,
-    )
+    outcome = QsdcOutcome(status, decoded, message=message, establishment=est, session=session)
+    return _finish_leak(outcome, adversary, message, est.pairs_established)
+
+
+def _relay_leg(
+    session: Session,
+    sender: PartyId,
+    receiver: PartyId,
+    stage: str,
+    payload: Sequence[QubitRef],
+    mismatch_to: PartyId,
+) -> Tuple[Optional[List[QubitRef]], str]:
+    """Carry ``payload`` across one relay leg behind the sender's fresh decoys.
+
+    Returns the payload as the receiver holds it, or ``None`` and why the leg
+    aborted: the receiver's probe filter fired (it tells the sender), or the
+    public decoy discussion found a mismatch (the sender tells
+    ``mismatch_to``).
+    """
+    net = session.net
+    sequence, records = session.build_decoyed_sequence(payload)
+    msg = net.send_quantum(sender, receiver, sequence)
+    if net.scan_trojan(receiver, msg):
+        net.send_classical(receiver, sender, AbortNotice(stage, "probe photons found"))
+        return None, f"probe photons found at {receiver}"
+    bad = session.run_decoy_discussion(sender, receiver, stage, list(msg.qubits), records)
+    if bad is not None:
+        detail = f"decoy mismatch at slot {bad}"
+        net.send_classical(sender, mismatch_to, AbortNotice(stage, detail))
+        return None, detail
+    return strip_decoys(msg.qubits, records), ""
 
 
 def _finish_leak(
     outcome: QsdcOutcome,
-    adversary: Optional[object],
-    message: Optional[Message],
+    adversary: Optional[Adversary],
+    message: Message,
     pairs: int,
-    decoded_stage_reached: bool,
 ) -> QsdcOutcome:
-    """Score the adversary's message guesses on runs that passed every discussion."""
-    if adversary is None or message is None or not decoded_stage_reached:
-        return outcome
-    getter = getattr(adversary, "guessed_bits", None)
-    if getter is None:
-        return outcome
-    guesses = getter()
-    if not guesses:
-        return outcome
-    for i, guess in enumerate(guesses[:pairs]):
+    """Score the adversary's message guesses on a run that reached decode."""
+    guesses = adversary.guessed_bits() if adversary is not None else None
+    for i, guess in enumerate((guesses or [])[:pairs]):
         if guess is None:
             continue
         actual = (message.bits[2 * i], message.bits[2 * i + 1])

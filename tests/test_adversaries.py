@@ -29,7 +29,6 @@ from eprlink.adversaries import (
     Modification,
     TrojanHorse,
     build_adversary,
-    correlation_elicitation_detection,
     dense_coding_detection,
     entanglement_swap_detection,
     intercept_resend_detection,
@@ -165,7 +164,8 @@ def test_measure_resend_oracle(n):
 
 @pytest.mark.parametrize("n", [0, 1, 4, 9])
 def test_probe_copy_oracle(n):
-    assert correlation_elicitation_detection(n) == pytest.approx(1.0 - 0.75**n, abs=1e-12)
+    # The CNOT-probe attack shares the measure-and-resend closed form.
+    assert intercept_resend_detection(n) == pytest.approx(1.0 - 0.75**n, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 8])
@@ -359,7 +359,7 @@ def test_probe_coupling_detection_rate():
 def test_correlation_probe_detection_rate():
     cfg = EstablishmentConfig(m_pairs=2, n_decoys=4, check_fraction=0.5)
     spec = AttackSpec(kind=AttackKind.CORRELATION_ELICITATION)
-    p = correlation_elicitation_detection(cfg.n_decoys)
+    p = intercept_resend_detection(cfg.n_decoys)
     step2, _ = _establish_rates(spec, cfg, 600, seed=107)
     assert abs(step2 - p) <= three_sigma(p, 600)
 

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from eprlink.adversaries import Adversary
 from eprlink.channels import (
     ALICE,
     BOB,
@@ -210,10 +211,11 @@ def test_send_classical_defers_the_summary_until_it_is_read():
 # --- interceptors ----------------------------------------------------------------
 
 
-class _Recorder:
+class _Recorder(Adversary):
     """Minimal interceptor with configurable taps."""
 
     def __init__(self, name, taps=None):
+        super().__init__(EVE)
         self.name = name
         self.taps = taps
         self.saw_quantum = []

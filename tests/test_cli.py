@@ -75,6 +75,14 @@ def test_config_rejects_a_seed_inside_cfg(tmp_path, capsys):
     assert err.strip() == "error: unknown cfg keys: ['seed']"
 
 
+def _cnot_with(entry):
+    """The CNOT matrix as JSON rows, with one of its ones replaced by ``entry``."""
+    return [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, entry], [0, 0, 1, 0]]
+
+
+_STRING_CNOT = [["1", 0, 0, 0], [0, "1", 0, 0], [0, 0, 0, "1"], [0, 0, "1", 0]]
+
+
 @pytest.mark.parametrize(
     "config,key",
     [
@@ -94,6 +102,17 @@ def test_config_rejects_a_seed_inside_cfg(tmp_path, capsys):
         ({"cfg": {"check_fraction": "0.3"}}, "check_fraction"),
         ({"cfg": {"check_fraction": True}}, "check_fraction"),
         ({"cfg": {"check_fraction": None}}, "check_fraction"),
+        ({"output": {"path": 7}}, "output path"),
+        ({"attack": {"kind": "entangle_measure", "unitary": _STRING_CNOT}}, "unitary entries"),
+        ({"attack": {"kind": "entangle_measure", "unitary": _cnot_with(True)}}, "unitary entries"),
+        ({"attack": {"kind": "entangle_measure", "unitary": _cnot_with(["1", 0])}}, "unitary entries"),
+        ({"attack": {"kind": "entangle_measure", "unitary": _cnot_with(None)}}, "unitary entries"),
+        ({"attack": {"kind": "entangle_measure", "unitary": "cnot"}}, "unitary"),
+        ({"output": 7}, "output"),
+        ({"cfg": 5}, "cfg"),
+        ({"attack": "intercept_resend"}, "attack"),
+        ({"sweep": [1, 2]}, "sweep"),
+        ({"scenario": "game", "game": 3}, "game"),
     ],
 )
 def test_config_rejects_values_it_would_coerce(tmp_path, capsys, config, key):
@@ -183,3 +202,19 @@ def test_config_sweep_accepts_numbers_for_check_fraction(tmp_path, capsys):
     assert main(["sweep", "--config", str(path)]) == 0
     reports = json.loads((tmp_path / "report.json").read_text())
     assert [r["c"] for r in reports] == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--out", "missing/dir/x.json"], "error: output directory 'missing/dir' does not exist"),
+        (["--out", "."], "error: output path '.' is a directory"),
+        (["--out", ""], "error: output path must be a file name, got ''"),
+    ],
+)
+def test_an_unwritable_output_path_is_rejected_before_any_trial(args, message, capsys):
+    assert main(["establish", "--trials", "2", *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.strip() == message
+

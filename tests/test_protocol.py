@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from eprlink.adversaries import Adversary
 from eprlink.channels import ALICE, BOB, EVE, TP1, TP2
 from eprlink.protocol import (
     DECOY_LABELS,
@@ -209,23 +210,16 @@ def test_build_decoyed_sequence_matches_the_slot_loop(m, n):
 # --- aborts ---------------------------------------------------------------------------
 
 
-class _FlipEverything:
+class _FlipEverything(Adversary):
     """Interceptor that flips every in-flight qubit; every decoy then mismatches."""
 
     def __init__(self, edge):
-        self.edge = edge
-        self.actor = EVE
-
-    def quantum_taps(self):
-        return [self.edge]
+        super().__init__(EVE, edge)
 
     def on_quantum_in_flight(self, net, edge, msg):
         for q in msg.qubits:
             net.register.apply_pauli(q, PauliCode.IY)
         return msg
-
-    def on_classical_observed(self, net, msg):
-        pass
 
 
 @pytest.mark.parametrize("edge,holder", [((TP1, ALICE), ALICE), ((TP1, BOB), BOB)])
@@ -240,6 +234,15 @@ def test_flipped_channel_always_aborts_step2(edge, holder):
     # the abort notice propagated across the star
     kinds = [e.kind for e in out.session.net.transcript]
     assert kinds.count("abort") >= 3
+
+
+def test_attack_must_be_a_spec_or_an_adversary():
+    class _DuckTyped:
+        def on_quantum_in_flight(self, net, edge, msg):
+            return msg
+
+    with pytest.raises(TypeError):
+        run_establishment(EstablishmentConfig(m_pairs=3, n_decoys=2), _DuckTyped())
 
 
 def test_corrupted_source_aborts_at_step3_with_log():

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from eprlink.adversaries import Adversary, AttackKind, AttackSpec
 from eprlink.channels import ALICE, BOB, EVE, TP1, TP2
 from eprlink.protocol import EstablishmentConfig
 from eprlink.qcore import PauliCode
@@ -142,23 +143,16 @@ def test_sequences_travel_as_whole_blocks():
 # --- aborts and integrity rejection ------------------------------------------------------
 
 
-class _FlipLeg:
+class _FlipLeg(Adversary):
     """Flip every qubit on one leg; the next decoy discussion must catch it."""
 
     def __init__(self, edge):
-        self.edge = edge
-        self.actor = EVE
-
-    def quantum_taps(self):
-        return [self.edge]
+        super().__init__(EVE, edge)
 
     def on_quantum_in_flight(self, net, edge, msg):
         for q in msg.qubits:
             net.register.apply_pauli(q, PauliCode.IY)
         return msg
-
-    def on_classical_observed(self, net, msg):
-        pass
 
 
 def test_establishment_failure_maps_to_step2_status():
@@ -179,6 +173,98 @@ def test_tampered_second_relay_aborts_step7():
     out = run_qsdc(CFG, attack=_FlipLeg((TP2, BOB)), rng=np.random.default_rng(30))
     assert out.status is QsdcStatus.ABORTED_STEP7
     assert out.detected_step == "step7"
+
+
+def _relay_events(attack):
+    """Status, detail and every transcript event from the first integrity tag on."""
+    out = run_qsdc(CFG, attack=attack, rng=np.random.default_rng(5))
+    events = [(e.kind, e.frm, e.to, e.payload_summary) for e in out.session.net.transcript]
+    start = next(i for i, e in enumerate(events) if e[0] == "mac_tag")
+    return out.status, out.detail, events[start:]
+
+
+_RELAY_IN_HEAD = [
+    ("mac_tag", "Alice", "TP2", "mac tag"),
+    ("quantum_send", "Alice", "TP2", "7 qubits"),
+    ("quantum_deliver", "Alice", "TP2", "7 qubits"),
+]
+_RELAY_IN_CHECK = [
+    ("ack", "TP2", "Alice", "ack"),
+    ("positions_bases", "Alice", "TP2", "relay_in_check: 4 positions+bases"),
+    ("measurement_results", "TP2", "Alice", "relay_in_check: 4 result bits"),
+]
+_RELAY_OUT_HEAD = [
+    ("quantum_send", "TP2", "Bob", "7 qubits"),
+    ("quantum_deliver", "TP2", "Bob", "7 qubits"),
+]
+_RELAY_OUT_CHECK = [
+    ("ack", "Bob", "TP2", "ack"),
+    ("positions_bases", "TP2", "Bob", "relay_out_check: 4 positions+bases"),
+    ("measurement_results", "Bob", "TP2", "relay_out_check: 4 result bits"),
+]
+
+
+def test_relay_transcript_trojan_abort_at_tp2():
+    spec = AttackSpec(AttackKind.TROJAN_HORSE, edge=(ALICE, TP2))
+    assert _relay_events(spec) == (
+        QsdcStatus.ABORTED_STEP5,
+        "probe photons found at TP2",
+        _RELAY_IN_HEAD
+        + [
+            ("trojan_detected", "TP2", "TP2", "7 probe tag(s)"),
+            ("abort", "TP2", "Alice", "abort at relay_in_check: probe photons found"),
+        ],
+    )
+
+
+def test_relay_transcript_trojan_abort_at_bob():
+    spec = AttackSpec(AttackKind.TROJAN_HORSE, edge=(TP2, BOB))
+    assert _relay_events(spec) == (
+        QsdcStatus.ABORTED_STEP7,
+        "probe photons found at Bob",
+        _RELAY_IN_HEAD
+        + _RELAY_IN_CHECK
+        + _RELAY_OUT_HEAD
+        + [
+            ("trojan_detected", "Bob", "Bob", "7 probe tag(s)"),
+            ("abort", "Bob", "TP2", "abort at relay_out_check: probe photons found"),
+        ],
+    )
+
+
+def test_relay_transcript_decoy_mismatch_on_first_leg():
+    assert _relay_events(_FlipLeg((ALICE, TP2))) == (
+        QsdcStatus.ABORTED_STEP5,
+        "decoy mismatch at slot 0",
+        _RELAY_IN_HEAD
+        + _RELAY_IN_CHECK
+        + [("abort", "Alice", "TP2", "abort at relay_in_check: decoy mismatch at slot 0")],
+    )
+
+
+def test_relay_transcript_decoy_mismatch_on_second_leg():
+    # TP2 tells Alice, not Bob, that the second leg failed.
+    assert _relay_events(_FlipLeg((TP2, BOB))) == (
+        QsdcStatus.ABORTED_STEP7,
+        "decoy mismatch at slot 0",
+        _RELAY_IN_HEAD
+        + _RELAY_IN_CHECK
+        + _RELAY_OUT_HEAD
+        + _RELAY_OUT_CHECK
+        + [("abort", "TP2", "Alice", "abort at relay_out_check: decoy mismatch at slot 0")],
+    )
+
+
+def test_relay_transcript_delivered_run():
+    assert _relay_events(None) == (
+        QsdcStatus.DELIVERED,
+        "",
+        _RELAY_IN_HEAD
+        + _RELAY_IN_CHECK
+        + _RELAY_OUT_HEAD
+        + _RELAY_OUT_CHECK
+        + [("mac_tag", "TP2", "Bob", "mac tag")],
+    )
 
 
 def test_decoy_aware_tampering_never_delivers_wrong_bits():
