@@ -5,18 +5,20 @@ the network's interception seams, and a closed-form or enumerated oracle for
 its detection probability.  The harness runs the implementation many times and
 checks the empirical rate against the oracle.
 
-Role restrictions are enforced at spec construction time: the pair source can
-only be corrupted through TP1, correlation probes only through TP2 on the
-TP1 -> Bob leg, and a single spec can never grant one adversary both relay
-nodes at once.
+Each attack kind is defined in one place, its row in the attack table
+(``_ATTACKS``): default roles and the rule restricting them, the one option
+field it reads, its implementation, and its oracle.  Roles are checked at spec
+construction time: the pair source can only be corrupted through TP1,
+correlation probes only through TP2 on the TP1 -> Bob leg, and a single spec
+can never grant one adversary both relay nodes at once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -41,6 +43,7 @@ from .qcore import (
     BellOutcome,
     PauliCode,
     SINGLE_STATE_LABELS,
+    _check_unitary,
     bell_vector,
     cnot_matrix,
     eigenstate_label,
@@ -70,6 +73,7 @@ _EDGE_TO_SITE = {
     (ALICE, TP2): "step5",
     (TP2, BOB): "step7",
 }
+_RELAY_LEGS = ((ALICE, TP2), (TP2, BOB))
 
 
 @dataclass(frozen=True)
@@ -84,68 +88,39 @@ class AttackSpec:
     unitary: Optional[tuple] = None
 
     def __post_init__(self) -> None:
-        actor, edge = self.actor, self.edge
-        kind = self.kind
-        if kind is AttackKind.INTERCEPT_RESEND:
-            actor = actor or TP2
-            edge = edge or (TP1, ALICE)
-        elif kind is AttackKind.ENTANGLE_MEASURE:
-            actor = actor or EVE
-            edge = edge or (TP1, ALICE)
-        elif kind is AttackKind.ENTANGLEMENT_SWAP:
-            actor = actor or TP1
-            if actor != TP1:
-                raise ValueError("only TP1 can corrupt the pair source")
-            if edge is not None:
-                raise ValueError("the corrupted source is not an edge attack")
-        elif kind is AttackKind.CORRELATION_ELICITATION:
-            actor = actor or TP2
-            edge = edge or (TP1, BOB)
-            if actor != TP2 or edge != (TP1, BOB):
-                raise ValueError("correlation probes are a TP2 attack on the TP1->Bob leg")
-        elif kind is AttackKind.DENSE_CODING:
-            actor = actor or EVE
-            edge = edge or (TP1, ALICE)
-            if actor != EVE or edge != (TP1, ALICE):
-                raise ValueError("the pair-substitution attack is Eve's, on the TP1->Alice leg")
-        elif kind is AttackKind.MODIFICATION:
-            strategy = self.strategy or "single_slot"
-            if strategy not in MODIFICATION_STRATEGIES:
-                raise ValueError(f"unknown modification strategy {strategy!r}")
-            object.__setattr__(self, "strategy", strategy)
-            if strategy == "tp2_decoy_aware":
-                actor = actor or TP2
-                if actor != TP2:
-                    raise ValueError("the decoy-aware variant is TP2 tampering with the relay")
-                if edge is not None:
-                    raise ValueError("decoy-aware tampering happens inside the relay, not on an edge")
-            else:
-                actor = actor or EVE
-                edge = edge or (ALICE, TP2)
-                if edge not in ((ALICE, TP2), (TP2, BOB)):
-                    raise ValueError("slot tampering targets a relay leg")
-        elif kind is AttackKind.TROJAN_HORSE:
-            actor = actor or EVE
-            edge = edge or (TP1, ALICE)
-            object.__setattr__(self, "trojan", self.trojan or TrojanKind.INVISIBLE_PHOTON)
+        object.__setattr__(self, "kind", AttackKind(self.kind))
+        row = _ATTACKS[self.kind]
+        for name in ("strategy", "trojan", "unitary"):
+            if name != row.option and getattr(self, name) is not None:
+                raise ValueError(f"{name} must be left out: {self.kind.value} does not read it")
+        if row.option is not None and getattr(self, row.option) is None:
+            object.__setattr__(self, row.option, row.default)
+        if self.strategy is not None and self.strategy not in MODIFICATION_STRATEGIES:
+            raise ValueError(f"unknown modification strategy {self.strategy!r}")
+        if self.unitary is not None:
+            try:
+                _check_unitary(self.unitary, 4)
+            except ValueError as exc:
+                raise ValueError(f"unitary must be a 4x4 unitary matrix: {exc}") from None
+        row = _row(self)  # the strategy, known only now, may pick the decoy-aware variant
+        actor = self.actor or row.actor
+        edge = self.edge or row.edge
+        if row.pinned and (actor, edge) != (row.actor, row.edge):
+            raise ValueError(row.pinned)
         if edge is not None:
             if edge not in _EDGE_TO_SITE:
                 raise ValueError(f"{edge[0]}->{edge[1]} is not a quantum channel")
+            if row.relay_leg and edge not in _RELAY_LEGS:
+                raise ValueError(f"{self.kind.value} targets a relay leg")
             if actor in edge:
                 raise ValueError("a channel endpoint cannot also tap that channel in flight")
         object.__setattr__(self, "actor", actor)
         object.__setattr__(self, "edge", edge)
 
     @property
-    def detection_site(self) -> Optional[str]:
+    def detection_site(self) -> str:
         """Which discussion (or the integrity tag) should catch this attack."""
-        if self.kind is AttackKind.ENTANGLEMENT_SWAP:
-            return "step3"
-        if self.kind is AttackKind.MODIFICATION and self.strategy == "tp2_decoy_aware":
-            return "mac"
-        if self.edge is not None:
-            return _EDGE_TO_SITE[self.edge]
-        return None
+        return _row(self).site or _EDGE_TO_SITE[self.edge]
 
 
 class Adversary:
@@ -193,8 +168,8 @@ class Adversary:
 class InterceptResend(Adversary):
     """Measure every in-flight qubit in a random basis and resend what was seen."""
 
-    def __init__(self, actor: PartyId = TP2, edge: Tuple[PartyId, PartyId] = (TP1, ALICE)):
-        super().__init__(actor, edge)
+    def __init__(self, spec: AttackSpec):
+        super().__init__(spec.actor, spec.edge)
         self.observations: List[Tuple[Basis, int]] = []
 
     def on_quantum_in_flight(self, net, edge, msg):
@@ -216,14 +191,9 @@ class EntangleMeasure(Adversary):
     carried states (see :func:`probe_interaction_scores`).
     """
 
-    def __init__(
-        self,
-        unitary: Optional[np.ndarray] = None,
-        actor: PartyId = EVE,
-        edge: Tuple[PartyId, PartyId] = (TP1, ALICE),
-    ):
-        super().__init__(actor, edge)
-        self.unitary = np.asarray(unitary if unitary is not None else cnot_matrix(), dtype=complex)
+    def __init__(self, spec: AttackSpec):
+        super().__init__(spec.actor, spec.edge)
+        self.unitary = np.asarray(spec.unitary, dtype=complex)
         self.probes: List = []
         self._outcomes: Optional[List[int]] = None
 
@@ -257,8 +227,8 @@ class EntanglementSwapSource(Adversary):
 
     supplies_source = True
 
-    def __init__(self, actor: PartyId = TP1):
-        super().__init__(actor)
+    def __init__(self, spec: AttackSpec):
+        super().__init__(spec.actor)
         self.retained: List[Tuple] = []
         self._sent_to_alice: Dict = {}
         self.swap_outcomes: Dict[int, BellOutcome] = {}
@@ -311,14 +281,11 @@ class CorrelationElicitation(Adversary):
     (the first bit of each two-bit group), while the phase bit stays hidden.
     """
 
-    def __init__(self, actor: PartyId = TP2):
-        super().__init__(actor)
+    def __init__(self, spec: AttackSpec):
+        super().__init__(spec.actor, spec.edge)
         self._slot_probes: List = []
         self._bob_decoy_positions: Optional[Tuple[int, ...]] = None
         self._outcomes: List[int] = []
-
-    def quantum_taps(self):
-        return [(TP1, BOB)]
 
     def on_quantum_in_flight(self, net, edge, msg):
         reg = net.register
@@ -365,8 +332,8 @@ class DenseCodingSubstitution(Adversary):
     partner and reads the two encoded bits directly.
     """
 
-    def __init__(self, actor: PartyId = EVE):
-        super().__init__(actor)
+    def __init__(self, spec: AttackSpec):
+        super().__init__(spec.actor, spec.edge)
         self._partner: Dict = {}
         self.stolen: List = []
 
@@ -394,22 +361,10 @@ class DenseCodingSubstitution(Adversary):
 class Modification(Adversary):
     """Scramble transmission slots with uniformly random encoding operations."""
 
-    def __init__(
-        self,
-        strategy: str = "single_slot",
-        actor: PartyId = EVE,
-        edge: Tuple[PartyId, PartyId] = (ALICE, TP2),
-    ):
-        if strategy not in MODIFICATION_STRATEGIES:
-            raise ValueError(f"unknown modification strategy {strategy!r}")
-        super().__init__(actor, edge)
-        self.strategy = strategy
+    def __init__(self, spec: AttackSpec):
+        super().__init__(spec.actor, spec.edge)
+        self.strategy = spec.strategy
         self.applied: List[Tuple[int, PauliCode]] = []
-
-    def quantum_taps(self):
-        if self.strategy == "tp2_decoy_aware":
-            return []
-        return [self.edge]
 
     def _random_pauli(self, rng) -> PauliCode:
         return _PAULI_CHOICES[int(rng.integers(4))]
@@ -442,14 +397,9 @@ class Modification(Adversary):
 class TrojanHorse(Adversary):
     """Ride hidden probe photons along with a legitimate sequence."""
 
-    def __init__(
-        self,
-        kind: TrojanKind = TrojanKind.INVISIBLE_PHOTON,
-        actor: PartyId = EVE,
-        edge: Tuple[PartyId, PartyId] = (TP1, ALICE),
-    ):
-        super().__init__(actor, edge)
-        self.kind = kind
+    def __init__(self, spec: AttackSpec):
+        super().__init__(spec.actor, spec.edge)
+        self.kind = spec.trojan
         self._leak = False
 
     def quantum_taps(self):
@@ -467,29 +417,6 @@ class TrojanHorse(Adversary):
 
     def trojan_leak(self):
         return self._leak
-
-
-def build_adversary(spec: AttackSpec) -> Adversary:
-    """Instantiate a fresh, run-confined adversary from its description."""
-    kind = spec.kind
-    if kind is AttackKind.INTERCEPT_RESEND:
-        return InterceptResend(spec.actor, spec.edge)
-    if kind is AttackKind.ENTANGLE_MEASURE:
-        u = None if spec.unitary is None else np.asarray(spec.unitary, dtype=complex)
-        return EntangleMeasure(u, spec.actor, spec.edge)
-    if kind is AttackKind.ENTANGLEMENT_SWAP:
-        return EntanglementSwapSource(spec.actor)
-    if kind is AttackKind.CORRELATION_ELICITATION:
-        return CorrelationElicitation(spec.actor)
-    if kind is AttackKind.DENSE_CODING:
-        return DenseCodingSubstitution(spec.actor)
-    if kind is AttackKind.MODIFICATION:
-        if spec.strategy == "tp2_decoy_aware":
-            return Modification(spec.strategy, spec.actor)
-        return Modification(spec.strategy, spec.actor, spec.edge)
-    if kind is AttackKind.TROJAN_HORSE:
-        return TrojanHorse(spec.trojan, spec.actor, spec.edge)
-    raise ValueError(f"unknown attack kind {kind}")
 
 
 # --- detection oracles ---------------------------------------------------------
@@ -519,8 +446,10 @@ def dense_coding_detection(n_decoys: int) -> float:
     return 1.0 - 0.5**n_decoys
 
 
-def entanglement_swap_detection(checked_positions: int) -> float:
+def entanglement_swap_detection(checked_positions: Optional[int]) -> float:
     """Detection probability of the corrupted source across c checked positions."""
+    if checked_positions is None:
+        raise ValueError("the corrupted-source rate needs the number of spot-checked positions")
     p_pass = swap_per_position_pass_probability()
     return 1.0 - p_pass**checked_positions
 
@@ -603,6 +532,149 @@ def probe_decoy_detection(unitary: np.ndarray, n_decoys: int) -> float:
     per_state = [probe_disturbance(unitary, label) for label in SINGLE_STATE_LABELS]
     pass_one = 1.0 - float(np.mean(per_state))
     return 1.0 - pass_one**n_decoys
+
+
+# --- the attack table: the one place an attack kind is defined -----------------
+
+
+@dataclass(frozen=True)
+class AttackRow:
+    """Everything the package knows about one attack kind.
+
+    ``rate(s, n, c, m, f)`` is the detection probability at the catch point of
+    spec s, for n decoys per leg, c checked positions, m message pairs and the
+    receivers' probe filters on (f true) or off.
+    """
+
+    actor: PartyId  # the default actor
+    edge: Optional[Tuple[PartyId, PartyId]]  # the default tapped edge; None taps no edge
+    adversary: type  # the Adversary subclass, built from the spec
+    rate: Callable[..., float]
+    source: str = "closed_form"  # or "enumerated" or "deterministic"
+    option: Optional[str] = None  # the one optional spec field the kind reads
+    default: object = None  # that field's value when the spec leaves it out
+    pinned: str = ""  # if set, the error for overriding the default actor or edge
+    relay_leg: bool = False  # the tapped edge must be a relay leg
+    site: Optional[str] = None  # the catch point of a kind that taps no edge
+
+
+_ATTACKS: Dict[AttackKind, AttackRow] = {
+    AttackKind.INTERCEPT_RESEND: AttackRow(
+        TP2, (TP1, ALICE), InterceptResend, lambda s, n, c, m, f: intercept_resend_detection(n)
+    ),
+    AttackKind.ENTANGLE_MEASURE: AttackRow(
+        EVE, (TP1, ALICE), EntangleMeasure,
+        lambda s, n, c, m, f: probe_decoy_detection(s.unitary, n),
+        "enumerated", option="unitary", default=tuple(map(tuple, cnot_matrix().tolist())),
+    ),
+    AttackKind.ENTANGLEMENT_SWAP: AttackRow(
+        TP1, None, EntanglementSwapSource, lambda s, n, c, m, f: entanglement_swap_detection(c),
+        pinned="only TP1 can corrupt the pair source, which is not an edge attack", site="step3",
+    ),
+    AttackKind.CORRELATION_ELICITATION: AttackRow(
+        TP2, (TP1, BOB), CorrelationElicitation,
+        lambda s, n, c, m, f: intercept_resend_detection(n),
+        pinned="correlation probes are a TP2 attack on the TP1->Bob leg",
+    ),
+    AttackKind.DENSE_CODING: AttackRow(
+        EVE, (TP1, ALICE), DenseCodingSubstitution, lambda s, n, c, m, f: dense_coding_detection(n),
+        pinned="the pair-substitution attack is Eve's, on the TP1->Alice leg",
+    ),
+    AttackKind.MODIFICATION: AttackRow(
+        EVE, (ALICE, TP2), Modification,
+        lambda s, n, c, m, f: modification_detection(s.strategy, n, m),
+        option="strategy", default="single_slot", relay_leg=True,
+    ),
+    # Ideal probe filters flag every planted slot; without them, nothing does.
+    AttackKind.TROJAN_HORSE: AttackRow(
+        EVE, (TP1, ALICE), TrojanHorse, lambda s, n, c, m, f: 1.0 if f else 0.0,
+        "deterministic", option="trojan", default=TrojanKind.INVISIBLE_PHOTON,
+    ),
+}
+
+# TP2 scrambling only message slots inside the relay, caught by the integrity tag.
+_DECOY_AWARE = replace(
+    _ATTACKS[AttackKind.MODIFICATION], actor=TP2, edge=None, site="mac",
+    pinned="the decoy-aware variant is TP2 tampering inside the relay, not on an edge",
+)
+
+
+def _row(spec: AttackSpec) -> AttackRow:
+    return _DECOY_AWARE if spec.strategy == "tp2_decoy_aware" else _ATTACKS[spec.kind]
+
+
+def build_adversary(spec: AttackSpec) -> Adversary:
+    """Instantiate a fresh, run-confined adversary from its description."""
+    return _row(spec).adversary(spec)
+
+
+def detection_oracle(spec: Optional[AttackSpec], cfg, filters_enabled: bool) -> Tuple[float, str]:
+    """(catch-point detection rate, how it was obtained) for runs of an EstablishmentConfig."""
+    if spec is None:
+        return 0.0, "closed_form"
+    row = _row(spec)
+    c = cfg.checked_count
+    return row.rate(spec, cfg.n_decoys, c, cfg.m_pairs - c, filters_enabled), row.source
+
+
+class NoAnalyticOracle(ValueError):
+    """The requested attack has no closed-form detection rate.
+
+    Probe couplings with an arbitrary unitary are scored by brute-force
+    enumeration over the four decoy states (``probe_decoy_detection``), and
+    slot scrambling by composing the enumerated single-code table
+    (``modification_detection``).  Probe photons hidden in transmission slots
+    are flagged deterministically by ideal filters, so sampling statistics do
+    not apply.
+    """
+
+
+def analytic_detection(
+    attack: Union[AttackSpec, AttackKind, str],
+    n_decoys: int,
+    checked_positions: Optional[int] = None,
+) -> float:
+    """Closed-form detection probability for the standard attacks.
+
+    ``n_decoys`` feeds the per-channel decoy discussions; the corrupted-source
+    attack is instead caught by the correlation spot check and needs
+    ``checked_positions``.  Raises :class:`NoAnalyticOracle` for attacks whose
+    rate is enumerated, deterministic, or depends on an option field.
+    """
+    spec = attack if isinstance(attack, AttackSpec) else AttackSpec(attack)
+    row = _row(spec)
+    if row.source != "closed_form" or row.option is not None:
+        raise NoAnalyticOracle(
+            f"no closed-form detection rate for {spec.kind.value}; "
+            "use probe_decoy_detection / modification_detection instead"
+        )
+    return row.rate(spec, n_decoys, checked_positions, None, True)
+
+
+# Command-line short names, each with default roles: a kind's own name, or
+# one name per modification strategy and per trojan photon kind.
+_SHORT_NAMES: Dict[str, dict] = {
+    **{k.value: {"kind": k} for k in AttackKind if _ATTACKS[k].option in (None, "unitary")},
+    **{f"modification_{s}": {"kind": AttackKind.MODIFICATION, "strategy": s}
+       for s in MODIFICATION_STRATEGIES},
+    **{f"trojan_{t.value}": {"kind": AttackKind.TROJAN_HORSE, "trojan": t} for t in TrojanKind},
+}
+ATTACK_NAMES = tuple(_SHORT_NAMES)
+
+
+def attack_from_name(name: str) -> AttackSpec:
+    """Build the default-shaped attack for a short command-line name."""
+    if name not in _SHORT_NAMES:
+        raise ValueError(f"unknown attack name {name!r}; choose one of {', '.join(ATTACK_NAMES)}")
+    return AttackSpec(**_SHORT_NAMES[name])
+
+
+def attack_label(spec: Optional[AttackSpec]) -> str:
+    """The report's attack name: the kind, and the named variant if it has one."""
+    if spec is None:
+        return ""
+    variant = spec.strategy or (spec.trojan.value if spec.trojan else None)
+    return spec.kind.value if variant is None else f"{spec.kind.value}:{variant}"
 
 
 # --- information / disturbance scoring -----------------------------------------

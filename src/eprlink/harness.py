@@ -30,15 +30,16 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .adversaries import (
+from .adversaries import (  # re-exports the short names and the analytic oracle
+    ATTACK_NAMES,
     AttackKind,
     AttackSpec,
+    NoAnalyticOracle,
+    analytic_detection,
+    attack_from_name,
+    attack_label,
     build_adversary,
-    dense_coding_detection,
-    entanglement_swap_detection,
-    intercept_resend_detection,
-    modification_detection,
-    probe_decoy_detection,
+    detection_oracle,
 )
 from .channels import (
     ALICE,
@@ -66,7 +67,7 @@ from .protocol import (
     run_establishment,
     run_multiparty,
 )
-from .qcore import BASIS_BY_BIT, QuantumRegister, cnot_matrix
+from .qcore import BASIS_BY_BIT, QuantumRegister
 from .qsdc import run_qsdc
 from .seeding import MAX_TRIALS, sweep_seed, trial_rngs
 
@@ -98,91 +99,6 @@ GAME_CSV_COLUMNS = (
     "advantage",
     "seed",
 )
-
-
-class NoAnalyticOracle(ValueError):
-    """The requested attack has no closed-form detection rate.
-
-    Probe couplings with an arbitrary unitary are scored by brute-force
-    enumeration over the four decoy states (``probe_decoy_detection``), and
-    slot scrambling by composing the enumerated single-code table
-    (``modification_detection``).  Probe photons hidden in transmission slots
-    are flagged deterministically by ideal filters, so sampling statistics do
-    not apply.
-    """
-
-
-def analytic_detection(
-    attack: Union[AttackSpec, AttackKind, str],
-    n_decoys: int,
-    checked_positions: Optional[int] = None,
-) -> float:
-    """Closed-form detection probability for the standard attacks.
-
-    ``n_decoys`` feeds the per-channel decoy discussions; the corrupted-source
-    attack is instead caught by the correlation spot check and needs
-    ``checked_positions``.  Raises :class:`NoAnalyticOracle` for attacks whose
-    rate is obtained by enumeration rather than a closed form.
-    """
-    kind = _resolve_kind(attack)
-    if kind in (AttackKind.INTERCEPT_RESEND, AttackKind.CORRELATION_ELICITATION):
-        return intercept_resend_detection(n_decoys)
-    if kind is AttackKind.DENSE_CODING:
-        return dense_coding_detection(n_decoys)
-    if kind is AttackKind.ENTANGLEMENT_SWAP:
-        if checked_positions is None:
-            raise ValueError(
-                "the corrupted-source rate depends on the number of spot-checked positions"
-            )
-        return entanglement_swap_detection(checked_positions)
-    raise NoAnalyticOracle(
-        f"no closed-form detection rate for {kind.value}; "
-        "use probe_decoy_detection / modification_detection instead"
-    )
-
-
-def _resolve_kind(attack: Union[AttackSpec, AttackKind, str]) -> AttackKind:
-    if isinstance(attack, AttackSpec):
-        return attack.kind
-    if isinstance(attack, AttackKind):
-        return attack
-    return AttackKind(attack)
-
-
-ATTACK_NAMES = (
-    "intercept_resend",
-    "entangle_measure",
-    "entanglement_swap",
-    "correlation_elicitation",
-    "dense_coding",
-    "modification_all_slots",
-    "modification_single_slot",
-    "modification_tp2_decoy_aware",
-    "trojan_invisible_photon",
-    "trojan_delay_photon",
-)
-
-
-def attack_from_name(name: str) -> AttackSpec:
-    """Build the default-shaped attack for a short command-line name."""
-    if name in ("intercept_resend", "entangle_measure", "entanglement_swap",
-                "correlation_elicitation", "dense_coding"):
-        return AttackSpec(AttackKind(name))
-    if name.startswith("modification_"):
-        return AttackSpec(AttackKind.MODIFICATION, strategy=name[len("modification_"):])
-    if name.startswith("trojan_"):
-        return AttackSpec(AttackKind.TROJAN_HORSE, trojan=TrojanKind(name[len("trojan_"):]))
-    raise ValueError(f"unknown attack name {name!r}; choose one of {', '.join(ATTACK_NAMES)}")
-
-
-def attack_label(spec: Optional[AttackSpec]) -> str:
-    if spec is None:
-        return ""
-    if spec.kind is AttackKind.MODIFICATION:
-        return f"modification:{spec.strategy}"
-    if spec.kind is AttackKind.TROJAN_HORSE:
-        return f"trojan_horse:{spec.trojan.value}"
-    return spec.kind.value
 
 
 # --- experiment configuration ----------------------------------------------------
@@ -457,25 +373,7 @@ def _fmt(x: Optional[float]) -> str:
     return format(float(x), ".10g")
 
 
-# --- oracle routing ---------------------------------------------------------------
-
-
-def _oracle_for(ec: ExperimentConfig) -> Tuple[float, str]:
-    """(expected site-detection rate, how it was obtained) for this experiment."""
-    spec, cfg = ec.attack, ec.cfg
-    if spec is None:
-        return 0.0, "closed_form"
-    kind, n = spec.kind, cfg.n_decoys
-    if kind is AttackKind.MODIFICATION:
-        payload = cfg.m_pairs - cfg.checked_count
-        return modification_detection(spec.strategy, n, payload), "closed_form"
-    if kind is AttackKind.ENTANGLE_MEASURE:
-        u = cnot_matrix() if spec.unitary is None else np.asarray(spec.unitary, dtype=complex)
-        return probe_decoy_detection(u, n), "enumerated"
-    if kind is AttackKind.TROJAN_HORSE:
-        # Ideal probe filters flag every planted slot; without them, nothing does.
-        return (1.0 if ec.filters_enabled else 0.0), "deterministic"
-    return analytic_detection(kind, n, cfg.checked_count), "closed_form"
+# --- the attacked leg -------------------------------------------------------------
 
 
 # The decoy discussion behind each edge attack's detection site.
@@ -588,7 +486,7 @@ def _aggregate(ec: ExperimentConfig, reports: List[TrialReport]) -> AggregateRep
     completed = len(ok)
     detection_rate = detected_site / completed if completed else 0.0
 
-    oracle, source = _oracle_for(ec)
+    oracle, source = detection_oracle(ec.attack, ec.cfg, ec.filters_enabled)
     sigma3: Optional[float] = None
     passed = errors == 0 and completed > 0
     if completed:
@@ -1010,8 +908,8 @@ def parse_attack(data: dict) -> AttackSpec:
     edge = None
     if data.get("edge") is not None:
         raw = data["edge"]
-        if len(raw) != 2:
-            raise ValueError("edge must name exactly two parties")
+        if not isinstance(raw, list) or len(raw) != 2 or not all(isinstance(p, str) for p in raw):
+            raise ValueError(f"edge must be a JSON list naming exactly two parties, got {raw!r}")
         edge = (_parse_party(raw[0]), _parse_party(raw[1]))
     trojan = TrojanKind(data["trojan"]) if data.get("trojan") is not None else None
     unitary = _parse_matrix(data["unitary"]) if data.get("unitary") is not None else None
@@ -1062,10 +960,15 @@ def load_config(path: str) -> ExperimentConfig:
     if data.get("game") is not None:
         game_data = data["game"]
         _check_keys(game_data, ("discussion", "strategy", "queries", "challenge_len"), "game")
+        queries = game_data.get("queries", ["execute", "send", "test"])
+        if not isinstance(queries, list) or not all(isinstance(q, str) for q in queries):
+            raise ValueError(f"queries must be a JSON list of strings, got {queries!r}")
+        if not isinstance(game_data.get("strategy", ""), str):  # GameSpec looks it up in a dict
+            raise ValueError(f"strategy must be a string, got {game_data['strategy']!r}")
         game = GameSpec(
             discussion=game_data.get("discussion", "decoy"),
             strategy=game_data.get("strategy", "passive"),
-            queries=tuple(game_data.get("queries", ("execute", "send", "test"))),
+            queries=tuple(queries),
             challenge_len=_json_int(game_data, "challenge_len", 8),
         )
     sweep_param = None

@@ -53,6 +53,10 @@ def three_sigma(p: float, trials: int) -> float:
 # --- attack descriptor validation ------------------------------------------------
 
 
+_CNOT = tuple(map(tuple, cnot_matrix().tolist()))
+_NOT_UNITARY = tuple(map(tuple, np.eye(4)[[0, 1, 2, 2]].tolist()))
+
+
 @pytest.mark.parametrize(
     "kwargs,actor,edge,site",
     [
@@ -109,6 +113,14 @@ def test_trojan_default_kind():
         (dict(kind=AttackKind.INTERCEPT_RESEND, edge=(ALICE, BOB)), "not a quantum channel"),
         (dict(kind=AttackKind.INTERCEPT_RESEND, actor=ALICE), "endpoint"),
         (dict(kind=AttackKind.TROJAN_HORSE, actor=TP1, edge=(TP1, BOB)), "endpoint"),
+        (dict(kind=AttackKind.DENSE_CODING, trojan=TrojanKind.DELAY_PHOTON), "trojan must be"),
+        (dict(kind=AttackKind.TROJAN_HORSE, strategy="all_slots"), "strategy must be"),
+        (dict(kind=AttackKind.INTERCEPT_RESEND, unitary=_CNOT), "unitary must be"),
+        (dict(kind=AttackKind.MODIFICATION, unitary=_CNOT), "unitary must be"),
+        (dict(kind=AttackKind.ENTANGLE_MEASURE, strategy="all_slots"), "strategy must be"),
+        (dict(kind=AttackKind.ENTANGLE_MEASURE, unitary=((1, 0), (0, 1))), "4x4 matrix"),
+        (dict(kind=AttackKind.ENTANGLE_MEASURE, unitary=_NOT_UNITARY), "not unitary"),
+        (dict(kind="blitz"), "not a valid AttackKind"),
     ],
 )
 def test_spec_rejects_misdeclared_attacks(kwargs, match):

@@ -113,6 +113,30 @@ _STRING_CNOT = [["1", 0, 0, 0], [0, "1", 0, 0], [0, 0, 0, "1"], [0, 0, "1", 0]]
         ({"attack": "intercept_resend"}, "attack"),
         ({"sweep": [1, 2]}, "sweep"),
         ({"scenario": "game", "game": 3}, "game"),
+        ({"attack": {"kind": "entangle_measure", "unitary": [[1, 0], [0, 1]]}}, "unitary"),
+        ({"attack": {"kind": "entangle_measure", "unitary": _cnot_with(2)}}, "unitary"),
+        ({"attack": {"kind": "entangle_measure", "unitary": [[1, 0, 0, 0], [1]]}}, "unitary"),
+        (
+            {
+                "attack": {
+                    "kind": "intercept_resend",
+                    "strategy": "all_slots",
+                    "unitary": [[1, 0], [0, 1]],
+                }
+            },
+            "strategy",
+        ),
+        ({"attack": {"kind": "intercept_resend", "unitary": _cnot_with(1)}}, "unitary"),
+        ({"attack": {"kind": "dense_coding", "trojan": "invisible_photon"}}, "trojan"),
+        ({"attack": {"kind": "trojan_horse", "strategy": "all_slots"}}, "strategy"),
+        ({"attack": {"kind": "intercept_resend", "edge": 5}}, "edge"),
+        ({"attack": {"kind": "intercept_resend", "edge": "ab"}}, "edge"),
+        ({"attack": {"kind": "intercept_resend", "edge": ["tp1", 2]}}, "edge"),
+        ({"attack": {"kind": "intercept_resend", "edge": {"tp1": "alice"}}}, "edge"),
+        ({"scenario": "game", "game": {"queries": 5}}, "queries"),
+        ({"scenario": "game", "game": {"queries": [1]}}, "queries"),
+        ({"scenario": "game", "game": {"queries": "execute"}}, "queries"),
+        ({"scenario": "game", "game": {"strategy": ["passive"]}}, "strategy"),
     ],
 )
 def test_config_rejects_values_it_would_coerce(tmp_path, capsys, config, key):

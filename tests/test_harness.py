@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eprlink.adversaries import AttackKind, AttackSpec
+from eprlink.adversaries import Adversary, AttackKind, AttackSpec
 from eprlink.channels import ALICE, BOB, EVE, TP1, TP2, TrojanKind
 from eprlink.protocol import EstablishmentConfig
 from eprlink import harness, seeding
@@ -306,9 +306,14 @@ def test_loading_a_config_leaves_numpy_random_unimported(tmp_path):
     assert proc.stdout.split() == ["True", "False"]
 
 
-def test_failing_trials_are_recorded_not_raised():
-    broken = tuple(map(tuple, np.eye(4)[[0, 1, 2, 2]]))  # not unitary
-    spec = AttackSpec(kind=AttackKind.ENTANGLE_MEASURE, unitary=broken)
+class _JammedProbe(Adversary):
+    def on_quantum_in_flight(self, net, edge, msg):
+        raise RuntimeError("probe jammed")
+
+
+def test_failing_trials_are_recorded_not_raised(monkeypatch):
+    monkeypatch.setattr(harness, "build_adversary", lambda s: _JammedProbe(s.actor, s.edge))
+    spec = AttackSpec(kind=AttackKind.ENTANGLE_MEASURE)
     ec = ExperimentConfig(scenario="establish", cfg=SMALL, attack=spec, trials=5, seed=11)
     agg = run_experiment(ec)
     assert agg.errors == 5 and agg.completed == 0
@@ -565,10 +570,10 @@ def test_load_config_must_be_an_object(tmp_path):
 
 
 def test_parse_attack_complex_matrix():
-    u = [[[0.0, 1.0], 0, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    u = [[[0.0, 1.0], 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     spec = parse_attack({"kind": "entangle_measure", "unitary": u})
     mat = np.asarray(spec.unitary, dtype=complex)
-    assert mat[0, 0] == 1j and mat[1, 0] == 1
+    assert mat[0, 0] == 1j and mat[1, 1] == 1
     with pytest.raises(ValueError, match="re, im"):
         parse_attack({"kind": "entangle_measure", "unitary": [[[1, 2, 3]]]})
 
