@@ -158,9 +158,6 @@ class Adversary:
     def guessed_bits(self) -> Optional[List[Optional[Tuple[int, int]]]]:
         return self._guesses or None
 
-    def ancilla_outcomes(self) -> Optional[List[int]]:
-        return None
-
     def trojan_leak(self) -> bool:
         return False
 
@@ -186,16 +183,14 @@ class InterceptResend(Adversary):
 class EntangleMeasure(Adversary):
     """Couple a fresh probe qubit to every in-flight qubit with a fixed unitary.
 
-    The probes are kept and can be measured after the public discussion; the
-    information they carry is bounded by how much the coupling disturbs the
-    carried states (see :func:`probe_interaction_scores`).
+    The probes are kept; the information they carry is bounded by how much the
+    coupling disturbs the carried states (see :func:`probe_interaction_scores`).
     """
 
     def __init__(self, spec: AttackSpec):
         super().__init__(spec.actor, spec.edge)
         self.unitary = np.asarray(spec.unitary, dtype=complex)
         self.probes: List = []
-        self._outcomes: Optional[List[int]] = None
 
     def on_quantum_in_flight(self, net, edge, msg):
         reg = net.register
@@ -204,14 +199,6 @@ class EntangleMeasure(Adversary):
             reg.apply_two_qubit_unitary(self.unitary, q, probe)
             self.probes.append(probe)
         return msg
-
-    def measure_probes(self, net: Network) -> List[int]:
-        """Read all retained probes in the computational basis."""
-        self._outcomes = [net.register.measure(p, Basis.Z, net.rng).bit for p in self.probes]
-        return self._outcomes
-
-    def ancilla_outcomes(self):
-        return self._outcomes
 
 
 class EntanglementSwapSource(Adversary):
@@ -230,8 +217,8 @@ class EntanglementSwapSource(Adversary):
     def __init__(self, spec: AttackSpec):
         super().__init__(spec.actor)
         self.retained: List[Tuple] = []
+        # Each half sent to Alice -> its retained partner.
         self._sent_to_alice: Dict = {}
-        self.swap_outcomes: Dict[int, BellOutcome] = {}
         self._acted = False
 
     def quantum_taps(self):
@@ -243,7 +230,7 @@ class EntanglementSwapSource(Adversary):
         reg = net.register
         to_alice, keep_a = reg.prepare_epr_pair()
         to_bob, keep_b = reg.prepare_epr_pair()
-        self._sent_to_alice[to_alice] = (len(self.retained), keep_a)
+        self._sent_to_alice[to_alice] = keep_a
         self.retained.append((keep_a, keep_b))
         return (to_alice, to_bob)
 
@@ -255,17 +242,17 @@ class EntanglementSwapSource(Adversary):
             and payload.stage == STAGE_PAIR_CHECK
             and msg.sender == TP2
         ):
-            # Measure the retained halves before any holder responds.
+            # Measure the retained halves before any holder responds; the
+            # outcome is not needed, only the steering.
             for pos in payload.positions:
                 keep_a, keep_b = self.retained[pos]
-                self.swap_outcomes[pos] = net.register.bell_measure(keep_a, keep_b, net.rng)
+                net.register.bell_measure(keep_a, keep_b, net.rng)
             self._acted = True
 
     def on_quantum_in_flight(self, net, edge, msg):
         for q in msg.qubits:
-            entry = self._sent_to_alice.get(q)
-            if entry is not None:
-                _, keep_a = entry
+            keep_a = self._sent_to_alice.get(q)
+            if keep_a is not None:
                 outcome = net.register.bell_measure(q, keep_a, net.rng)
                 self._guesses.append(outcome.bits)
         return msg
@@ -285,7 +272,6 @@ class CorrelationElicitation(Adversary):
         super().__init__(spec.actor, spec.edge)
         self._slot_probes: List = []
         self._bob_decoy_positions: Optional[Tuple[int, ...]] = None
-        self._outcomes: List[int] = []
 
     def on_quantum_in_flight(self, net, edge, msg):
         reg = net.register
@@ -316,12 +302,8 @@ class CorrelationElicitation(Adversary):
             reg.apply_cnot(q, probe)
             bit = reg.measure(probe, Basis.Z, rng).bit
             reg.discard(probe)
-            self._outcomes.append(bit)
             # The probe only ever learns flip-or-not; the phase bit is a coin toss.
             self._guesses.append((bit, int(rng.integers(2))))
-
-    def ancilla_outcomes(self):
-        return self._outcomes or None
 
 
 class DenseCodingSubstitution(Adversary):
@@ -335,7 +317,6 @@ class DenseCodingSubstitution(Adversary):
     def __init__(self, spec: AttackSpec):
         super().__init__(spec.actor, spec.edge)
         self._partner: Dict = {}
-        self.stolen: List = []
 
     def quantum_taps(self):
         return [(TP1, ALICE), (ALICE, TP2)]
@@ -347,7 +328,6 @@ class DenseCodingSubstitution(Adversary):
             for q in msg.qubits:
                 mine, kept = reg.prepare_epr_pair()
                 self._partner[mine] = kept
-                self.stolen.append(q)
                 fakes.append(mine)
             return QuantumMessage(msg.sender, msg.receiver, tuple(fakes))
         for q in msg.qubits:
@@ -364,7 +344,6 @@ class Modification(Adversary):
     def __init__(self, spec: AttackSpec):
         super().__init__(spec.actor, spec.edge)
         self.strategy = spec.strategy
-        self.applied: List[Tuple[int, PauliCode]] = []
 
     def _random_pauli(self, rng) -> PauliCode:
         return _PAULI_CHOICES[int(rng.integers(4))]
@@ -372,15 +351,11 @@ class Modification(Adversary):
     def on_quantum_in_flight(self, net, edge, msg):
         reg, rng = net.register, net.rng
         if self.strategy == "all_slots":
-            for i, q in enumerate(msg.qubits):
-                p = self._random_pauli(rng)
-                reg.apply_pauli(q, p)
-                self.applied.append((i, p))
+            for q in msg.qubits:
+                reg.apply_pauli(q, self._random_pauli(rng))
         else:
             slot = int(rng.integers(len(msg.qubits)))
-            p = self._random_pauli(rng)
-            reg.apply_pauli(msg.qubits[slot], p)
-            self.applied.append((slot, p))
+            reg.apply_pauli(msg.qubits[slot], self._random_pauli(rng))
         return msg
 
     def on_relay_payload(self, net, payload, surviving_indices):
@@ -388,10 +363,8 @@ class Modification(Adversary):
             return
         # TP2 knows every decoy position on its own legs, so it only ever
         # touches payload qubits and no discussion can catch it.
-        for i, q in enumerate(payload):
-            p = self._random_pauli(net.rng)
-            net.register.apply_pauli(q, p)
-            self.applied.append((i, p))
+        for q in payload:
+            net.register.apply_pauli(q, self._random_pauli(net.rng))
 
 
 class TrojanHorse(Adversary):

@@ -672,7 +672,7 @@ class GameInstance:
         self._b = int(self._rng.integers(2))
         if self._b == 0:
             return self._results
-        return tuple(int(x) for x in self._rng.integers(0, 2, size=len(self._results)))
+        return tuple(self._rng.integers(0, 2, size=len(self._results)).tolist())
 
     def judge(self, guess: int) -> Optional[bool]:
         """Score a guess; None if the instance is stale or was never tested."""
@@ -895,6 +895,11 @@ def _parse_matrix(rows) -> tuple:
 
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError(f"unitary must be a list of rows, got {rows!r}")
+    lengths = sorted({len(row) for row in rows})
+    if len(lengths) > 1:
+        raise ValueError(
+            f"unitary must be a list of rows of equal length, got row lengths {lengths}"
+        )
     return tuple(tuple(cell(x) for x in row) for row in rows)
 
 

@@ -21,7 +21,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -60,6 +59,18 @@ class DecoyRecord(NamedTuple):
     position: int
     basis: Basis
     expected_bit: int
+
+
+# Records are immutable and a run reuses the same few, so each (position,
+# label) pair is built once.
+_RECORDS: Dict[Tuple[int, str], DecoyRecord] = {}
+
+
+def _decoy_record(position: int, label: str) -> DecoyRecord:
+    record = _RECORDS.get((position, label))
+    if record is None:
+        record = _RECORDS[position, label] = DecoyRecord(position, *LABEL_EXPECTATION[label])
+    return record
 
 
 class EstablishStatus(Enum):
@@ -195,15 +206,11 @@ class Session:
         positions = sorted(rng.choice(len(payload) + n, size=n, replace=False).tolist())
         labels = [DECOY_LABELS[i] for i in rng.integers(4, size=n).tolist()]
         prepare = self.register.prepare_single
-        decoys = [prepare(lab) for lab in labels]
-        records = [DecoyRecord(pos, *LABEL_EXPECTATION[lab]) for pos, lab in zip(positions, labels)]
-        sequence: List[QubitRef] = []
-        rest = iter(payload)
-        for pos, q in zip(positions, decoys):
-            sequence.extend(islice(rest, pos - len(sequence)))
-            sequence.append(q)
-        sequence.extend(rest)
-        return sequence, records
+        sequence = list(payload)
+        # Ascending inserts: every decoy lands on its final slot.
+        for pos, lab in zip(positions, labels):
+            sequence.insert(pos, prepare(lab))
+        return sequence, [_decoy_record(pos, lab) for pos, lab in zip(positions, labels)]
 
     def run_decoy_discussion(
         self,
@@ -219,31 +226,20 @@ class Session:
         the announced positions in the announced bases and reports the bits.
         Measured decoys are consumed afterwards.
         """
-        net = self.net
+        net, reg = self.net, self.register
+        positions, bases, expected = zip(*records) if records else ((), (), ())
         net.send_classical(holder, checker, Ack())
-        announce = PositionsBases(
-            stage,
-            tuple(r.position for r in records),
-            tuple(r.basis for r in records),
-        )
-        net.send_classical(checker, holder, announce)
-        bits = self.register.measure_all(
-            [holder_sequence[r.position] for r in records], announce.bases, self.rng
-        )
+        net.send_classical(checker, holder, PositionsBases(stage, positions, bases))
+        measured = [holder_sequence[pos] for pos in positions]
+        bits = reg.measure_all(measured, bases, self.rng)
         net.send_classical(holder, checker, MeasurementResults(stage, tuple(bits)))
-        failed: Optional[int] = None
-        mismatches = 0
-        for r, bit in zip(records, bits):
-            if bit != r.expected_bit:
-                mismatches += 1
-                if failed is None:
-                    failed = r.position
+        bad = [pos for pos, want, bit in zip(positions, expected, bits) if bit != want]
         counts = self.decoy_counts.setdefault((stage, holder), [0, 0])
         counts[0] += len(records)
-        counts[1] += mismatches
-        for r in records:
-            self.register.discard(holder_sequence[r.position])
-        return failed
+        counts[1] += len(bad)
+        for q in measured:
+            reg.discard(q)
+        return bad[0] if bad else None
 
 
 def _abort(

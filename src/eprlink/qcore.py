@@ -7,6 +7,14 @@ each, and memory stays bounded no matter how long the transmitted sequences
 get.  Entangling operations merge factors on demand; discarding a qubit that
 is back in a product state shrinks its factor again.
 
+One map, ``QuantumRegister._where``, takes each live qubit straight to the
+:class:`StateVector` of its factor; a factor has no id of its own, and the
+distinct factors are the distinct values of that map.  The per-qubit hot path
+builds no throwaway objects: :meth:`QuantumRegister.measure` returns one of
+four shared :class:`MeasurementOutcome` values, shared-state amplitudes are
+copied from one template per size, and the fixed one-qubit gates keep their
+entries as Python lists beside their matrices.
+
 Conventions:
   * amplitudes of an n-qubit factor are stored as a complex ndarray of shape
     (2,) * n; the qubit at position k of ``qubit_order`` owns axis k.  A
@@ -47,6 +55,7 @@ _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 # i * sigma_y maps |0> -> -|1> and |1> -> |0>; real entries keep encoding real.
 _PAULI_IY = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) * _SQRT_HALF
+_HADAMARD_ROWS = _HADAMARD.tolist()
 
 _CNOT = np.array(
     [
@@ -97,6 +106,8 @@ _PAULI_MATRICES = {
     PauliCode.X: _PAULI_X,
     PauliCode.IY: _PAULI_IY,
 }
+# The same entries as nested lists of Python complex numbers, as _apply_1q reads them.
+_PAULI_ROWS = {code: u.tolist() for code, u in _PAULI_MATRICES.items()}
 
 # 00 -> identity, 01 -> phase flip, 10 -> bit flip, 11 -> both.
 _PAULI_TO_BITS = {
@@ -185,6 +196,13 @@ class MeasurementOutcome(NamedTuple):
     bit: int
 
 
+# The four outcomes measure() returns, indexed [basis is Basis.X][bit].
+_OUTCOMES = (
+    (MeasurementOutcome(Basis.Z, 0), MeasurementOutcome(Basis.Z, 1)),
+    (MeasurementOutcome(Basis.X, 0), MeasurementOutcome(Basis.X, 1)),
+)
+
+
 @dataclass(frozen=True)
 class BellPairCheck:
     """Diagnostic result of :func:`is_bell_product`."""
@@ -248,6 +266,17 @@ def ghz_vector(k: int) -> np.ndarray:
     vec[0] = _SQRT_HALF
     vec[-1] = _SQRT_HALF
     return vec
+
+
+# ghz_vector(k) shaped (2,) * k, per k; a prepared state gets a copy.
+_SHARED_AMPS: Dict[int, np.ndarray] = {}
+
+
+def _shared_amps(k: int) -> np.ndarray:
+    template = _SHARED_AMPS.get(k)
+    if template is None:
+        template = _SHARED_AMPS[k] = ghz_vector(k).reshape((2,) * k)
+    return template.copy()
 
 
 # Flat indices of the |0> and |1> slices of axis k of a 2-qubit factor, whose
@@ -366,44 +395,41 @@ class QuantumRegister:
 
     def __init__(self) -> None:
         self._next_uid = 0
-        self._next_fid = 0
-        self._factors: Dict[int, StateVector] = {}
-        self._where: Dict[QubitRef, int] = {}
+        # Each live qubit's factor; qubits that share a factor share its object.
+        self._where: Dict[QubitRef, StateVector] = {}
         self._consumed: set = set()
 
     # -- bookkeeping -------------------------------------------------------
 
-    def _new_ref(self) -> QubitRef:
-        ref = QubitRef(self._next_uid)
-        self._next_uid += 1
-        return ref
+    def _new_refs(self, k: int) -> List[QubitRef]:
+        uid = self._next_uid
+        self._next_uid = uid + k
+        return [QubitRef(i) for i in range(uid, uid + k)]
 
     def _add_factor(self, amps: Amplitudes, refs: List[QubitRef]) -> None:
-        fid = self._next_fid
-        self._next_fid += 1
-        self._factors[fid] = StateVector(amps, refs)
+        sv = StateVector(amps, refs)
         for r in refs:
-            self._where[r] = fid
+            self._where[r] = sv
 
-    def _locate(self, q: QubitRef) -> Tuple[int, StateVector]:
-        try:
-            fid = self._where[q]
-        except KeyError:
-            if q in self._consumed:
-                raise DeadQubitError(f"{q} was already discarded") from None
-            raise DeadQubitError(f"{q} does not belong to this register") from None
-        return fid, self._factors[fid]
+    def _dead(self, q: QubitRef) -> DeadQubitError:
+        if q in self._consumed:
+            return DeadQubitError(f"{q} was already discarded")
+        return DeadQubitError(f"{q} does not belong to this register")
 
-    def _merge(self, fid_a: int, fid_b: int) -> Tuple[int, StateVector]:
-        if fid_a == fid_b:
-            return fid_a, self._factors[fid_a]
-        a = self._factors[fid_a]
-        b = self._factors.pop(fid_b)
+    def _locate(self, q: QubitRef) -> StateVector:
+        sv = self._where.get(q)
+        if sv is None:
+            raise self._dead(q)
+        return sv
+
+    def _merge(self, a: StateVector, b: StateVector) -> StateVector:
+        if a is b:
+            return a
         a.amps = np.multiply.outer(a.amps, b.amps)
         a.qubit_order = a.qubit_order + b.qubit_order
         for r in b.qubit_order:
-            self._where[r] = fid_a
-        return fid_a, a
+            self._where[r] = a
+        return a
 
     def is_live(self, q: QubitRef) -> bool:
         return q in self._where
@@ -412,41 +438,36 @@ class QuantumRegister:
         return list(self._where)
 
     def max_norm_error(self) -> float:
-        if not self._factors:
-            return 0.0
-        return max(sv.norm_error() for sv in self._factors.values())
+        return max((sv.norm_error() for sv in set(self._where.values())), default=0.0)
 
     # -- preparation -------------------------------------------------------
 
     def prepare_single(self, label: str) -> QubitRef:
         """Create one fresh qubit in |0>, |1>, |+> or |->."""
         vec = _single_state(label)
-        ref = self._new_ref()
-        self._add_factor(vec, [ref])
+        ref = QubitRef(self._next_uid)
+        self._next_uid += 1
+        self._where[ref] = StateVector(vec, [ref])
         return ref
 
     def prepare_epr_pair(self) -> Tuple[QubitRef, QubitRef]:
         """Create two fresh qubits in the maximally entangled phi+ state."""
-        amps = np.zeros((2, 2), dtype=complex)
-        amps[0, 0] = _SQRT_HALF
-        amps[1, 1] = _SQRT_HALF
-        a, b = self._new_ref(), self._new_ref()
-        self._add_factor(amps, [a, b])
+        a, b = refs = self._new_refs(2)
+        self._add_factor(_shared_amps(2), refs)
         return a, b
 
     def prepare_ghz(self, k: int) -> List[QubitRef]:
         """Create k fresh qubits sharing an all-zero/all-one superposition."""
         if k < 2:
             raise ValueError("a shared multi-party state needs k >= 2 qubits")
-        amps = ghz_vector(k).reshape((2,) * k)
-        refs = [self._new_ref() for _ in range(k)]
-        self._add_factor(amps, refs)
+        refs = self._new_refs(k)
+        self._add_factor(_shared_amps(k), refs)
         return refs
 
     # -- unitaries ---------------------------------------------------------
 
-    def _apply_1q(self, sv: StateVector, k: int, u: np.ndarray) -> None:
-        (u00, u01), (u10, u11) = u.tolist()
+    def _apply_1q(self, sv: StateVector, k: int, rows: List[List[complex]]) -> None:
+        (u00, u01), (u10, u11) = rows
         amps = sv.amps
         if len(sv.qubit_order) == 1:
             x, y = amps
@@ -476,19 +497,17 @@ class QuantumRegister:
     def apply_pauli(self, q: QubitRef, code: PauliCode) -> None:
         if code is PauliCode.I:
             return
-        fid, sv = self._locate(q)
-        self._apply_1q(sv, sv.axis_of(q), code.matrix)
+        sv = self._locate(q)
+        self._apply_1q(sv, sv.axis_of(q), _PAULI_ROWS[code])
 
     def apply_hadamard(self, q: QubitRef) -> None:
-        fid, sv = self._locate(q)
-        self._apply_1q(sv, sv.axis_of(q), _HADAMARD)
+        sv = self._locate(q)
+        self._apply_1q(sv, sv.axis_of(q), _HADAMARD_ROWS)
 
     def apply_cnot(self, control: QubitRef, target: QubitRef) -> None:
         if control == target:
             raise ValueError("control and target must differ")
-        fid_c, _ = self._locate(control)
-        fid_t, _ = self._locate(target)
-        _, sv = self._merge(fid_c, fid_t)
+        sv = self._merge(self._locate(control), self._locate(target))
         self._apply_2q(sv, sv.axis_of(control), sv.axis_of(target), _CNOT)
 
     def apply_two_qubit_unitary(self, u: np.ndarray, qa: QubitRef, qb: QubitRef) -> None:
@@ -496,9 +515,7 @@ class QuantumRegister:
         if qa == qb:
             raise ValueError("the two qubits must differ")
         u = _check_unitary(u, 4)
-        fid_a, _ = self._locate(qa)
-        fid_b, _ = self._locate(qb)
-        _, sv = self._merge(fid_a, fid_b)
+        sv = self._merge(self._locate(qa), self._locate(qb))
         self._apply_2q(sv, sv.axis_of(qa), sv.axis_of(qb), u)
 
     # -- measurement -------------------------------------------------------
@@ -517,15 +534,17 @@ class QuantumRegister:
         The outcome is 1 exactly when ``draw < p1``; without a ``draw`` the
         uniform number is ``rng.random()``.
         """
-        fid, sv = self._locate(q)
+        sv = self._where.get(q)
+        if sv is None:
+            raise self._dead(q)
         amps = sv.amps
         x_basis = basis is Basis.X
         if len(sv.qubit_order) == 1:
             sv.amps, bit = _measure_single(amps, x_basis, rng, draw)
-            return MeasurementOutcome(basis, bit)
+            return _OUTCOMES[x_basis][bit]
         if amps.ndim == 2:
             bit = _measure_pair(amps, sv.axis_of(q), x_basis, rng, draw)
-            return MeasurementOutcome(basis, bit)
+            return _OUTCOMES[x_basis][bit]
         sl0, sl1 = _axis_slices(sv.axis_of(q))
         b0, b1 = amps[sl0], amps[sl1]
         if x_basis:
@@ -547,7 +566,7 @@ class QuantumRegister:
         else:
             amps[sl1 if bit else sl0] *= scale
             amps[sl0 if bit else sl1] = 0.0
-        return MeasurementOutcome(basis, bit)
+        return _OUTCOMES[x_basis][bit]
 
     def measure_all(
         self, qubits: Sequence[QubitRef], bases: Sequence[Basis], rng: np.random.Generator
@@ -574,9 +593,7 @@ class QuantumRegister:
         """
         if q1 == q2:
             raise ValueError("bell_measure needs two distinct qubits")
-        fid1, _ = self._locate(q1)
-        fid2, _ = self._locate(q2)
-        _, sv = self._merge(fid1, fid2)
+        sv = self._merge(self._locate(q1), self._locate(q2))
         pair = sv.amps.ndim == 2
         if pair:
             # A bare pair is read as four Python complex scalars.  Exchanging
@@ -615,11 +632,11 @@ class QuantumRegister:
 
     def discard(self, q: QubitRef) -> None:
         """Remove a qubit that is in a product state with everything else."""
-        fid, sv = self._locate(q)
-        amps = sv.amps
-        if len(sv.qubit_order) == 1:
-            del self._factors[fid]
-        else:
+        sv = self._where.get(q)
+        if sv is None:
+            raise self._dead(q)
+        if len(sv.qubit_order) > 1:
+            amps = sv.amps
             # The qubit's reduced state is the Gram matrix of its two axis slices.
             k = sv.axis_of(q)
             if amps.ndim == 2:
@@ -660,14 +677,12 @@ class QuantumRegister:
             raise ValueError("reduced_density needs at least one qubit")
         if len(set(qubits)) != len(qubits):
             raise ValueError("duplicate qubit in reduced_density request")
-        by_factor: Dict[int, List[QubitRef]] = {}
+        by_factor: Dict[StateVector, List[QubitRef]] = {}
         for q in qubits:
-            fid, _ = self._locate(q)
-            by_factor.setdefault(fid, []).append(q)
+            by_factor.setdefault(self._locate(q), []).append(q)
         rho: Optional[np.ndarray] = None
         built_order: List[QubitRef] = []
-        for fid, qs in by_factor.items():
-            sv = self._factors[fid]
+        for sv, qs in by_factor.items():
             axes = [sv.axis_of(q) for q in qs]
             r = len(qs)
             arr = np.moveaxis(np.asarray(sv.amps), axes, range(r)).reshape(2**r, -1)
@@ -697,11 +712,11 @@ class QuantumRegister:
         in the same order, so the matrix is bit-identical; any other qubit set
         goes through :meth:`reduced_density`.
         """
-        fid = self._where.get(qubits[0]) if qubits else None
-        if fid is not None:
-            order = self._factors[fid].qubit_order
+        sv = self._where.get(qubits[0]) if qubits else None
+        if sv is not None:
+            order = sv.qubit_order
             if len(order) == len(qubits) and set(order) == set(qubits):
-                amps = np.asarray(self._factors[fid].amps)
+                amps = np.asarray(sv.amps)
                 if order != list(qubits):
                     amps = amps.transpose([order.index(q) for q in qubits])
                 arr = amps.reshape(-1, 1)

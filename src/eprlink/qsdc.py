@@ -82,7 +82,7 @@ class Message:
 
     @classmethod
     def random(cls, rng: np.random.Generator, length: int) -> "Message":
-        return cls(tuple(int(b) for b in rng.integers(0, 2, size=length)))
+        return cls(tuple(rng.integers(0, 2, size=length).tolist()))
 
 
 def bits_to_hex(bits: Sequence[int]) -> str:

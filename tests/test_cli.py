@@ -137,6 +137,15 @@ _STRING_CNOT = [["1", 0, 0, 0], [0, "1", 0, 0], [0, 0, 0, "1"], [0, 0, "1", 0]]
         ({"scenario": "game", "game": {"queries": [1]}}, "queries"),
         ({"scenario": "game", "game": {"queries": "execute"}}, "queries"),
         ({"scenario": "game", "game": {"strategy": ["passive"]}}, "strategy"),
+        (
+            {
+                "attack": {
+                    "kind": "entangle_measure",
+                    "unitary": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1]],
+                }
+            },
+            "unitary",
+        ),
     ],
 )
 def test_config_rejects_values_it_would_coerce(tmp_path, capsys, config, key):
@@ -149,6 +158,18 @@ def test_config_rejects_values_it_would_coerce(tmp_path, capsys, config, key):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: {key} must be ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("rows", [[[1, 0, 0, 0], [1]], [[1, 0], [0, 1, 0, 0], [0, 0], [0, 0]]])
+def test_ragged_unitary_rows_are_named_not_left_to_numpy(tmp_path, capsys, rows):
+    path = tmp_path / "config.json"
+    attack = {"kind": "entangle_measure", "unitary": rows}
+    path.write_text(json.dumps({"scenario": "establish", "trials": 1, "attack": attack}))
+    assert main(["establish", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lengths = sorted({len(row) for row in rows})
+    assert err == f"error: unitary must be a list of rows of equal length, got row lengths {lengths}\n"
 
 
 def test_config_accepts_json_booleans_and_integers(tmp_path, capsys):

@@ -201,10 +201,24 @@ def test_build_decoyed_sequence_matches_the_slot_loop(m, n):
         assert got_records == want_records
         for q in got_seq:
             np.testing.assert_array_equal(
-                sessions[1].register._locate(q)[1].amps, sessions[0].register._locate(q)[1].amps
+                sessions[1].register._locate(q).amps, sessions[0].register._locate(q).amps
             )
         assert sessions[1].rng.integers(4) == sessions[0].rng.integers(4)
         assert sessions[1].rng.random() == sessions[0].rng.random()
+
+
+def test_decoy_records_are_shared_and_equal_the_reference_records():
+    """Equal (position, label) gives the same record object, in any session."""
+    cfg = EstablishmentConfig(m_pairs=6, n_decoys=6)
+    for seed in range(10):
+        sessions = [Session(cfg, rng=np.random.default_rng(seed)) for _ in range(3)]
+        payloads = [[s.register.prepare_epr_pair()[0] for _ in range(6)] for s in sessions]
+        _, want = _ref_build_decoyed_sequence(sessions[0], payloads[0])
+        _, got = sessions[1].build_decoyed_sequence(payloads[1])
+        _, again = sessions[2].build_decoyed_sequence(payloads[2])
+        assert got == want
+        assert all(type(r) is DecoyRecord for r in got)
+        assert all(a is b for a, b in zip(got, again))
 
 
 # --- aborts ---------------------------------------------------------------------------

@@ -560,13 +560,13 @@ def _random_unitary(rng, dim):
 def _loaded_register(amps):
     """A register whose only factor holds ``amps``, one qubit per axis."""
     reg = QuantumRegister()
-    refs = [reg._new_ref() for _ in range(amps.ndim)]
+    refs = reg._new_refs(amps.ndim)
     reg._add_factor(amps.copy(), refs)
     return reg, refs
 
 
 def _factor_amps(reg, q):
-    return np.asarray(reg._locate(q)[1].amps)
+    return np.asarray(reg._locate(q).amps)
 
 
 def _assert_same_up_to_phase(got, want):
@@ -602,8 +602,8 @@ def test_one_qubit_gate_kernel_matches_reference(n):
         u = _random_unitary(rng, 2)
         for k in range(n):
             reg, refs = _loaded_register(amps)
-            sv = reg._locate(refs[k])[1]
-            reg._apply_1q(sv, k, u)
+            sv = reg._locate(refs[k])
+            reg._apply_1q(sv, k, u.tolist())
             want = _ref_apply_1q(amps, k, u)
             assert np.max(np.abs(np.asarray(sv.amps) - want)) < 1e-12
 
@@ -622,7 +622,7 @@ def test_discard_kernel_matches_reference_on_product_states(n):
             reg.discard(refs[k])
             assert not reg.is_live(refs[k])
             survivor = refs[1] if k == 0 else refs[0]
-            sv = reg._locate(survivor)[1]
+            sv = reg._locate(survivor)
             assert sv.qubit_order == [q for q in refs if q != refs[k]]
             _assert_same_up_to_phase(np.asarray(sv.amps), want_rest)
 
@@ -809,12 +809,12 @@ def _lone_register(vec):
     """A register holding one qubit whose factor is ``vec`` as Python complex numbers."""
     reg = QuantumRegister()
     q = reg.prepare_single("0")
-    reg._locate(q)[1].amps = tuple(complex(v) for v in vec)
+    reg._locate(q).amps = tuple(complex(v) for v in vec)
     return reg, q
 
 
 def _assert_lone_tuple(reg, q, want):
-    amps = reg._locate(q)[1].amps
+    amps = reg._locate(q).amps
     assert type(amps) is tuple and len(amps) == 2
     assert all(type(a) is complex for a in amps)
     assert np.max(np.abs(np.asarray(amps) - want)) < 1e-12
@@ -825,7 +825,7 @@ def test_prepare_single_shares_its_label_tuple():
     for lab in "01+-":
         q = reg.prepare_single(lab)
         _assert_lone_tuple(reg, q, state_vector_for_label(lab))
-        assert reg._locate(q)[1].amps is reg._locate(reg.prepare_single(lab))[1].amps
+        assert reg._locate(q).amps is reg._locate(reg.prepare_single(lab)).amps
     with pytest.raises(ValueError, match="unknown state label"):
         reg.prepare_single("y")
 
@@ -870,7 +870,7 @@ def test_discard_leaves_a_lone_tuple_matching_the_ndarray_kernel():
             reg.discard(refs[k])
             _assert_lone_tuple(reg, refs[1 - k], _ref_pair_discard(amps, k))
             reg.discard(refs[1 - k])
-            assert reg.live_qubits() == [] and reg._factors == {}
+            assert reg.live_qubits() == [] and reg._where == {}
 
 
 def test_lone_qubits_merge_like_ndarray_factors():
@@ -882,7 +882,7 @@ def test_lone_qubits_merge_like_ndarray_factors():
         qa, qb = reg.prepare_single(la), reg.prepare_single(lb)
         reg.apply_cnot(qa, qb)
         want = (cnot_matrix() @ np.kron(va, vb)).reshape(2, 2)
-        assert reg._locate(qa)[1].qubit_order == [qa, qb]
+        assert reg._locate(qa).qubit_order == [qa, qb]
         assert np.max(np.abs(_factor_amps(reg, qa) - want)) < 1e-12
         # A lone control and the first half of a pair.
         reg = QuantumRegister()
@@ -890,7 +890,7 @@ def test_lone_qubits_merge_like_ndarray_factors():
         p0, p1 = reg.prepare_epr_pair()
         reg.apply_cnot(c, p0)
         want = (np.kron(cnot_matrix(), np.eye(2)) @ np.kron(va, phi)).reshape(2, 2, 2)
-        assert reg._locate(c)[1].qubit_order == [c, p0, p1]
+        assert reg._locate(c).qubit_order == [c, p0, p1]
         assert np.max(np.abs(_factor_amps(reg, c) - want)) < 1e-12
         # Two lone qubits read in the Bell basis.
         reg = QuantumRegister()
@@ -924,7 +924,7 @@ def test_whole_factor_fidelity_is_bit_identical_to_reduced_density(n):
         amps = _random_state(rng, n)
         reg, refs = _loaded_register(amps)
         if n == 1:
-            reg._locate(refs[0])[1].amps = tuple(amps.tolist())
+            reg._locate(refs[0]).amps = tuple(amps.tolist())
         _forbid_reduced_density(reg)
         target = _random_state(rng, n).reshape(-1)
         for order in itertools.permutations(refs):
@@ -988,3 +988,69 @@ def test_fidelity_of_part_of_a_factor_or_several_factors_uses_reduced_density():
         reg.state_fidelity([refs[0], refs[0], refs[1]], target3)
     with pytest.raises(ValueError, match="at least one qubit"):
         reg.state_fidelity([], np.ones(1))
+
+
+# --- the qubit -> factor map and shared outcomes -----------------------------------------
+
+
+def test_measure_returns_one_shared_outcome_per_basis_and_bit():
+    rng = np.random.default_rng(9000)
+    reg = QuantumRegister()
+    seen = {}
+    for _ in range(40):
+        lone = reg.prepare_single("01+-"[int(rng.integers(4))])
+        pair = list(reg.prepare_epr_pair())
+        ghz = reg.prepare_ghz(3)
+        for q in (lone, pair[int(rng.integers(2))], ghz[int(rng.integers(3))]):
+            basis = BASIS_BY_BIT[int(rng.integers(2))]
+            out = reg.measure(q, basis, rng)
+            assert out == MeasurementOutcome(basis, out.bit) and out.basis is basis
+            assert seen.setdefault((basis, out.bit), out) is out
+    assert len(seen) == 4
+
+
+def _assert_factor_map_consistent(reg, discarded):
+    factors = set(reg._where.values())
+    for q, sv in reg._where.items():
+        assert q in sv.qubit_order
+    for sv in factors:
+        assert len(set(sv.qubit_order)) == len(sv.qubit_order)
+        assert all(reg._where[r] is sv for r in sv.qubit_order)
+        assert np.asarray(sv.amps).size == 2 ** len(sv.qubit_order)
+    assert sum(len(sv.qubit_order) for sv in factors) == len(reg._where)
+    assert not discarded & set(reg._where)
+    assert reg.max_norm_error() < 1e-10
+
+
+def test_factor_map_stays_consistent_through_merges_bell_measurements_and_discards():
+    rng = np.random.default_rng(9100)
+    reg = QuantumRegister()
+    live, discarded = [], set()
+    for step in range(400):
+        op = int(rng.integers(6)) if len(live) >= 2 else int(rng.integers(3))
+        if op == 0 and len(live) < 8:
+            live.append(reg.prepare_single("01+-"[int(rng.integers(4))]))
+        elif op == 1 and len(live) < 7:
+            live.extend(reg.prepare_epr_pair())
+        elif op == 2 and len(live) < 6:
+            live.extend(reg.prepare_ghz(int(rng.integers(2, 4))))
+        elif op == 3:
+            a, b = rng.choice(len(live), size=2, replace=False).tolist()
+            reg.apply_cnot(live[a], live[b])
+        elif op == 4:
+            a, b = rng.choice(len(live), size=2, replace=False).tolist()
+            reg.bell_measure(live[a], live[b], rng)
+        elif live:
+            # A measured qubit is in a product state, so it can always be dropped.
+            q = live.pop(int(rng.integers(len(live))))
+            reg.measure(q, BASIS_BY_BIT[int(rng.integers(2))], rng)
+            reg.discard(q)
+            discarded.add(q)
+            assert not reg.is_live(q)
+        _assert_factor_map_consistent(reg, discarded)
+        assert sorted(reg.live_qubits()) == sorted(live)
+    assert discarded and max(len(sv.qubit_order) for sv in reg._where.values()) >= 3
+    for q in live:
+        reg.measure(q, Basis.Z, rng)
+        reg.discard(q)
+    assert reg._where == {} and reg.max_norm_error() == 0.0
