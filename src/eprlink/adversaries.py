@@ -183,21 +183,18 @@ class InterceptResend(Adversary):
 class EntangleMeasure(Adversary):
     """Couple a fresh probe qubit to every in-flight qubit with a fixed unitary.
 
-    The probes are kept; the information they carry is bounded by how much the
+    The probes stay live in the register; the information they carry is bounded by how much the
     coupling disturbs the carried states (see :func:`probe_interaction_scores`).
     """
 
     def __init__(self, spec: AttackSpec):
         super().__init__(spec.actor, spec.edge)
         self.unitary = np.asarray(spec.unitary, dtype=complex)
-        self.probes: List = []
 
     def on_quantum_in_flight(self, net, edge, msg):
         reg = net.register
         for q in msg.qubits:
-            probe = reg.prepare_single("0")
-            reg.apply_two_qubit_unitary(self.unitary, q, probe)
-            self.probes.append(probe)
+            reg.apply_two_qubit_unitary(self.unitary, q, reg.prepare_single("0"))
         return msg
 
 

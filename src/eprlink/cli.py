@@ -8,16 +8,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from typing import List, Optional
 
 import numpy as np
 
 from .harness import (
-    ATTACK_NAMES,
+    CONFIG_KEYS,
+    RUN_SCENARIOS,
     ExperimentConfig,
     GameSpec,
-    attack_from_name,
     emit_report,
     load_config,
     run_experiment,
@@ -26,23 +25,14 @@ from .harness import (
 from .protocol import EstablishmentConfig
 
 
-def _add_run_flags(p: argparse.ArgumentParser, with_attack: bool = True) -> None:
-    p.add_argument("--config", help="JSON experiment description (flags override it)")
-    p.add_argument("--seed", type=int, default=None, help="base seed for the batch")
-    p.add_argument("--trials", type=int, default=None, help="number of independent runs")
-    p.add_argument("--pairs", type=int, default=None, help="payload groups per run")
-    p.add_argument("--decoys", type=int, default=None, help="decoys per channel use")
-    p.add_argument(
-        "--check-fraction", type=float, default=None, dest="check_fraction",
-        help="fraction of payload positions spot-checked",
-    )
-    if with_attack:
-        p.add_argument(
-            "--attack", default=None,
-            help="one of: " + ", ".join(ATTACK_NAMES) + ", or 'none'",
-        )
-    p.add_argument("--out", default=None, help="write the report to this path")
-    p.add_argument("--format", default=None, choices=("json", "csv"), help="report format")
+# The subcommands that run batches, in help order.
+_COMMANDS = (
+    ("establish", "repeat pair establishment runs"),
+    ("qsdc", "repeat direct-messaging runs"),
+    ("multiparty", "repeat multi-receiver establishment runs"),
+    ("game", "play the transcript-distinguishing game"),
+    ("sweep", "repeat an experiment across parameter values"),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,104 +42,31 @@ def _build_parser() -> argparse.ArgumentParser:
         "with a library of eavesdropping attacks and detection statistics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("establish", help="repeat pair establishment runs")
-    _add_run_flags(p)
-
-    p = sub.add_parser("qsdc", help="repeat direct-messaging runs")
-    _add_run_flags(p)
-
-    p = sub.add_parser("multiparty", help="repeat multi-receiver establishment runs")
-    _add_run_flags(p)
-    p.add_argument("--parties", type=int, default=None, help="number of end parties")
-
-    p = sub.add_parser("game", help="play the transcript-distinguishing game")
-    p.add_argument("--config", help="JSON experiment description (flags override it)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None, help="number of game instances")
-    p.add_argument("--discussion", choices=("decoy", "pair_check"), default=None)
-    p.add_argument("--strategy", choices=("passive", "fiat_clone", "fake_state"), default=None)
-    p.add_argument("--challenge-len", type=int, default=None, dest="challenge_len")
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", default=None, choices=("json", "csv"))
-
-    p = sub.add_parser("sweep", help="repeat an experiment across parameter values")
-    _add_run_flags(p)
-    p.add_argument(
-        "--scenario", choices=("establish", "qsdc", "multiparty"), default=None,
-        help="which scenario to sweep (default: establish)",
-    )
-    p.add_argument(
-        "--param", choices=("n_decoys", "checked_count", "check_fraction"), default=None,
-    )
-    p.add_argument("--values", default=None, help="comma-separated list, e.g. 1,5,10,20")
-
+    for command, help_text in _COMMANDS:
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="JSON experiment description (flags override it)")
+        for key in CONFIG_KEYS:
+            if command not in key.commands:
+                continue
+            # A sweep runs the protocol, so its --scenario cannot name the game.
+            choices = RUN_SCENARIOS if key.path == ("scenario",) else key.choices or None
+            kind = {"integer": int, "number": float}.get(key.rule)
+            p.add_argument(key.flag, dest=key.field, type=kind, choices=choices, help=key.help)
     sub.add_parser("selftest", help="run fast built-in invariant checks")
     return parser
 
 
-def _scenario_for(args: argparse.Namespace) -> str:
-    if args.command == "sweep":
-        return args.scenario or "establish"
-    return args.command
-
-
 def _build_experiment(args: argparse.Namespace) -> ExperimentConfig:
-    if getattr(args, "config", None):
-        ec = load_config(args.config)
-    else:
-        ec = ExperimentConfig(scenario=_scenario_for(args))
-
-    cfg_updates = {}
-    for flag, name in (
-        ("pairs", "m_pairs"),
-        ("decoys", "n_decoys"),
-        ("check_fraction", "check_fraction"),
-        ("parties", "parties"),
-    ):
-        value = getattr(args, flag, None)
+    flags = {}
+    for key in CONFIG_KEYS:
+        value = getattr(args, key.field, None)
         if value is not None:
-            cfg_updates[name] = value
-    cfg = replace(ec.cfg, **cfg_updates) if cfg_updates else ec.cfg
-
-    updates = {"scenario": _scenario_for(args), "cfg": cfg}
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "trials", None) is not None:
-        updates["trials"] = args.trials
-    if getattr(args, "out", None) is not None:
-        updates["output_path"] = args.out
-    if getattr(args, "format", None) is not None:
-        updates["output_format"] = args.format
-    if getattr(args, "attack", None) is not None:
-        updates["attack"] = None if args.attack == "none" else attack_from_name(args.attack)
-
-    if args.command == "game":
-        game = ec.game or GameSpec()
-        game_updates = {}
-        if args.discussion is not None:
-            game_updates["discussion"] = args.discussion
-        if args.strategy is not None:
-            game_updates["strategy"] = args.strategy
-        if args.challenge_len is not None:
-            game_updates["challenge_len"] = args.challenge_len
-        if game_updates:
-            game = replace(game, **game_updates)
-        updates["game"] = game
-
-    if args.command == "sweep":
-        if args.param is not None:
-            updates["sweep_param"] = args.param
-        if args.values is not None:
-            raw = [v.strip() for v in args.values.split(",") if v.strip()]
-            if (updates.get("sweep_param") or ec.sweep_param) == "check_fraction":
-                updates["sweep_values"] = tuple(float(v) for v in raw)
-            else:
-                updates["sweep_values"] = tuple(int(v) for v in raw)
-        if updates.get("sweep_param") is None and ec.sweep_param is None:
-            raise ValueError("sweep needs --param and --values (or a config with a sweep block)")
-
-    return replace(ec, **updates)
+            flags[key.path] = key.parse(value) if key.parse else value
+    fixed = None if args.command == "sweep" else args.command
+    ec = load_config(args.config, flags, fixed)
+    if args.command == "sweep" and ec.sweep_param is None:
+        raise ValueError("sweep needs --param and --values (or a config with a sweep block)")
+    return ec
 
 
 def main(argv: Optional[List[str]] = None) -> int:

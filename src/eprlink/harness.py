@@ -26,7 +26,7 @@ import numbers
 import os
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -72,6 +72,7 @@ from .qsdc import run_qsdc
 from .seeding import MAX_TRIALS, sweep_seed, trial_rngs
 
 SCENARIOS = ("establish", "qsdc", "multiparty", "game")
+RUN_SCENARIOS = SCENARIOS[:3]  # the scenarios that run the protocol: all but the game
 
 # Fixed column order of tabular reports.
 CSV_COLUMNS = (
@@ -99,104 +100,6 @@ GAME_CSV_COLUMNS = (
     "advantage",
     "seed",
 )
-
-
-# --- experiment configuration ----------------------------------------------------
-
-
-def _default_cfg() -> EstablishmentConfig:
-    return EstablishmentConfig(m_pairs=10, n_decoys=10)
-
-
-@dataclass
-class GameSpec:
-    """Parameters of one transcript-distinguishing game."""
-
-    discussion: str = "decoy"  # "decoy" or "pair_check"
-    strategy: str = "passive"  # "passive" | "fiat_clone" | "fake_state"
-    queries: Tuple[str, ...] = ("execute", "send", "test")
-    challenge_len: int = 8
-
-    def __post_init__(self) -> None:
-        if self.discussion not in ("decoy", "pair_check"):
-            raise ValueError("discussion must be 'decoy' or 'pair_check'")
-        if self.strategy not in _STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        self.queries = tuple(q.lower() for q in self.queries)
-        bad = set(self.queries) - set(GAME_QUERIES)
-        if bad:
-            raise ValueError(f"unknown game queries: {sorted(bad)}")
-        for required in ("execute", "test"):
-            if required not in self.queries:
-                raise ValueError(f"every game needs the {required!r} query granted")
-        if self.strategy == "fiat_clone" and "send" not in self.queries:
-            raise ValueError("the by-fiat cloner needs the 'send' query granted")
-        if self.challenge_len < 1:
-            raise ValueError("challenge_len must be >= 1")
-
-
-@dataclass
-class ExperimentConfig:
-    """Everything one batch of runs needs; mirrors the JSON config layout."""
-
-    scenario: str = "establish"
-    cfg: EstablishmentConfig = field(default_factory=_default_cfg)
-    attack: Optional[AttackSpec] = None
-    trials: int = 1000
-    seed: int = 0
-    output_path: Optional[str] = None
-    output_format: str = "json"
-    game: Optional[GameSpec] = None
-    filters_enabled: bool = True
-    measure_fidelity: bool = True
-    sweep_param: Optional[str] = None
-    sweep_values: Optional[Tuple[float, ...]] = None
-
-    def __post_init__(self) -> None:
-        if self.scenario not in SCENARIOS:
-            raise ValueError(f"scenario must be one of {SCENARIOS}")
-        if not 1 <= self.trials <= MAX_TRIALS:
-            raise ValueError(f"trials must be between 1 and {MAX_TRIALS}")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.output_format not in ("json", "csv"):
-            raise ValueError("output_format must be 'json' or 'csv'")
-        if self.output_path is not None:
-            _check_output_path(self.output_path)
-        if self.scenario in ("establish", "qsdc") and self.cfg.parties != 2:
-            raise ValueError(f"the {self.scenario} scenario runs between two end parties")
-        if self.scenario == "game" and self.game is None:
-            self.game = GameSpec()
-        if self.attack is not None:
-            site = self.attack.detection_site
-            if site in ("step5", "step7", "mac") and self.scenario != "qsdc":
-                raise ValueError(
-                    f"{attack_label(self.attack)} acts on the message relay; "
-                    "run it under the qsdc scenario"
-                )
-            if self.attack.kind is AttackKind.ENTANGLEMENT_SWAP and self.cfg.parties != 2:
-                raise ValueError("the corrupted source substitutes two-party pairs only")
-        if self.sweep_param is not None:
-            if self.sweep_param not in ("n_decoys", "checked_count", "check_fraction"):
-                raise ValueError(
-                    "sweep_param must be 'n_decoys', 'checked_count' or 'check_fraction'"
-                )
-            if not self.sweep_values:
-                raise ValueError("sweep_values must be a non-empty list")
-            # Reject a bad point before any point of the sweep runs.
-            for value in self.sweep_values:
-                _sweep_point_cfg(self, value)
-
-
-def _check_output_path(path) -> None:
-    """Reject a report path that cannot be written, before any trial runs."""
-    if not isinstance(path, str) or not path:
-        raise ValueError(f"output path must be a file name, got {path!r}")
-    if os.path.isdir(path):
-        raise ValueError(f"output path {path!r} is a directory")
-    parent = os.path.dirname(path) or "."
-    if not os.path.isdir(parent):
-        raise ValueError(f"output directory {parent!r} does not exist")
 
 
 # --- per-trial and aggregate records ----------------------------------------------
@@ -562,6 +465,7 @@ def run_sweep(ec: ExperimentConfig) -> List[AggregateReport]:
 
 
 GAME_QUERIES = ("execute", "send", "reveal", "corrupt", "test")
+DISCUSSIONS = ("decoy", "pair_check")
 
 
 class GameError(RuntimeError):
@@ -586,8 +490,7 @@ class GameInstance:
         rng: np.random.Generator,
         allowed: Sequence[str] = GAME_QUERIES,
     ) -> None:
-        if discussion not in ("decoy", "pair_check"):
-            raise ValueError("discussion must be 'decoy' or 'pair_check'")
+        _key("game", "discussion").check(discussion)
         self.discussion = discussion
         self._rng = rng
         self._allowed = frozenset(q.lower() for q in allowed)
@@ -819,23 +722,17 @@ def emit_report(
             writer.writerow(r.csv_row())
         text = buf.getvalue()
     else:
-        raise ValueError("format must be 'json' or 'csv'")
+        _key("output", "format").check(fmt)
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     return text
 
 
-# --- config files -------------------------------------------------------------------
+# --- experiment configuration ---------------------------------------------------------
 
 
-_PARTY_NAMES = {
-    "alice": ALICE,
-    "bob": BOB,
-    "tp1": TP1,
-    "tp2": TP2,
-    "eve": EVE,
-}
+_PARTY_NAMES = {p.name.lower(): p for p in (ALICE, BOB, TP1, TP2, EVE)}
 
 
 def _parse_party(name: str) -> PartyId:
@@ -851,30 +748,6 @@ def _check_keys(mapping: dict, allowed: Sequence[str], where: str) -> None:
     unknown = set(mapping) - set(allowed)
     if unknown:
         raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
-
-
-def _json_int(data: dict, key: str, default: int) -> int:
-    """An integer config value; a float, string or JSON boolean is an error, not truncated."""
-    value = data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def _json_number(data: dict, key: str, default: float) -> float:
-    """A JSON number config value; a string such as ``"0.3"`` or a boolean is an error."""
-    value = data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _json_bool(data: dict, key: str, default: bool) -> bool:
-    """A JSON boolean config value; ``"false"`` or 0 is an error, not coerced."""
-    value = data.get(key, default)
-    if not isinstance(value, bool):
-        raise ValueError(f"{key} must be true or false, got {value!r}")
-    return value
 
 
 def _parse_matrix(rows) -> tuple:
@@ -928,75 +801,277 @@ def parse_attack(data: dict) -> AttackSpec:
     )
 
 
-def load_config(path: str) -> ExperimentConfig:
-    """Read an experiment description from JSON; unknown keys are an error."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("config must be a JSON object")
-    _check_keys(
-        data,
-        (
-            "scenario",
-            "cfg",
-            "attack",
-            "trials",
-            "seed",
-            "output",
-            "game",
-            "filters_enabled",
-            "measure_fidelity",
-            "sweep",
-        ),
-        "config",
+# Each JSON type rule: the test a file value must pass, what an error says it
+# must be, and how the value is kept (None: as read).  Nothing is coerced: "0.3"
+# is not a number, 2.9 not an integer, 0 not a boolean.
+_RULES: Dict[str, Tuple[Callable[[object], bool], str, Optional[Callable]]] = {
+    "integer": (lambda v: type(v) is int, "an integer", None),
+    "number": (lambda v: type(v) in (int, float), "a number", float),
+    "boolean": (lambda v: isinstance(v, bool), "true or false", None),
+    "string": (lambda v: isinstance(v, str), "a string", None),
+    "list of strings": (
+        lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+        "a JSON list of strings",
+        tuple,
+    ),
+    "list": (lambda v: isinstance(v, list), "a JSON list", tuple),
+    "attack object": (lambda v: isinstance(v, dict), "a JSON object", parse_attack),
+}
+
+# Sections whose keys fill a nested dataclass rather than ExperimentConfig itself.
+_NESTED = ("cfg", "game")
+
+
+class ConfigKey(NamedTuple):
+    """One experiment config key: its place in the JSON, how it is read, and its CLI flag.
+
+    A named tuple, not a frozen dataclass, which would take about 1.5 ms more to
+    create at every import (Python 3.11 on a 2-core x86_64 host).
+    """
+
+    path: Tuple[str, ...]  # e.g. ("cfg", "m_pairs")
+    rule: str  # the JSON type a file value must have, a key of _RULES
+    default: object  # a None default also admits JSON null
+    scenarios: Tuple[str, ...]  # the runs that read it; any other rejects it
+    flag: Optional[str] = None
+    commands: Tuple[str, ...] = ()  # the CLI subcommands that have the flag
+    help: Optional[str] = None  # the flag's help text
+    choices: Tuple[str, ...] = ()  # the values an enumerated key may take
+    parse: Optional[Callable[[str], object]] = None  # flag text -> value, past argparse's type
+
+    @property
+    def name(self) -> Tuple[str, ...]:
+        """Its path below a nested section: ("m_pairs",) for cfg.m_pairs, ("output", "path")."""
+        return self.path[1:] if self.path[0] in _NESTED else self.path
+
+    @property
+    def field(self) -> str:
+        """The dataclass field it fills: ``m_pairs``, ``output_path``."""
+        return "_".join(self.name)
+
+    def check(self, value) -> None:
+        """Reject a value outside ``choices``."""
+        if value not in self.choices:
+            *rest, last = map(repr, self.choices)
+            raise ValueError(
+                f"{self.field} must be {', '.join(rest)} or {last}; unknown {self.field} {value!r}"
+            )
+
+    def read(self, value):
+        """A file value as the type rule reads it."""
+        if value is None and self.default is None:
+            return None
+        test, kind, keep = _RULES[self.rule]
+        if not test(value):
+            raise ValueError(f"{' '.join(self.name)} must be {kind}, got {value!r}")
+        return value if keep is None else keep(value)
+
+
+def _number(text: str):
+    """One ``--values`` item, an integer if it reads as one; ``_sweep_point_cfg`` checks it."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+# The game, and the CLI commands that run the protocol or anything.
+_GAME, _RUN_COMMANDS, _ALL_COMMANDS = ("game",), (*RUN_SCENARIOS, "sweep"), (*SCENARIOS, "sweep")
+_CFG_DEFAULTS = {f.name: f.default for f in fields(EstablishmentConfig)}
+
+# Every experiment config key.  The JSON reader, the dataclass checks, the CLI
+# flags and the README's config list all follow this table.
+CONFIG_KEYS = (
+    ConfigKey(("scenario",), "string", "establish", SCENARIOS, "--scenario", ("sweep",),
+              "which scenario to sweep (default: establish)", choices=SCENARIOS),
+    ConfigKey(("cfg", "m_pairs"), "integer", 10, RUN_SCENARIOS, "--pairs", _RUN_COMMANDS,
+              "payload groups per run"),
+    ConfigKey(("cfg", "n_decoys"), "integer", 10, RUN_SCENARIOS, "--decoys", _RUN_COMMANDS,
+              "decoys per channel use"),
+    ConfigKey(("cfg", "check_fraction"), "number", _CFG_DEFAULTS["check_fraction"], RUN_SCENARIOS,
+              "--check-fraction", _RUN_COMMANDS, "fraction of payload positions spot-checked"),
+    ConfigKey(("cfg", "parties"), "integer", _CFG_DEFAULTS["parties"], RUN_SCENARIOS,
+              "--parties", ("multiparty",), "number of end parties"),
+    ConfigKey(("attack",), "attack object", None, RUN_SCENARIOS, "--attack", _RUN_COMMANDS,
+              "one of: " + ", ".join(ATTACK_NAMES) + ", or 'none'",
+              parse=lambda name: None if name == "none" else attack_from_name(name)),
+    ConfigKey(("trials",), "integer", 1000, SCENARIOS, "--trials", _ALL_COMMANDS,
+              "number of independent runs (game instances)"),
+    ConfigKey(("seed",), "integer", 0, SCENARIOS, "--seed", _ALL_COMMANDS,
+              "base seed for the batch"),
+    ConfigKey(("output", "path"), "string", None, SCENARIOS, "--out", _ALL_COMMANDS,
+              "write the report to this path"),
+    ConfigKey(("output", "format"), "string", "json", SCENARIOS, "--format", _ALL_COMMANDS,
+              "report format", choices=("json", "csv")),
+    ConfigKey(("game", "discussion"), "string", "decoy", _GAME, "--discussion", _GAME,
+              choices=DISCUSSIONS),
+    ConfigKey(("game", "strategy"), "string", "passive", _GAME, "--strategy", _GAME,
+              choices=tuple(_STRATEGIES)),
+    ConfigKey(("game", "queries"), "list of strings", ("execute", "send", "test"), _GAME,
+              choices=GAME_QUERIES),
+    ConfigKey(("game", "challenge_len"), "integer", 8, _GAME, "--challenge-len", _GAME),
+    ConfigKey(("filters_enabled",), "boolean", True, RUN_SCENARIOS),
+    ConfigKey(("measure_fidelity",), "boolean", True, ("establish", "multiparty")),
+    ConfigKey(("sweep", "param"), "string", None, RUN_SCENARIOS, "--param", ("sweep",),
+              choices=("n_decoys", "checked_count", "check_fraction")),
+    ConfigKey(("sweep", "values"), "list", None, RUN_SCENARIOS, "--values", ("sweep",),
+              "comma-separated list, e.g. 1,5,10,20",
+              parse=lambda text: tuple(_number(v) for v in map(str.strip, text.split(",")) if v)),
+)
+
+_KEYS: Dict[Tuple[str, ...], ConfigKey] = {key.path: key for key in CONFIG_KEYS}
+
+# The scenarios that read each top-level key of a config file.
+_READERS: Dict[str, set] = {
+    k.path[0]: {s for j in CONFIG_KEYS if j.path[0] == k.path[0] for s in j.scenarios}
+    for k in CONFIG_KEYS
+}
+
+
+def _key(*path: str) -> ConfigKey:
+    return _KEYS[path]
+
+
+def _fields(section: Optional[str], values: dict) -> dict:
+    """Keyword arguments for the dataclass a section fills (None: ExperimentConfig)."""
+    return {
+        k.field: values.get(k.path, k.default)
+        for k in CONFIG_KEYS
+        if (k.path[0] if k.path[0] in _NESTED else None) == section
+    }
+
+
+@dataclass
+class GameSpec:
+    """Parameters of one transcript-distinguishing game."""
+
+    discussion: str = _key("game", "discussion").default
+    strategy: str = _key("game", "strategy").default
+    queries: Tuple[str, ...] = _key("game", "queries").default
+    challenge_len: int = _key("game", "challenge_len").default
+
+    def __post_init__(self) -> None:
+        _key("game", "discussion").check(self.discussion)
+        _key("game", "strategy").check(self.strategy)
+        if self.strategy == "fiat_clone" and self.discussion != "decoy":
+            raise ValueError(
+                "discussion must be 'decoy' for the fiat_clone strategy: "
+                "the cloning reduction is demonstrated on the decoy discussion"
+            )
+        self.queries = tuple(q.lower() for q in self.queries)
+        bad = set(self.queries) - set(GAME_QUERIES)
+        if bad:
+            raise ValueError(f"unknown game queries: {sorted(bad)}")
+        for required in ("execute", "test"):
+            if required not in self.queries:
+                raise ValueError(f"every game needs the {required!r} query granted")
+        if self.strategy == "fiat_clone" and "send" not in self.queries:
+            raise ValueError("the by-fiat cloner needs the 'send' query granted")
+        if self.challenge_len < 1:
+            raise ValueError("challenge_len must be >= 1")
+
+
+@dataclass
+class ExperimentConfig:
+    """Everything one batch of runs needs; mirrors the JSON config layout."""
+
+    scenario: str = _key("scenario").default
+    cfg: EstablishmentConfig = field(
+        default_factory=lambda: EstablishmentConfig(**_fields("cfg", {}))
     )
-    cfg_data = data.get("cfg", {})
-    _check_keys(cfg_data, ("m_pairs", "n_decoys", "check_fraction", "parties"), "cfg")
-    cfg = EstablishmentConfig(
-        m_pairs=_json_int(cfg_data, "m_pairs", 10),
-        n_decoys=_json_int(cfg_data, "n_decoys", 10),
-        check_fraction=_json_number(cfg_data, "check_fraction", 0.3),
-        parties=_json_int(cfg_data, "parties", 2),
-    )
-    attack = parse_attack(data["attack"]) if data.get("attack") is not None else None
-    out_data = data.get("output", {})
-    _check_keys(out_data, ("path", "format"), "output")
-    game = None
-    if data.get("game") is not None:
-        game_data = data["game"]
-        _check_keys(game_data, ("discussion", "strategy", "queries", "challenge_len"), "game")
-        queries = game_data.get("queries", ["execute", "send", "test"])
-        if not isinstance(queries, list) or not all(isinstance(q, str) for q in queries):
-            raise ValueError(f"queries must be a JSON list of strings, got {queries!r}")
-        if not isinstance(game_data.get("strategy", ""), str):  # GameSpec looks it up in a dict
-            raise ValueError(f"strategy must be a string, got {game_data['strategy']!r}")
-        game = GameSpec(
-            discussion=game_data.get("discussion", "decoy"),
-            strategy=game_data.get("strategy", "passive"),
-            queries=tuple(queries),
-            challenge_len=_json_int(game_data, "challenge_len", 8),
-        )
-    sweep_param = None
+    attack: Optional[AttackSpec] = None
+    trials: int = _key("trials").default
+    seed: int = _key("seed").default
+    output_path: Optional[str] = None
+    output_format: str = _key("output", "format").default
+    game: Optional[GameSpec] = None
+    filters_enabled: bool = _key("filters_enabled").default
+    measure_fidelity: bool = _key("measure_fidelity").default
+    sweep_param: Optional[str] = None
     sweep_values: Optional[Tuple[float, ...]] = None
-    if data.get("sweep") is not None:
-        sweep_data = data["sweep"]
-        _check_keys(sweep_data, ("param", "values"), "sweep")
-        sweep_param = sweep_data.get("param")
-        values = sweep_data.get("values", [])
-        if not isinstance(values, list):
-            raise ValueError(f"sweep values must be a JSON list, got {values!r}")
-        sweep_values = tuple(values)
+
+    def __post_init__(self) -> None:
+        _key("scenario").check(self.scenario)
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ValueError(f"trials must be between 1 and {MAX_TRIALS}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        _key("output", "format").check(self.output_format)
+        if self.output_path is not None:
+            _check_output_path(self.output_path)
+        if self.scenario in ("establish", "qsdc") and self.cfg.parties != 2:
+            raise ValueError(f"the {self.scenario} scenario runs between two end parties")
+        if self.scenario == "game" and self.game is None:
+            self.game = GameSpec()
+        if self.attack is not None:
+            site = self.attack.detection_site
+            if site in ("step5", "step7", "mac") and self.scenario != "qsdc":
+                raise ValueError(
+                    f"{attack_label(self.attack)} acts on the message relay; "
+                    "run it under the qsdc scenario"
+                )
+            if self.attack.kind is AttackKind.ENTANGLEMENT_SWAP and self.cfg.parties != 2:
+                raise ValueError("the corrupted source substitutes two-party pairs only")
+        if self.sweep_param is not None:
+            _key("sweep", "param").check(self.sweep_param)
+            if not self.sweep_values:
+                raise ValueError("sweep_values must be a non-empty list")
+            # Reject a bad point before any point of the sweep runs.
+            for value in self.sweep_values:
+                _sweep_point_cfg(self, value)
+
+
+def _check_output_path(path) -> None:
+    """Reject a report path that cannot be written, before any trial runs."""
+    if not isinstance(path, str) or not path:
+        raise ValueError(f"output path must be a file name, got {path!r}")
+    if os.path.isdir(path):
+        raise ValueError(f"output path {path!r} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"output directory {parent!r} does not exist")
+
+
+def load_config(
+    path: Optional[str],
+    flags: Optional[Dict[Tuple[str, ...], object]] = None,
+    scenario: Optional[str] = None,
+) -> ExperimentConfig:
+    """Build an experiment from a JSON file, flag values laid over it, or both.
+
+    ``flags`` maps ``CONFIG_KEYS`` paths to values that override the file's.
+    ``scenario`` is the scenario a CLI command fixes, if any; a file naming
+    another is an error.  So are unknown keys, values of the wrong JSON type,
+    and keys that the run's scenario does not read.
+    """
+    data, flags = {}, flags or {}
+    if path is not None:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("config must be a JSON object")
+    _check_keys(data, _READERS, "config")
+    values: Dict[Tuple[str, ...], object] = {}
+    for name, value in data.items():
+        if (name,) in _KEYS:
+            values[(name,)] = _KEYS[(name,)].read(value)
+            continue
+        _check_keys(value, [p[1] for p in _KEYS if p[0] == name], name)
+        for sub, item in value.items():
+            values[(name, sub)] = _KEYS[(name, sub)].read(item)
+    named = values.get(("scenario",), scenario)
+    if scenario is not None and named != scenario:
+        raise ValueError(
+            f"scenario must be {scenario!r} under the {scenario} command, got {named!r}"
+        )
+    values.update(flags)
+    run = values.setdefault(("scenario",), scenario or _key("scenario").default)
+    _key("scenario").check(run)
+    for name in dict.fromkeys([*data, *(p[0] for p in flags)]):
+        if run not in _READERS[name]:
+            raise ValueError(f"{name} must be left out: the {run} scenario does not read it")
     return ExperimentConfig(
-        scenario=data.get("scenario", "establish"),
-        cfg=cfg,
-        attack=attack,
-        trials=_json_int(data, "trials", 1000),
-        seed=_json_int(data, "seed", 0),
-        output_path=out_data.get("path"),
-        output_format=out_data.get("format", "json"),
-        game=game,
-        filters_enabled=_json_bool(data, "filters_enabled", True),
-        measure_fidelity=_json_bool(data, "measure_fidelity", True),
-        sweep_param=sweep_param,
-        sweep_values=sweep_values,
+        **_fields(None, values),
+        cfg=EstablishmentConfig(**_fields("cfg", values)),
+        game=GameSpec(**_fields("game", values)) if run == "game" else None,
     )

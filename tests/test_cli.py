@@ -146,6 +146,15 @@ _STRING_CNOT = [["1", 0, 0, 0], [0, "1", 0, 0], [0, 0, 0, "1"], [0, 0, "1", 0]]
             },
             "unitary",
         ),
+        ({"scenario": "game", "cfg": {"m_pairs": 4}}, "cfg"),
+        ({"scenario": "game", "attack": {"kind": "intercept_resend"}}, "attack"),
+        ({"scenario": "game", "filters_enabled": True}, "filters_enabled"),
+        ({"scenario": "game", "measure_fidelity": False}, "measure_fidelity"),
+        ({"scenario": "game", "sweep": {"param": "n_decoys", "values": [1]}}, "sweep"),
+        ({"game": {"strategy": "fiat_clone"}}, "game"),
+        ({"scenario": "qsdc", "game": {"discussion": "pair_check"}}, "game"),
+        ({"scenario": "multiparty", "cfg": {"parties": 3}, "game": {}}, "game"),
+        ({"scenario": "qsdc", "measure_fidelity": False}, "measure_fidelity"),
     ],
 )
 def test_config_rejects_values_it_would_coerce(tmp_path, capsys, config, key):
@@ -263,3 +272,92 @@ def test_an_unwritable_output_path_is_rejected_before_any_trial(args, message, c
     assert out == ""
     assert err.strip() == message
 
+
+
+@pytest.mark.parametrize(
+    "command,named",
+    [("establish", "qsdc"), ("qsdc", "establish"), ("multiparty", "game"), ("game", "establish")],
+)
+def test_a_config_scenario_must_match_the_command(tmp_path, capsys, command, named):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"scenario": named, "trials": 1}))
+    assert main([command, "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    message = f"scenario must be {command!r} under the {command} command, got {named!r}"
+    assert err == f"error: {message}\n"
+
+
+def test_a_config_without_a_scenario_runs_the_command_scenario(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"cfg": {"m_pairs": 4, "n_decoys": 2}, "trials": 2}))
+    assert main(["qsdc", "--config", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out.split("\n", 1)[1])["scenario"] == "qsdc"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["game", "--discussion", "pair_check", "--strategy", "fiat_clone", "--trials", "3"],
+        ["game", "--discussion", "pair_check", "--config", "{config}"],
+    ],
+)
+def test_the_cloner_on_the_pair_check_discussion_is_a_config_error(tmp_path, capsys, args):
+    """The cloning reduction runs on the decoy discussion; no instance is played."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"scenario": "game", "game": {"strategy": "fiat_clone"}}))
+    assert main([a.format(config=path) for a in args]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: discussion must be 'decoy' for the fiat_clone strategy: "
+        "the cloning reduction is demonstrated on the decoy discussion\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "config,flags,scenario,parties",
+    [
+        ({"scenario": "qsdc"}, [], "qsdc", 2),
+        ({"scenario": "multiparty", "cfg": {"m_pairs": 4, "parties": 3}}, [], "multiparty", 3),
+        ({"scenario": "qsdc"}, ["--scenario", "establish"], "establish", 2),
+        ({}, [], "establish", 2),
+    ],
+)
+def test_a_config_file_sweep_runs_the_files_scenario(tmp_path, config, flags, scenario, parties):
+    """--scenario overrides the file only when it is given; the default stays establish."""
+    data = {
+        **config,
+        "trials": 2,
+        "sweep": {"param": "n_decoys", "values": [1, 2]},
+        "output": {"path": str(tmp_path / "report.json")},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert main(["sweep", "--config", str(path), *flags]) == 0
+    reports = json.loads((tmp_path / "report.json").read_text())
+    assert [(r["scenario"], r["parties"], r["n"]) for r in reports] == [
+        (scenario, parties, 1),
+        (scenario, parties, 2),
+    ]
+
+
+def test_each_command_has_the_flags_of_its_config_keys():
+    """Flags come from the config table; none is added or lost."""
+    from eprlink.cli import _build_parser
+
+    sub = next(a for a in _build_parser()._actions if a.dest == "command").choices
+    common = {"-h", "--help", "--config", "--trials", "--seed", "--out", "--format"}
+    run = common | {"--pairs", "--decoys", "--check-fraction", "--attack"}
+    expected = {
+        "establish": run,
+        "qsdc": run,
+        "multiparty": run | {"--parties"},
+        "sweep": run | {"--scenario", "--param", "--values"},
+        "game": common | {"--discussion", "--strategy", "--challenge-len"},
+        "selftest": {"-h", "--help"},
+    }
+    got = {
+        name: {s for a in parser._actions for s in a.option_strings} for name, parser in sub.items()
+    }
+    assert got == expected

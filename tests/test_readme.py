@@ -1,9 +1,11 @@
-"""The README's attack lists match the attack table in the code."""
+"""The README's attack and config lists match the tables in the code."""
 
+import json
 import re
 from pathlib import Path
 
 from eprlink.adversaries import ATTACK_NAMES, AttackKind
+from eprlink.harness import CONFIG_KEYS
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -17,3 +19,16 @@ def test_readme_attack_library_names_every_kind():
     library = README.split("## Attack library", 1)[1].split("\n## ", 1)[0]
     listed = set(re.findall(r"^\| `([a-z_]+)`", library, flags=re.MULTILINE))
     assert listed == {kind.value for kind in AttackKind}
+
+
+def test_readme_config_list_is_the_config_table():
+    """One item per key, in table order, with its JSON path, type, default, choices and flag."""
+    section = README.split("### Config files", 1)[1].split("\n#", 1)[0]
+    items = re.split(r"\n- ", section.split("\n\n- ", 1)[1].split("\n\n", 1)[0])
+    assert len(items) == len(CONFIG_KEYS)
+    for item, key in zip(items, CONFIG_KEYS):
+        item = " ".join(item.split())
+        head = f"`{'.'.join(key.path)}` ({key.rule}, default `{json.dumps(key.default)}`)"
+        assert item.startswith(head), (item, head)
+        for word in (*(f"`{c}`" for c in key.choices), key.flag or ""):
+            assert word in item, (item, word)
