@@ -7,6 +7,7 @@ the tool can sit directly in CI pipelines.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -84,16 +85,28 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         reports = [run_experiment(ec)]
 
-    for report in reports:
-        print(report.summary_line())
+    # The report file is written first: a reader may close stdout early.
     text = emit_report(reports if len(reports) > 1 else reports[0], ec.output_format, ec.output_path)
-    if ec.output_path is not None:
-        print(f"wrote {ec.output_path}")
-    else:
-        sys.stdout.write(text)
+    lines = [report.summary_line() + "\n" for report in reports]
+    lines.append(f"wrote {ec.output_path}\n" if ec.output_path is not None else text)
+    _write_stdout(lines)
 
     all_passed = all(getattr(r, "passed", True) for r in reports)
     return 0 if all_passed else 1
+
+
+def _write_stdout(chunks: List[str]) -> None:
+    """Write to stdout; a reader that closed it early (``| head``) just ends the output."""
+    try:
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Send what is still buffered to the null device, so the interpreter's
+        # final flush at exit does not raise the same error again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 # --- selftest -------------------------------------------------------------------

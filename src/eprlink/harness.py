@@ -1012,6 +1012,11 @@ class ExperimentConfig:
                 )
             if self.attack.kind is AttackKind.ENTANGLEMENT_SWAP and self.cfg.parties != 2:
                 raise ValueError("the corrupted source substitutes two-party pairs only")
+        if self.sweep_param is None and self.sweep_values is not None:
+            raise ValueError(
+                "sweep values were given without a sweep param; a sweep needs "
+                "--param and --values (or a config whose sweep block has both)"
+            )
         if self.sweep_param is not None:
             _key("sweep", "param").check(self.sweep_param)
             if not self.sweep_values:

@@ -16,20 +16,28 @@ copied from one template per size, and the fixed one-qubit gates keep their
 entries as Python lists beside their matrices.
 
 Conventions:
-  * amplitudes of an n-qubit factor are stored as a complex ndarray of shape
-    (2,) * n; the qubit at position k of ``qubit_order`` owns axis k.  A
-    1-qubit factor is always a 2-tuple of Python complex numbers instead, so a
-    lone decoy is prepared, measured and dropped without allocating an array,
+  * a factor of n >= 2 qubits stores its amplitudes as one flat ``list`` of
+    2**n Python complex numbers; the qubit at position k of ``qubit_order``
+    owns bit n-1-k of the flat index, so the list is the C-order flattening of
+    a (2,) * n tensor.  Every operation runs one kernel over cached index
+    tables (:func:`_halves`, :func:`_quarters`) and writes the list in place.
+    A 1-qubit factor is any 2-sequence of Python complex numbers (a shared
+    label tuple when fresh), measured and gated by its own short path, since
+    most measurements in a trial read lone decoys,
+  * numpy holds the constants and serves the inspection calls
+    (``reduced_density``, ``state_fidelity``, ``norm_error``), which reshape
+    the flat list to a tensor,
   * measurement bits: 0 means |0> (Z) or |+> (X), 1 means |1> or |->,
   * all randomness is drawn from an explicitly passed ``numpy.random.Generator``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -159,10 +167,6 @@ _BELL_VECTORS = {
     BellOutcome.PSI_MINUS: np.array([0, _SQRT_HALF, -_SQRT_HALF, 0], dtype=complex),
 }
 
-_BELL_MATRIX = np.stack([_BELL_VECTORS[o] for o in _BELL_ORDER])
-# Row i gives the amplitude <bell_i|psi> for a pair flattened as 2*a + b.
-_BELL_PROJECTOR = _BELL_MATRIX.conj()
-
 # Applying the coded operation to the first half of a phi+ pair lands exactly
 # on the matching Bell state, which is what makes dense coding decodable.
 _BELL_TO_PAULI = {
@@ -268,29 +272,41 @@ def ghz_vector(k: int) -> np.ndarray:
     return vec
 
 
-# ghz_vector(k) shaped (2,) * k, per k; a prepared state gets a copy.
-_SHARED_AMPS: Dict[int, np.ndarray] = {}
+# ghz_vector(k) as a flat list, per k; a prepared state gets a copy.
+_SHARED_AMPS: Dict[int, List[complex]] = {}
 
 
-def _shared_amps(k: int) -> np.ndarray:
+def _shared_amps(k: int) -> List[complex]:
     template = _SHARED_AMPS.get(k)
     if template is None:
-        template = _SHARED_AMPS[k] = ghz_vector(k).reshape((2,) * k)
+        template = _SHARED_AMPS[k] = ghz_vector(k).tolist()
     return template.copy()
 
 
-# Flat indices of the |0> and |1> slices of axis k of a 2-qubit factor, whose
-# amplitudes are read as [a00, a01, a10, a11].
-_PAIR_SLICES = (((0, 1), (2, 3)), ((0, 2), (1, 3)))
-
-# Real rows of _BELL_MATRIX, for rebuilding a collapsed pair from Python scalars.
-_BELL_ROWS = _BELL_MATRIX.real.tolist()
+# Each Bell state's real amplitudes, in _BELL_ORDER, for rebuilding a collapsed pair.
+_BELL_ROWS = [_BELL_VECTORS[o].real.tolist() for o in _BELL_ORDER]
+_CNOT_ROWS = _CNOT.tolist()
 
 
-def _axis_slices(k: int) -> Tuple[tuple, tuple]:
-    """Index tuples selecting the |0> and |1> slices of axis k."""
-    lead = (slice(None),) * k
-    return lead + (0,), lead + (1,)
+@functools.lru_cache(maxsize=None)
+def _halves(n: int, k: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Flat indices of an n-qubit factor with position k's bit clear, and the same with it set."""
+    bit = 1 << (n - 1 - k)
+    zeros = tuple(i for i in range(1 << n) if not i & bit)
+    return zeros, tuple(i | bit for i in zeros)
+
+
+@functools.lru_cache(maxsize=None)
+def _quarters(n: int, ka: int, kb: int) -> Tuple[Tuple[int, int, int, int], ...]:
+    """Per setting of the other qubits, the flat indices of (a, b) = 00, 01, 10, 11.
+
+    ``a`` is the qubit at position ka and ``b`` the one at kb, so each 4-tuple
+    is ordered like the rows of a two-qubit unitary with ``a`` first.
+    """
+    ba, bb = 1 << (n - 1 - ka), 1 << (n - 1 - kb)
+    return tuple(
+        (i, i | bb, i | ba, i | ba | bb) for i in range(1 << n) if not i & (ba | bb)
+    )
 
 
 def _check_unitary(u: np.ndarray, dim: int) -> np.ndarray:
@@ -302,52 +318,13 @@ def _check_unitary(u: np.ndarray, dim: int) -> np.ndarray:
     return u
 
 
-def _measure_pair(
-    amps: np.ndarray, k: int, x_basis: bool, rng: np.random.Generator, draw: Optional[float]
-) -> int:
-    """:meth:`QuantumRegister.measure` of axis k of a 2-qubit factor, in place.
-
-    The same projection, draw and comparison as the general kernel, on the
-    four amplitudes read as Python complex scalars.
-    """
-    a = amps.ravel().tolist()
-    (i0, j0), (i1, j1) = _PAIR_SLICES[k]
-    # Slice 0 is (x0, x1), slice 1 is (y0, y1).
-    x0, x1, y0, y1 = a[i0], a[j0], a[i1], a[j1]
-    if x_basis:
-        x0, x1, y0, y1 = x0 + y0, x1 + y1, x0 - y0, x1 - y1
-    p1 = (y0.real * y0.real + y0.imag * y0.imag) + (y1.real * y1.real + y1.imag * y1.imag)
-    if x_basis:
-        p1 *= 0.5
-    if draw is None:
-        draw = rng.random()
-    bit = 1 if draw < p1 else 0
-    scale = 1.0 / math.sqrt(p1 if bit else 1.0 - p1)
-    if x_basis:
-        half = 0.5 * scale
-        k0, k1 = (y0 * half, y1 * half) if bit else (x0 * half, x1 * half)
-        a[i0], a[j0] = k0, k1
-        a[i1], a[j1] = (-k0, -k1) if bit else (k0, k1)
-    elif bit:
-        a[i0] = a[j0] = 0j
-        a[i1], a[j1] = y0 * scale, y1 * scale
-    else:
-        a[i0], a[j0] = x0 * scale, x1 * scale
-        a[i1] = a[j1] = 0j
-    amps.flat = a
-    return bit
-
-
-Amplitudes = Union[np.ndarray, Tuple[complex, complex]]
-
-
 def _measure_single(
-    amps: Amplitudes, x_basis: bool, rng: np.random.Generator, draw: Optional[float]
+    amps: Sequence[complex], x_basis: bool, rng: np.random.Generator, draw: Optional[float]
 ) -> Tuple[Tuple[complex, complex], int]:
     """:meth:`QuantumRegister.measure` of a 1-qubit factor: the new amplitudes and the bit.
 
-    The same projection, draw and comparison as the general kernel, on the
-    two amplitudes as Python complex scalars.
+    The same projection, draw and comparison as the flat kernel, on the two
+    amplitudes as Python complex scalars.
     """
     b0, b1 = amps
     if x_basis:
@@ -369,13 +346,13 @@ def _measure_single(
 class StateVector:
     """One independent tensor factor of the run's global state.
 
-    ``amps`` is a 2-tuple of Python complex numbers for one qubit and an
-    ndarray of shape (2,) * n for n >= 2 qubits.
+    ``amps`` is a 2-sequence of Python complex numbers for one qubit and a
+    flat list of 2**n of them for n >= 2 qubits (see the module conventions).
     """
 
     __slots__ = ("amps", "qubit_order")
 
-    def __init__(self, amps: Amplitudes, qubit_order: List[QubitRef]):
+    def __init__(self, amps: Sequence[complex], qubit_order: List[QubitRef]):
         self.amps = amps
         self.qubit_order = qubit_order
 
@@ -385,6 +362,10 @@ class StateVector:
 
     def axis_of(self, q: QubitRef) -> int:
         return self.qubit_order.index(q)
+
+    def tensor(self) -> np.ndarray:
+        """The amplitudes as a complex ndarray of shape (2,) * n, axis k for position k."""
+        return np.array(self.amps, dtype=complex).reshape((2,) * len(self.qubit_order))
 
     def norm_error(self) -> float:
         return abs(float(np.sum(np.abs(np.asarray(self.amps)) ** 2)) - 1.0)
@@ -406,7 +387,7 @@ class QuantumRegister:
         self._next_uid = uid + k
         return [QubitRef(i) for i in range(uid, uid + k)]
 
-    def _add_factor(self, amps: Amplitudes, refs: List[QubitRef]) -> None:
+    def _add_factor(self, amps: Sequence[complex], refs: List[QubitRef]) -> None:
         sv = StateVector(amps, refs)
         for r in refs:
             self._where[r] = sv
@@ -425,7 +406,7 @@ class QuantumRegister:
     def _merge(self, a: StateVector, b: StateVector) -> StateVector:
         if a is b:
             return a
-        a.amps = np.multiply.outer(a.amps, b.amps)
+        a.amps = [x * y for x in a.amps for y in b.amps]
         a.qubit_order = a.qubit_order + b.qubit_order
         for r in b.qubit_order:
             self._where[r] = a
@@ -469,30 +450,24 @@ class QuantumRegister:
     def _apply_1q(self, sv: StateVector, k: int, rows: List[List[complex]]) -> None:
         (u00, u01), (u10, u11) = rows
         amps = sv.amps
-        if len(sv.qubit_order) == 1:
+        order = sv.qubit_order
+        if len(order) == 1:
             x, y = amps
             sv.amps = (u00 * x + u01 * y, u10 * x + u11 * y)
             return
-        if amps.ndim == 2:
-            # A pair is read and written as four Python complex scalars.
-            a = amps.ravel().tolist()
-            (i0, j0), (i1, j1) = _PAIR_SLICES[k]
-            x0, x1, y0, y1 = a[i0], a[j0], a[i1], a[j1]
-            a[i0], a[j0] = u00 * x0 + u01 * y0, u00 * x1 + u01 * y1
-            a[i1], a[j1] = u10 * x0 + u11 * y0, u10 * x1 + u11 * y1
-            amps.flat = a
-            return
-        sl0, sl1 = _axis_slices(k)
-        b0, b1 = amps[sl0], amps[sl1]
-        new = np.empty_like(amps)
-        new[sl0] = u00 * b0 + u01 * b1
-        new[sl1] = u10 * b0 + u11 * b1
-        sv.amps = new
+        for i, j in zip(*_halves(len(order), k)):
+            x, y = amps[i], amps[j]
+            amps[i] = u00 * x + u01 * y
+            amps[j] = u10 * x + u11 * y
 
-    def _apply_2q(self, sv: StateVector, ka: int, kb: int, u4: np.ndarray) -> None:
-        u = u4.reshape(2, 2, 2, 2)
-        amps = np.tensordot(u, sv.amps, axes=([2, 3], [ka, kb]))
-        sv.amps = np.moveaxis(amps, [0, 1], [ka, kb])
+    def _apply_2q(self, sv: StateVector, ka: int, kb: int, rows: List[List[complex]]) -> None:
+        """Apply the 4x4 unitary ``rows`` to positions (ka, kb), ka as the first qubit."""
+        amps = sv.amps
+        for quad in _quarters(len(sv.qubit_order), ka, kb):
+            i0, i1, i2, i3 = quad
+            a0, a1, a2, a3 = amps[i0], amps[i1], amps[i2], amps[i3]
+            for i, (u0, u1, u2, u3) in zip(quad, rows):
+                amps[i] = u0 * a0 + u1 * a1 + u2 * a2 + u3 * a3
 
     def apply_pauli(self, q: QubitRef, code: PauliCode) -> None:
         if code is PauliCode.I:
@@ -508,15 +483,15 @@ class QuantumRegister:
         if control == target:
             raise ValueError("control and target must differ")
         sv = self._merge(self._locate(control), self._locate(target))
-        self._apply_2q(sv, sv.axis_of(control), sv.axis_of(target), _CNOT)
+        self._apply_2q(sv, sv.axis_of(control), sv.axis_of(target), _CNOT_ROWS)
 
     def apply_two_qubit_unitary(self, u: np.ndarray, qa: QubitRef, qb: QubitRef) -> None:
         """Apply an arbitrary (validated) 4x4 unitary with qa as the first axis."""
         if qa == qb:
             raise ValueError("the two qubits must differ")
-        u = _check_unitary(u, 4)
+        rows = _check_unitary(u, 4).tolist()
         sv = self._merge(self._locate(qa), self._locate(qb))
-        self._apply_2q(sv, sv.axis_of(qa), sv.axis_of(qb), u)
+        self._apply_2q(sv, sv.axis_of(qa), sv.axis_of(qb), rows)
 
     # -- measurement -------------------------------------------------------
 
@@ -529,28 +504,31 @@ class QuantumRegister:
     ) -> MeasurementOutcome:
         """Projective measurement; the qubit survives in the post-measurement state.
 
-        The qubit's axis slices b0, b1 are projected directly: onto b0 and b1
-        in the Z basis, onto (b0 + b1)/sqrt2 and (b0 - b1)/sqrt2 in the X basis.
-        The outcome is 1 exactly when ``draw < p1``; without a ``draw`` the
-        uniform number is ``rng.random()``.
+        The qubit's two halves b0, b1 (its bit clear, its bit set) are
+        projected directly: onto b0 and b1 in the Z basis, onto (b0 + b1)/sqrt2
+        and (b0 - b1)/sqrt2 in the X basis.  The outcome is 1 exactly when
+        ``draw < p1``; without a ``draw`` the uniform number is ``rng.random()``.
         """
         sv = self._where.get(q)
         if sv is None:
             raise self._dead(q)
         amps = sv.amps
+        order = sv.qubit_order
         x_basis = basis is Basis.X
-        if len(sv.qubit_order) == 1:
+        if len(order) == 1:
             sv.amps, bit = _measure_single(amps, x_basis, rng, draw)
             return _OUTCOMES[x_basis][bit]
-        if amps.ndim == 2:
-            bit = _measure_pair(amps, sv.axis_of(q), x_basis, rng, draw)
-            return _OUTCOMES[x_basis][bit]
-        sl0, sl1 = _axis_slices(sv.axis_of(q))
-        b0, b1 = amps[sl0], amps[sl1]
+        zeros, ones = _halves(len(order), order.index(q))
         if x_basis:
             # sqrt2 <+|psi> and sqrt2 <-|psi>; the 1/sqrt2 factors go into p1 and scale.
-            b0, b1 = b0 + b1, b0 - b1
-        p1 = float(np.vdot(b1, b1).real)
+            for i, j in zip(zeros, ones):
+                x, y = amps[i], amps[j]
+                amps[i] = x + y
+                amps[j] = x - y
+        p1 = 0.0
+        for j in ones:
+            y = amps[j]
+            p1 += y.real * y.real + y.imag * y.imag
         if x_basis:
             p1 *= 0.5
         if draw is None:
@@ -559,13 +537,18 @@ class QuantumRegister:
         scale = 1.0 / math.sqrt(p1 if bit else 1.0 - p1)
         if x_basis:
             # The normalised |+> (|->) component: (b0 +- b1) / (2 sqrt(p)) on
-            # slice 0, and plus (minus) that on slice 1.
-            kept = (b1 if bit else b0) * (0.5 * scale)
-            amps[sl0] = kept
-            amps[sl1] = -kept if bit else kept
+            # half 0, and plus (minus) that on half 1.
+            half = 0.5 * scale
+            for i, j in zip(zeros, ones):
+                kept = amps[j if bit else i] * half
+                amps[i] = kept
+                amps[j] = -kept if bit else kept
         else:
-            amps[sl1 if bit else sl0] *= scale
-            amps[sl0 if bit else sl1] = 0.0
+            kept, dropped = (ones, zeros) if bit else (zeros, ones)
+            for i in kept:
+                amps[i] *= scale
+            for i in dropped:
+                amps[i] = 0j
         return _OUTCOMES[x_basis][bit]
 
     def measure_all(
@@ -594,23 +577,19 @@ class QuantumRegister:
         if q1 == q2:
             raise ValueError("bell_measure needs two distinct qubits")
         sv = self._merge(self._locate(q1), self._locate(q2))
-        pair = sv.amps.ndim == 2
-        if pair:
-            # A bare pair is read as four Python complex scalars.  Exchanging
-            # the two qubits negates only psi-, in both its coefficient and its
-            # state, so the result is the same whichever axis holds q1.
-            a00, a01, a10, a11 = sv.amps.ravel().tolist()
-            s = _SQRT_HALF
-            coeffs = (s * (a00 + a11), s * (a00 - a11), s * (a01 + a10), s * (a01 - a10))
-            probs = [c.real * c.real + c.imag * c.imag for c in coeffs]
-        else:
-            # (q1, q2) become the leading axes of the flattened factor.
-            ka, kb = sv.axis_of(q1), sv.axis_of(q2)
-            perm = [ka, kb] + [i for i in range(sv.amps.ndim) if i != ka and i != kb]
-            moved = sv.amps.transpose(perm)
-            coeffs = _BELL_PROJECTOR @ moved.reshape(4, -1)
-            parts = coeffs.view(np.float64)  # real and imaginary parts side by side
-            probs = np.square(parts).sum(axis=1).tolist()
+        order = sv.qubit_order
+        quads = _quarters(len(order), order.index(q1), order.index(q2))
+        amps = sv.amps
+        # <bell_i|psi> for each Bell state i, per setting of the other qubits.
+        s = _SQRT_HALF
+        coeffs = []
+        probs = [0.0, 0.0, 0.0, 0.0]
+        for i00, i01, i10, i11 in quads:
+            a00, a01, a10, a11 = amps[i00], amps[i01], amps[i10], amps[i11]
+            c = (s * (a00 + a11), s * (a00 - a11), s * (a01 + a10), s * (a01 - a10))
+            coeffs.append(c)
+            for j, v in enumerate(c):
+                probs[j] += v.real * v.real + v.imag * v.imag
         r = rng.random()
         acc = 0.0
         for idx, p in enumerate(probs):
@@ -620,12 +599,12 @@ class QuantumRegister:
         else:
             # Rounding left sum(probs) <= r: take the last outcome that can occur.
             idx = max(i for i, p in enumerate(probs) if p > 0.0)
-        picked = coeffs[idx] * (1.0 / math.sqrt(probs[idx]))
-        if pair:
-            sv.amps.flat = [v * picked for v in _BELL_ROWS[idx]]
-        else:
-            new = (_BELL_MATRIX[idx, :, None] * picked).reshape(moved.shape)
-            sv.amps = new.transpose(sorted(range(len(perm)), key=perm.__getitem__))
+        scale = 1.0 / math.sqrt(probs[idx])
+        row = _BELL_ROWS[idx]
+        for quad, c in zip(quads, coeffs):
+            picked = c[idx] * scale
+            for i, v in zip(quad, row):
+                amps[i] = v * picked
         return _BELL_ORDER[idx]
 
     # -- disposal ----------------------------------------------------------
@@ -635,37 +614,27 @@ class QuantumRegister:
         sv = self._where.get(q)
         if sv is None:
             raise self._dead(q)
-        if len(sv.qubit_order) > 1:
+        order = sv.qubit_order
+        if len(order) > 1:
             amps = sv.amps
-            # The qubit's reduced state is the Gram matrix of its two axis slices.
-            k = sv.axis_of(q)
-            if amps.ndim == 2:
-                # A pair's slices are read as Python complex scalars.
-                a = amps.ravel().tolist()
-                (i0, j0), (i1, j1) = _PAIR_SLICES[k]
-                x0, x1, y0, y1 = a[i0], a[j0], a[i1], a[j1]
-                r0, r1 = (x0, x1), (y0, y1)
-                g00 = (x0.real**2 + x0.imag**2) + (x1.real**2 + x1.imag**2)
-                g11 = (y0.real**2 + y0.imag**2) + (y1.real**2 + y1.imag**2)
-                g01 = x0.conjugate() * y0 + x1.conjugate() * y1
-            else:
-                sl0, sl1 = _axis_slices(k)
-                r0, r1 = amps[sl0], amps[sl1]
-                g00 = np.vdot(r0, r0).real
-                g11 = np.vdot(r1, r1).real
-                g01 = np.vdot(r0, r1)
-            purity = float(g00 * g00 + g11 * g11 + 2.0 * (g01.real**2 + g01.imag**2))
+            # The qubit's reduced state is the Gram matrix of its two halves.
+            zeros, ones = _halves(len(order), order.index(q))
+            g00 = g11 = 0.0
+            g01 = 0j
+            for i, j in zip(zeros, ones):
+                x, y = amps[i], amps[j]
+                g00 += x.real * x.real + x.imag * x.imag
+                g11 += y.real * y.real + y.imag * y.imag
+                g01 += x.conjugate() * y
+            purity = g00 * g00 + g11 * g11 + 2.0 * (g01.real**2 + g01.imag**2)
             if purity < 1.0 - PURITY_ATOL:
                 raise EntangledDiscardError(f"{q} is still entangled (purity {purity:.6f})")
-            # In a product state both slices are multiples of the remainder;
+            # In a product state both halves are multiples of the remainder;
             # the larger one, normalised, is it up to a global phase.
-            kept, g = (r0, g00) if g00 >= g11 else (r1, g11)
+            kept, g = (zeros, g00) if g00 >= g11 else (ones, g11)
             norm = math.sqrt(g)
-            if amps.ndim == 2:
-                sv.amps = (kept[0] / norm, kept[1] / norm)
-            else:
-                sv.amps = kept / norm
-            sv.qubit_order = [r for r in sv.qubit_order if r != q]
+            sv.amps = [amps[i] / norm for i in kept]
+            sv.qubit_order = [r for r in order if r != q]
         del self._where[q]
         self._consumed.add(q)
 
@@ -685,7 +654,7 @@ class QuantumRegister:
         for sv, qs in by_factor.items():
             axes = [sv.axis_of(q) for q in qs]
             r = len(qs)
-            arr = np.moveaxis(np.asarray(sv.amps), axes, range(r)).reshape(2**r, -1)
+            arr = np.moveaxis(sv.tensor(), axes, range(r)).reshape(2**r, -1)
             block = arr @ arr.conj().T
             rho = block if rho is None else np.kron(rho, block)
             built_order.extend(qs)
@@ -716,7 +685,7 @@ class QuantumRegister:
         if sv is not None:
             order = sv.qubit_order
             if len(order) == len(qubits) and set(order) == set(qubits):
-                amps = np.asarray(sv.amps)
+                amps = sv.tensor()
                 if order != list(qubits):
                     amps = amps.transpose([order.index(q) for q in qubits])
                 arr = amps.reshape(-1, 1)

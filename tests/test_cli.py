@@ -361,3 +361,77 @@ def test_each_command_has_the_flags_of_its_config_keys():
         name: {s for a in parser._actions for s in a.option_strings} for name, parser in sub.items()
     }
     assert got == expected
+
+
+_SWEEP_HINT = (
+    "error: sweep values were given without a sweep param; a sweep needs "
+    "--param and --values (or a config whose sweep block has both)\n"
+)
+
+
+@pytest.mark.parametrize("sweep", [{"values": [1, 2]}, {"param": None, "values": [1, 2]}])
+@pytest.mark.parametrize("command", ["establish", "sweep"])
+def test_sweep_values_without_a_param_are_a_config_error(tmp_path, capsys, sweep, command):
+    """Values with no param would otherwise run one plain batch and drop them."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"trials": 3, "sweep": sweep}))
+    assert main([command, "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == _SWEEP_HINT
+
+
+def test_sweep_flag_values_without_a_param_are_a_config_error(capsys):
+    assert main(["sweep", "--values", "1,2", "--trials", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == _SWEEP_HINT
+
+
+def _run_into_a_closed_pipe(args) -> subprocess.CompletedProcess:
+    """Run Python with ``args`` and stdout on a pipe whose read end is already closed."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, *args],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+    finally:
+        os.close(write_end)
+
+
+# The report gate fails once its oracle says no attack is ever caught.
+_FAILING_REPORT = (
+    "import sys\n"
+    "import eprlink.harness as harness\n"
+    "harness.detection_oracle = lambda *args: (0.0, 'closed_form')\n"
+    "from eprlink.cli import main\n"
+    "sys.exit(main(['establish', '--trials', '20', '--attack', 'intercept_resend']))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "args,code",
+    [
+        ("-m eprlink.cli sweep --param n_decoys --values 1,2 --trials 3".split(), 0),
+        (["-c", _FAILING_REPORT], 1),
+    ],
+)
+def test_a_closed_stdout_ends_quietly_with_the_exit_code_the_reports_earned(args, code):
+    proc = _run_into_a_closed_pipe(args)
+    assert proc.stderr == ""
+    assert proc.returncode == code
+
+
+def test_a_closed_stdout_still_gets_the_report_file_written(tmp_path):
+    out = tmp_path / "report.json"
+    args = ["-m", "eprlink.cli", "establish", "--trials", "3", "--out", str(out)]
+    proc = _run_into_a_closed_pipe(args)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(out.read_text())["trials"] == 3

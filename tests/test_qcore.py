@@ -561,12 +561,14 @@ def _loaded_register(amps):
     """A register whose only factor holds ``amps``, one qubit per axis."""
     reg = QuantumRegister()
     refs = reg._new_refs(amps.ndim)
-    reg._add_factor(amps.copy(), refs)
+    reg._add_factor(amps.ravel().tolist(), refs)
     return reg, refs
 
 
 def _factor_amps(reg, q):
-    return np.asarray(reg._locate(q).amps)
+    """The factor holding q, as an ndarray with one axis per qubit."""
+    sv = reg._locate(q)
+    return np.asarray(sv.amps).reshape((2,) * len(sv.qubit_order))
 
 
 def _assert_same_up_to_phase(got, want):
@@ -605,7 +607,22 @@ def test_one_qubit_gate_kernel_matches_reference(n):
             sv = reg._locate(refs[k])
             reg._apply_1q(sv, k, u.tolist())
             want = _ref_apply_1q(amps, k, u)
-            assert np.max(np.abs(np.asarray(sv.amps) - want)) < 1e-12
+            assert np.max(np.abs(_factor_amps(reg, refs[k]) - want)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_two_qubit_gate_kernel_matches_reference(n):
+    rng = np.random.default_rng(2500 + n)
+    for _ in range(10):
+        amps = _random_state(rng, n)
+        u = _random_unitary(rng, 4)
+        for ka, kb in itertools.permutations(range(n), 2):
+            reg, refs = _loaded_register(amps)
+            reg.apply_two_qubit_unitary(u, refs[ka], refs[kb])
+            assert reg._locate(refs[0]).qubit_order == refs
+            tensor = np.tensordot(u.reshape(2, 2, 2, 2), amps, ([2, 3], [ka, kb]))
+            want = np.moveaxis(tensor, [0, 1], [ka, kb])
+            assert np.max(np.abs(_factor_amps(reg, refs[0]) - want)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -624,7 +641,7 @@ def test_discard_kernel_matches_reference_on_product_states(n):
             survivor = refs[1] if k == 0 else refs[0]
             sv = reg._locate(survivor)
             assert sv.qubit_order == [q for q in refs if q != refs[k]]
-            _assert_same_up_to_phase(np.asarray(sv.amps), want_rest)
+            _assert_same_up_to_phase(_factor_amps(reg, survivor), want_rest)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -747,11 +764,11 @@ def test_measure_with_a_given_draw_reads_no_random_number():
     assert rng.bit_generator.state == state
 
 
-# --- lone qubits: tuple kernels against the ndarray kernels they replace --------------
+# --- lone qubits: the 1-qubit path against reference kernels ---------------------------
 #
-# A 1-qubit factor is a pair of Python complex numbers.  The references below are
-# the register's earlier kernels for a (2,) ndarray factor; each side gets its own
-# generator from the same seed, so equal next draws mean equal consumption.
+# A 1-qubit factor is any pair of Python complex numbers.  The references below
+# are kernels for a (2,) ndarray factor; each side gets its own generator from
+# the same seed, so equal next draws mean equal consumption.
 
 
 def _ref_lone_measure(vec, basis, rng, draw=None):
@@ -813,9 +830,10 @@ def _lone_register(vec):
     return reg, q
 
 
-def _assert_lone_tuple(reg, q, want):
+def _assert_lone_amps(reg, q, want):
+    """q is alone in its factor, held as two Python complex numbers (a tuple or a list)."""
     amps = reg._locate(q).amps
-    assert type(amps) is tuple and len(amps) == 2
+    assert len(reg._locate(q).qubit_order) == 1 and len(amps) == 2
     assert all(type(a) is complex for a in amps)
     assert np.max(np.abs(np.asarray(amps) - want)) < 1e-12
 
@@ -824,7 +842,7 @@ def test_prepare_single_shares_its_label_tuple():
     reg = QuantumRegister()
     for lab in "01+-":
         q = reg.prepare_single(lab)
-        _assert_lone_tuple(reg, q, state_vector_for_label(lab))
+        _assert_lone_amps(reg, q, state_vector_for_label(lab))
         assert reg._locate(q).amps is reg._locate(reg.prepare_single(lab)).amps
     with pytest.raises(ValueError, match="unknown state label"):
         reg.prepare_single("y")
@@ -832,22 +850,22 @@ def test_prepare_single_shares_its_label_tuple():
 
 @pytest.mark.parametrize("given_draw", [False, True])
 @pytest.mark.parametrize("basis", [Basis.Z, Basis.X])
-def test_lone_measure_matches_the_ndarray_kernel(basis, given_draw):
+def test_lone_measure_matches_the_reference(basis, given_draw):
     for i, vec in enumerate(_lone_states()):
         draw = float(np.random.default_rng(700 + i).random()) if given_draw else None
         rng_ref, rng_got = np.random.default_rng(i), np.random.default_rng(i)
         want_bit, want = _ref_lone_measure(vec, basis, rng_ref, draw)
         reg, q = _lone_register(vec)
         assert reg.measure(q, basis, rng_got, draw) == MeasurementOutcome(basis, want_bit)
-        _assert_lone_tuple(reg, q, want)
+        _assert_lone_amps(reg, q, want)
         assert rng_got.random() == rng_ref.random()
         # Measuring again in the same basis repeats the bit and keeps the state.
         assert reg.measure(q, basis, rng_got).bit == want_bit
-        _assert_lone_tuple(reg, q, want)
+        _assert_lone_amps(reg, q, want)
 
 
 @pytest.mark.parametrize("gate", ["I", "Z", "X", "iY", "H"])
-def test_lone_gate_matches_the_ndarray_kernel(gate):
+def test_lone_gate_matches_the_reference(gate):
     for vec in _lone_states():
         reg, q = _lone_register(vec)
         if gate == "H":
@@ -856,10 +874,10 @@ def test_lone_gate_matches_the_ndarray_kernel(gate):
         else:
             reg.apply_pauli(q, PauliCode(gate))
             u = PauliCode(gate).matrix
-        _assert_lone_tuple(reg, q, _ref_lone_gate(vec, u))
+        _assert_lone_amps(reg, q, _ref_lone_gate(vec, u))
 
 
-def test_discard_leaves_a_lone_tuple_matching_the_ndarray_kernel():
+def test_discard_leaves_a_lone_qubit_matching_the_reference():
     rng = np.random.default_rng(6100)
     for k in (0, 1):
         for _ in range(20):
@@ -868,7 +886,7 @@ def test_discard_leaves_a_lone_tuple_matching_the_ndarray_kernel():
             )
             reg, refs = _loaded_register(amps)
             reg.discard(refs[k])
-            _assert_lone_tuple(reg, refs[1 - k], _ref_pair_discard(amps, k))
+            _assert_lone_amps(reg, refs[1 - k], _ref_pair_discard(amps, k))
             reg.discard(refs[1 - k])
             assert reg.live_qubits() == [] and reg._where == {}
 

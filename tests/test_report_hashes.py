@@ -7,7 +7,11 @@ The two ``*_fidelity`` cases also pin ``min_pair_fidelity`` to the last bit
 (0.9999999999999997, where |<t|psi>|^2 would give another value), so any
 change to how a fidelity is computed shows; their bytes depend on numpy's
 matrix-product rounding, so another numpy build may need them re-derived from
-an unchanged tree.  Honest runs always establish and deliver, so their cases pin the report layout
+an unchanged tree.  The ``establish_entanglement_swap`` and
+``qsdc_correlation_elicitation`` cases merge an adversary's qubits into the
+relayed factors, and the first pins a ``min_pair_fidelity`` of
+0.24999999999999983, so a change to how merged amplitudes are multiplied shows
+in the last bit.  Honest runs always establish and deliver, so their cases pin the report layout
 and counts; the attacked cases and the games count outcomes that depend on
 every draw, so a change that consumes randomness in another order changes
 their hashes.  Update a pinned value only for a change that is meant to alter
@@ -93,6 +97,27 @@ CASES = {
             seed=19,
         ),
         "3f15ed196ab103faf73a3a14b60c2fafdd5d6cca5d840a977308343930ac79f5",
+    ),
+    "establish_entanglement_swap": (
+        lambda: ExperimentConfig(
+            scenario="establish",
+            attack=attack_from_name("entanglement_swap"),
+            cfg=EstablishmentConfig(m_pairs=10, n_decoys=3),
+            measure_fidelity=True,
+            trials=60,
+            seed=22,
+        ),
+        "4bb5640702243c65dcbaa7ae9df6b20f8e73b6ff6d027195508f3ebc3e75f0ce",
+    ),
+    "qsdc_correlation_elicitation": (
+        lambda: ExperimentConfig(
+            scenario="qsdc",
+            attack=attack_from_name("correlation_elicitation"),
+            cfg=EstablishmentConfig(m_pairs=10, n_decoys=3),
+            trials=60,
+            seed=23,
+        ),
+        "1a22b761d30eca81f98a078f134563a5aaf9985b99a3e7b005184ab805e3965a",
     ),
     "game_decoy": (
         lambda: ExperimentConfig(scenario="game", game=GameSpec(), trials=300, seed=14),
