@@ -650,10 +650,10 @@ def attack_label(spec: Optional[AttackSpec]) -> str:
 # --- information / disturbance scoring -----------------------------------------
 
 
-def probe_disturbance(unitary: np.ndarray, label: str, ancilla_label: str = "0") -> float:
-    """Probability the holder's check fails on one decoy after probe coupling."""
+def probe_disturbance(unitary: np.ndarray, label: str) -> float:
+    """Probability the holder's check fails on one decoy after coupling a |0> probe."""
     vec = state_vector_for_label(label)
-    anc = state_vector_for_label(ancilla_label)
+    anc = state_vector_for_label("0")
     out = (np.asarray(unitary, dtype=complex) @ np.kron(vec, anc)).reshape(2, 2)
     kept = vec.conj() @ out
     return 1.0 - float(np.sum(np.abs(kept) ** 2))
@@ -663,9 +663,7 @@ def _trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(rho - sigma))))
 
 
-def probe_interaction_scores(
-    unitary: np.ndarray, ancilla_label: str = "0"
-) -> Tuple[float, float]:
+def probe_interaction_scores(unitary: np.ndarray) -> Tuple[float, float]:
     """Score one probe coupling: (worst disturbance, probe distinguishability).
 
     Disturbance is the largest per-decoy failure probability over the four
@@ -675,7 +673,7 @@ def probe_interaction_scores(
     that never disturbs any decoy leaves all probe states identical.
     """
     u = np.asarray(unitary, dtype=complex)
-    anc = state_vector_for_label(ancilla_label)
+    anc = state_vector_for_label("0")
     disturbances = []
     probe_states = []
     for label in SINGLE_STATE_LABELS:

@@ -25,7 +25,7 @@ import math
 import numbers
 import os
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -54,8 +54,6 @@ from .channels import (
     PositionsBases,
     STAGE_DECOY,
     STAGE_PAIR_CHECK,
-    STAGE_RELAY_IN,
-    STAGE_RELAY_OUT,
     Topology,
     TrojanKind,
 )
@@ -130,6 +128,8 @@ class TrialReport:
 
 # The per-trial counters an aggregate report carries as batch totals.
 _SUMMED_COUNTS = tuple(f.name for f in fields(TrialReport) if f.type == "int" and f.name != "index")
+# The adversary's message-guess counters, named alike on QsdcOutcome.
+_LEAK_COUNTS = tuple(name for name in _SUMMED_COUNTS if name.startswith("leak_"))
 
 
 @dataclass
@@ -239,22 +239,6 @@ class AggregateReport:
             "seed": self.seed,
         }
 
-    def csv_row(self) -> List[str]:
-        return [
-            self.scenario,
-            self.attack,
-            str(self.n_decoys),
-            str(self.checked_positions),
-            str(self.trials),
-            str(self.detected_at_site),
-            _fmt(self.detection_rate),
-            _fmt(self.analytic_rate),
-            _fmt(self.sigma3),
-            "true" if self.passed else "false",
-            _fmt(self.leakage_rate),
-            str(self.seed),
-        ]
-
     def summary_line(self) -> str:
         rate = _fmt(self.detection_rate)
         if self.oracle_rate is None:
@@ -276,18 +260,13 @@ def _fmt(x: Optional[float]) -> str:
     return format(float(x), ".10g")
 
 
-# --- the attacked leg -------------------------------------------------------------
-
-
-# The decoy discussion behind each edge attack's detection site.
-_SITE_STAGE = {"step2": STAGE_DECOY, "step5": STAGE_RELAY_IN, "step7": STAGE_RELAY_OUT}
-
-
-def _attacked_leg(spec: Optional[AttackSpec]) -> Optional[Tuple[str, PartyId]]:
-    """(stage, holder) of the discussion that grades the attacked edge."""
-    if spec is None or spec.edge is None:
-        return None
-    return _SITE_STAGE[spec.detection_site], spec.edge[1]
+def _cell(x) -> str:
+    """One CSV cell of a JSON report value."""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if x is None or isinstance(x, float):
+        return _fmt(x)
+    return str(x)
 
 
 # --- the trial loop ----------------------------------------------------------------
@@ -304,11 +283,11 @@ def _trials(seed: int, count: int, fn: Callable[[object, int], object]) -> list:
 def _collect_establishment(tr: TrialReport, out, ec: ExperimentConfig) -> None:
     tr.positions_checked = len(out.check_log)
     tr.position_failures = sum(1 for e in out.check_log if not e.passed)
-    leg = _attacked_leg(ec.attack)
-    if leg is not None and out.session is not None:
-        counts = out.session.decoy_counts.get(leg)
+    if ec.attack is not None:
+        # The discussion that grades the attacked edge is keyed by that edge.
+        counts = out.session.decoy_counts.get(ec.attack.edge)
         if counts is not None:
-            tr.decoys_checked, tr.decoy_mismatches = counts[0], counts[1]
+            tr.decoys_checked, tr.decoy_mismatches = counts
 
 
 def _trial_establish(ec: ExperimentConfig, cfg: EstablishmentConfig, rng, index: int) -> TrialReport:
@@ -343,11 +322,7 @@ def _trial_qsdc(ec: ExperimentConfig, cfg: EstablishmentConfig, rng, index: int)
         detected=out.detected_step is not None,
         detected_at=out.detected_step,
         delivered=out.delivered,
-        leak_bits_correct=out.leak_bits_correct,
-        leak_bits_total=out.leak_bits_total,
-        leak_first_correct=out.leak_first_bit_correct,
-        leak_second_correct=out.leak_second_bit_correct,
-        leak_pairs=out.leak_pairs_guessed,
+        **{name: getattr(out, name) for name in _LEAK_COUNTS},
     )
     if out.establishment is not None:
         _collect_establishment(tr, out.establishment, ec)
@@ -629,28 +604,7 @@ class GameResult:
     seed: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "scenario": "game",
-            "discussion": self.discussion,
-            "strategy": self.strategy,
-            "instances": self.instances,
-            "valid": self.valid,
-            "successes": self.successes,
-            "advantage": self.advantage,
-            "seed": self.seed,
-        }
-
-    def csv_row(self) -> List[str]:
-        return [
-            "game",
-            self.discussion,
-            self.strategy,
-            str(self.instances),
-            str(self.valid),
-            str(self.successes),
-            _fmt(self.advantage),
-            str(self.seed),
-        ]
+        return {"scenario": "game", **asdict(self)}  # the fields are in JSON key order
 
     def summary_line(self) -> str:
         return (
@@ -719,7 +673,8 @@ def emit_report(
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
         for r in items:
-            writer.writerow(r.csv_row())
+            doc = r.to_json_dict()
+            writer.writerow([_cell(doc[c]) for c in columns])
         text = buf.getvalue()
     else:
         _key("output", "format").check(fmt)
@@ -1075,6 +1030,12 @@ def load_config(
     for name in dict.fromkeys([*data, *(p[0] for p in flags)]):
         if run not in _READERS[name]:
             raise ValueError(f"{name} must be left out: the {run} scenario does not read it")
+    sweep = [values.get(("sweep", sub)) for sub in ("param", "values")]
+    if "sweep" in data and sweep == [None, None]:
+        raise ValueError(
+            "the sweep block names neither a param nor values; a sweep needs both, "
+            "or leave the block out"
+        )
     return ExperimentConfig(
         **_fields(None, values),
         cfg=EstablishmentConfig(**_fields("cfg", values)),

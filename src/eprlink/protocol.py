@@ -94,7 +94,6 @@ class EstablishmentConfig:
     n_decoys: int
     check_fraction: float = 0.3
     parties: int = 2
-    seed: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.m_pairs < 1:
@@ -182,7 +181,7 @@ class Session:
     ) -> None:
         self.cfg = cfg
         self.parties = end_parties(cfg.parties)
-        self.rng = rng if rng is not None else np.random.default_rng(cfg.seed)
+        self.rng = rng if rng is not None else np.random.default_rng()
         self.register = QuantumRegister()
         self.net = Network(Topology.for_parties(self.parties), self.register, self.rng)
         if not filters_enabled:
@@ -190,8 +189,9 @@ class Session:
         self.adversary = adversary
         if adversary is not None:
             self.net.add_interceptor(adversary)
-        # (stage, holder) -> [decoys compared, mismatches]; fed by discussions.
-        self.decoy_counts: Dict[Tuple[str, PartyId], List[int]] = {}
+        # (checker, holder) -> [decoys compared, mismatches]; fed by discussions.
+        # The checker sent the decoys, so the key is the quantum edge, as in AttackSpec.edge.
+        self.decoy_counts: Dict[Tuple[PartyId, PartyId], List[int]] = {}
 
     # -- helpers -------------------------------------------------------------
 
@@ -234,7 +234,7 @@ class Session:
         bits = reg.measure_all(measured, bases, self.rng)
         net.send_classical(holder, checker, MeasurementResults(stage, tuple(bits)))
         bad = [pos for pos, want, bit in zip(positions, expected, bits) if bit != want]
-        counts = self.decoy_counts.setdefault((stage, holder), [0, 0])
+        counts = self.decoy_counts.setdefault((checker, holder), [0, 0])
         counts[0] += len(records)
         counts[1] += len(bad)
         for q in measured:

@@ -41,7 +41,6 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-NORM_ATOL = 1e-10
 PURITY_ATOL = 1e-9
 UNITARY_ATOL = 1e-10
 
@@ -711,17 +710,16 @@ def is_bell_product(register: QuantumRegister, q1: QubitRef, q2: QubitRef) -> Be
 def attempt_clone_unitary(
     u: np.ndarray,
     test_states: Iterable[str] = SINGLE_STATE_LABELS,
-    ancilla_label: str = "0",
 ) -> Dict[str, float]:
     """Score a candidate copying unitary on qubit (x) ancilla.
 
     For every requested input state ``s`` the candidate is applied to
-    s (x) ancilla and the squared overlap with the perfect copy s (x) s is
+    s (x) |0> and the squared overlap with the perfect copy s (x) s is
     returned.  No unitary scores ~1 on all four preparation states at once;
     the harness uses this as a falsification search.
     """
     u = _check_unitary(u, 4)
-    anc = state_vector_for_label(ancilla_label)
+    anc = state_vector_for_label("0")
     scores: Dict[str, float] = {}
     for label in test_states:
         vec = state_vector_for_label(label)

@@ -34,7 +34,6 @@ from .channels import (
 )
 from .protocol import (
     EstablishmentConfig,
-    EstablishStatus,
     Session,
     _coerce_adversary,
     _run,
@@ -44,6 +43,8 @@ from .qcore import PauliCode, QuantumRegister, QubitRef
 
 
 class QsdcStatus(Enum):
+    """How a messaging attempt ended; an establishment abort keeps EstablishStatus's value."""
+
     DELIVERED = "delivered"
     ABORTED_STEP2 = "aborted_step2"
     ABORTED_STEP3 = "aborted_step3"
@@ -108,9 +109,9 @@ class QsdcOutcome:
     decoded: Optional[Tuple[int, ...]]
     leak_bits_correct: int = 0
     leak_bits_total: int = 0
-    leak_first_bit_correct: int = 0
-    leak_second_bit_correct: int = 0
-    leak_pairs_guessed: int = 0
+    leak_first_correct: int = 0
+    leak_second_correct: int = 0
+    leak_pairs: int = 0
     message: Optional[Message] = None
     establishment: Optional[object] = None
     detail: str = ""
@@ -165,12 +166,6 @@ def decode_pairs(
     return tuple(bits)
 
 
-_EST_TO_QSDC = {
-    EstablishStatus.ABORTED_STEP2: QsdcStatus.ABORTED_STEP2,
-    EstablishStatus.ABORTED_STEP3: QsdcStatus.ABORTED_STEP3,
-}
-
-
 def run_qsdc(
     cfg: EstablishmentConfig,
     message: Optional[Message] = None,
@@ -194,7 +189,7 @@ def run_qsdc(
         )
 
     if not est.established:
-        return aborted(_EST_TO_QSDC[est.status], est.detail)
+        return aborted(QsdcStatus(est.status.value), est.detail)
     if message is None:
         message = Message.random(session.rng, length)
     net, reg = session.net, session.register
@@ -266,14 +261,14 @@ def _finish_leak(
         if guess is None:
             continue
         actual = (message.bits[2 * i], message.bits[2 * i + 1])
-        outcome.leak_pairs_guessed += 1
+        outcome.leak_pairs += 1
         outcome.leak_bits_total += 2
         if guess[0] == actual[0]:
             outcome.leak_bits_correct += 1
-            outcome.leak_first_bit_correct += 1
+            outcome.leak_first_correct += 1
         if guess[1] == actual[1]:
             outcome.leak_bits_correct += 1
-            outcome.leak_second_bit_correct += 1
+            outcome.leak_second_correct += 1
     return outcome
 
 

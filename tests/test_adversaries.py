@@ -492,9 +492,9 @@ def test_correlation_probe_reads_first_bit_only():
         if out.status is QsdcStatus.DELIVERED:
             assert out.decoded == out.message.bits
             delivered += 1
-            pairs += out.leak_pairs_guessed
-            firsts += out.leak_first_bit_correct
-            seconds += out.leak_second_bit_correct
+            pairs += out.leak_pairs
+            firsts += out.leak_first_correct
+            seconds += out.leak_second_correct
     assert delivered >= 60  # each run passes the pair check with chance (3/4)^3
     assert pairs == delivered * (cfg.m_pairs - cfg.checked_count)
     assert firsts == pairs  # the probe reads the bit-flip component outright
@@ -510,8 +510,8 @@ def test_corrupted_source_reads_message_exactly_without_decoys():
         if out.status is QsdcStatus.ABORTED_STEP3:
             continue
         reached += 1
-        assert out.leak_pairs_guessed == cfg.m_pairs - cfg.checked_count
-        assert out.leak_bits_correct == out.leak_bits_total == 2 * out.leak_pairs_guessed
+        assert out.leak_pairs == cfg.m_pairs - cfg.checked_count
+        assert out.leak_bits_correct == out.leak_bits_total == 2 * out.leak_pairs
     assert reached >= 8  # about half of 40 runs pass the single checked position
 
 

@@ -387,6 +387,30 @@ def test_sweep_flag_values_without_a_param_are_a_config_error(capsys):
     assert out == "" and err == _SWEEP_HINT
 
 
+@pytest.mark.parametrize("sweep", [{}, {"param": None}, {"param": None, "values": None}])
+@pytest.mark.parametrize("command", ["establish", "sweep"])
+def test_a_sweep_block_naming_nothing_is_a_config_error(tmp_path, capsys, sweep, command):
+    """An empty block would otherwise run one plain batch and exit 0."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"trials": 3, "sweep": sweep}))
+    assert main([command, "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: the sweep block names neither a param nor values; a sweep needs both, "
+        "or leave the block out\n"
+    )
+
+
+def test_flags_fill_an_empty_sweep_block(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"trials": 3, "sweep": {}}))
+    args = ["sweep", "--config", str(path), "--param", "n_decoys", "--values", "1,2"]
+    assert main(args) == 0
+    out, _ = capsys.readouterr()
+    assert len(json.loads(out.split("\n", 2)[2])) == 2
+
+
 def _run_into_a_closed_pipe(args) -> subprocess.CompletedProcess:
     """Run Python with ``args`` and stdout on a pipe whose read end is already closed."""
     env = dict(os.environ)

@@ -2,6 +2,8 @@
 reproducible reports, report serialization, config-file parsing, and the
 distinguishing game."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -218,6 +220,21 @@ def test_site_scoped_counting_separates_compounded_aborts():
     assert agg.detected_any == agg.detected_at_site + agg.site_counts.get("step3", 0)
     assert agg.detected_at_site == agg.site_counts.get("step2", 0)
     assert agg.passed
+
+
+@pytest.mark.parametrize("edge", [(TP1, ALICE), (TP1, BOB), (ALICE, TP2), (TP2, BOB)])
+def test_decoy_counts_come_from_the_attacked_leg(edge):
+    # Every other leg is honest, so each trial reaches the attacked leg's
+    # discussion and compares all n of its decoys; a measure-and-resend in a
+    # random basis fails each decoy with chance 1/4.
+    cfg = EstablishmentConfig(m_pairs=6, n_decoys=3)
+    spec = AttackSpec(kind=AttackKind.INTERCEPT_RESEND, actor=EVE, edge=edge)
+    ec = ExperimentConfig(scenario="qsdc", cfg=cfg, attack=spec, trials=400, seed=31)
+    agg = run_experiment(ec)
+    assert agg.errors == 0
+    assert agg.decoys_checked == ec.trials * cfg.n_decoys
+    band = 3 * math.sqrt(0.25 * 0.75 / agg.decoys_checked)
+    assert abs(agg.per_decoy_mismatch_rate - 0.25) <= band
 
 
 def test_run_experiment_is_deterministic_per_seed():
@@ -458,7 +475,7 @@ def test_csv_columns_are_stable():
 
 def test_enumerated_oracles_leave_analytic_column_empty():
     agg = _small_aggregate(attack=AttackSpec(kind=AttackKind.ENTANGLE_MEASURE))
-    row = dict(zip(CSV_COLUMNS, agg.csv_row()))
+    row = next(csv.DictReader(io.StringIO(emit_report(agg, fmt="csv"))))
     assert row["analytic_rate"] == ""
     assert agg.oracle_source == "enumerated"
     assert agg.oracle_rate == pytest.approx(1 - 0.75**SMALL.n_decoys)
@@ -679,5 +696,5 @@ def test_game_scenario_through_run_experiment():
     result = run_experiment(ec)
     assert result.instances == 100
     assert result.advantage > 0.9
-    row = dict(zip(GAME_CSV_COLUMNS, result.csv_row()))
+    row = next(csv.DictReader(io.StringIO(emit_report(result, fmt="csv"))))
     assert row["scenario"] == "game" and row["strategy"] == "fiat_clone"

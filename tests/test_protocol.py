@@ -115,7 +115,7 @@ def test_honest_transcript_vocabulary_and_determinism():
 
 
 def test_decoy_states_drawn_uniformly():
-    session = Session(EstablishmentConfig(m_pairs=1, n_decoys=1, seed=5))
+    session = Session(EstablishmentConfig(m_pairs=1, n_decoys=1), rng=np.random.default_rng(5))
     counts = {(basis, bit): 0 for basis in (Basis.Z, Basis.X) for bit in (0, 1)}
     draws = 8000
     payload = [session.register.prepare_single("0") for _ in range(draws)]
@@ -149,7 +149,7 @@ def test_decoy_positions_cover_all_slots_uniformly():
 
 
 def test_decoys_preserve_payload_order():
-    session = Session(EstablishmentConfig(m_pairs=5, n_decoys=7, seed=8))
+    session = Session(EstablishmentConfig(m_pairs=5, n_decoys=7), rng=np.random.default_rng(8))
     payload = [session.register.prepare_single("0") for _ in range(5)]
     seq, records = session.build_decoyed_sequence(payload)
     decoy_positions = {r.position for r in records}

@@ -16,18 +16,26 @@ and counts; the attacked cases and the games count outcomes that depend on
 every draw, so a change that consumes randomness in another order changes
 their hashes.  Update a pinned value only for a change that is meant to alter
 the random stream, and say so where it lands.
+
+``CSV_CASES`` hash the CSV of a sweep and of a game, so a change to how a cell
+is formatted shows.  The ``qsdc_intercept_resend_tp2_bob`` case pins the decoy
+counts of the relay-out leg, TP2 to Bob.
 """
 
 import hashlib
 
 import pytest
 
+from eprlink.channels import BOB, EVE, TP2
 from eprlink.harness import (
+    AttackKind,
+    AttackSpec,
     ExperimentConfig,
     GameSpec,
     attack_from_name,
     emit_report,
     run_experiment,
+    run_sweep,
 )
 from eprlink.protocol import EstablishmentConfig
 
@@ -119,6 +127,16 @@ CASES = {
         ),
         "1a22b761d30eca81f98a078f134563a5aaf9985b99a3e7b005184ab805e3965a",
     ),
+    "qsdc_intercept_resend_tp2_bob": (
+        lambda: ExperimentConfig(
+            scenario="qsdc",
+            attack=AttackSpec(kind=AttackKind.INTERCEPT_RESEND, actor=EVE, edge=(TP2, BOB)),
+            cfg=EstablishmentConfig(m_pairs=6, n_decoys=3),
+            trials=60,
+            seed=24,
+        ),
+        "4a235ccc38afe71f580d3397ab60f917bdfb64f9a504cef928e84e11b0912bf9",
+    ),
     "game_decoy": (
         lambda: ExperimentConfig(scenario="game", game=GameSpec(), trials=300, seed=14),
         "89404485c559e8bc4c34bbff54d9f76159a3fcda3b2432d6f2bd0a41ef612e52",
@@ -132,8 +150,40 @@ CASES = {
 }
 
 
+# CSV reports: a sweep whose rows carry leakage rates, and a game.
+CSV_CASES = {
+    "qsdc_correlation_elicitation_sweep": (
+        lambda: run_sweep(
+            ExperimentConfig(
+                scenario="qsdc",
+                attack=attack_from_name("correlation_elicitation"),
+                cfg=EstablishmentConfig(m_pairs=6, n_decoys=0),
+                trials=40,
+                seed=25,
+                sweep_param="n_decoys",
+                sweep_values=(0, 2),
+            )
+        ),
+        "739a6ff1d44777e0fee9f5815ed3fcbf9d6d2de1862e8982749ed0641d1580f8",
+    ),
+    "game_fake_state": (
+        lambda: run_experiment(
+            ExperimentConfig(scenario="game", game=GameSpec(strategy="fake_state"), trials=200, seed=26)
+        ),
+        "284fb4db24118ab7d195155990870df11e96e183c87299e0e9f009effbbab73b",
+    ),
+}
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_bytes_are_pinned(name):
     make, expected = CASES[name]
     text = emit_report(run_experiment(make()))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == expected
+
+
+@pytest.mark.parametrize("name", sorted(CSV_CASES))
+def test_csv_report_bytes_are_pinned(name):
+    make, expected = CSV_CASES[name]
+    text = emit_report(make(), fmt="csv")
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == expected
