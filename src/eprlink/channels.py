@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from itertools import permutations
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -116,6 +117,10 @@ class Ack:
         return "ack" if not self.note else f"ack ({self.note})"
 
 
+# The plain acknowledgement.  Payloads are frozen, so one instance serves every send.
+ACK = Ack()
+
+
 @dataclass(frozen=True)
 class PositionsBases:
     """Announcement of which slots to measure and in which bases."""
@@ -160,6 +165,8 @@ class MacTag:
 
 @dataclass(frozen=True)
 class ClassicalMessage:
+    """A classical send as interceptors observe it; built only when one is registered."""
+
     sender: PartyId
     receiver: PartyId
     payload: object
@@ -196,7 +203,7 @@ class Transcript:
     def log(self, kind: str, frm: PartyId, to: PartyId, payload: object) -> int:
         """Append an event; ``payload`` is a summary string or an object with ``summary()``."""
         step = len(self.events)
-        self.events.append(Event(step, kind, str(frm), str(to), payload))
+        self.events.append(Event(step, kind, frm.name, to.name, payload))
         return step
 
     def __iter__(self) -> Iterator[Event]:
@@ -280,6 +287,12 @@ _STAR_TOPOLOGIES: Dict[Tuple[PartyId, ...], Topology] = {}
 # --- network -----------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)  # one entry per sequence length a run sends
+def _qubits_summary(count: int) -> str:
+    """A quantum event's summary, formatted once per sequence length."""
+    return f"{count} qubits"
+
+
 class Network:
     """Message fabric for one run: channels, transcript, interceptors, tags."""
 
@@ -314,7 +327,7 @@ class Network:
 
     def scan_trojan(self, receiver: PartyId, msg: QuantumMessage) -> List[TrojanTag]:
         """Ideal probe detector; returns every tag riding on the message."""
-        if receiver not in self.filtered_parties:
+        if not self._tags or receiver not in self.filtered_parties:
             return []
         found = self.tags_on(msg.qubits)
         if found:
@@ -334,29 +347,30 @@ class Network:
         if not self.topology.has_quantum(sender, receiver):
             raise TopologyError(f"no quantum channel between {sender} and {receiver}")
         msg = QuantumMessage(sender, receiver, tuple(qubits))
-        self.transcript.log("quantum_send", sender, receiver, f"{len(msg.qubits)} qubits")
+        self.transcript.log("quantum_send", sender, receiver, _qubits_summary(len(msg.qubits)))
         for adv in self.interceptors:
             if (sender, receiver) not in adv.quantum_taps():
                 continue
             out = adv.on_quantum_in_flight(self, (sender, receiver), msg)
             if out is not None:
                 msg = out
-        self.transcript.log("quantum_deliver", sender, receiver, f"{len(msg.qubits)} qubits")
+        self.transcript.log("quantum_deliver", sender, receiver, _qubits_summary(len(msg.qubits)))
         return msg
 
-    def send_classical(self, sender: PartyId, receiver: PartyId, payload: object) -> ClassicalMessage:
+    def send_classical(self, sender: PartyId, receiver: PartyId, payload: object) -> None:
         """Deliver an authenticated classical payload verbatim.
 
         The content is public: every registered interceptor observes it, but
-        none can alter it (payloads are immutable values).
+        none can alter it (payloads are immutable values).  The send is one
+        transcript event; a ``ClassicalMessage`` is built only for interceptors.
         """
         if not self.topology.has_classical(sender, receiver):
             raise TopologyError(f"no classical channel between {sender} and {receiver}")
         kind = getattr(payload, "KIND", None)
         if kind is None:
             raise ChannelContractError("classical payload outside the protocol vocabulary")
-        msg = ClassicalMessage(sender, receiver, payload)
         self.transcript.log(kind, sender, receiver, payload)
-        for adv in self.interceptors:
-            adv.on_classical_observed(self, msg)
-        return msg
+        if self.interceptors:
+            msg = ClassicalMessage(sender, receiver, payload)
+            for adv in self.interceptors:
+                adv.on_classical_observed(self, msg)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import lru_cache
 from typing import List, Optional
 
 import numpy as np
@@ -36,7 +37,9 @@ _COMMANDS = (
 )
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused by later ones."""
     parser = argparse.ArgumentParser(
         prog="eprlink",
         description="Simulate relayed pair establishment and direct messaging, "

@@ -26,7 +26,7 @@ import numbers
 import os
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Collection, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,12 +42,12 @@ from .adversaries import (  # re-exports the short names and the analytic oracle
     detection_oracle,
 )
 from .channels import (
+    ACK,
     ALICE,
     BOB,
     EVE,
     TP1,
     TP2,
-    Ack,
     MeasurementResults,
     Network,
     PartyId,
@@ -247,11 +247,15 @@ class AggregateReport:
             expect = f"expected={_fmt(self.oracle_rate)}±{_fmt(self.sigma3)}"
         leak = "" if self.leakage_rate is None else f" leak={_fmt(self.leakage_rate)}"
         label = self.attack or "honest"
-        return (
+        line = (
             f"{self.scenario} {label} n={self.n_decoys} c={self.checked_positions} "
             f"trials={self.trials} detected={rate} {expect}{leak} "
             f"pass={'true' if self.passed else 'false'}"
         )
+        if self.errors:
+            first = next(r for r in self.trial_reports if r.error is not None)
+            line += f" first_error=#{first.index} {first.error}"
+        return line
 
 
 def _fmt(x: Optional[float]) -> str:
@@ -455,7 +459,8 @@ class GameInstance:
     string or a uniformly random one, with equal probability.  `reveal` and
     `corrupt` hand over session respectively source secrets but mark the
     instance stale, excluding it from the advantage tally — the standard
-    freshness bookkeeping.
+    freshness bookkeeping.  ``allowed`` holds the granted query names in lower
+    case, as ``GameSpec.queries`` does.
     """
 
     def __init__(
@@ -463,12 +468,11 @@ class GameInstance:
         discussion: str,
         challenge_len: int,
         rng: np.random.Generator,
-        allowed: Sequence[str] = GAME_QUERIES,
+        allowed: Collection[str] = GAME_QUERIES,
     ) -> None:
-        _key("game", "discussion").check(discussion)
         self.discussion = discussion
         self._rng = rng
-        self._allowed = frozenset(q.lower() for q in allowed)
+        self._allowed = allowed
         self.fresh = True
         self._tested = False
         self._b: Optional[int] = None
@@ -476,11 +480,11 @@ class GameInstance:
         net = Network(Topology.two_party(), reg, rng)
         L = challenge_len
         if discussion == "decoy":
-            labels = tuple(DECOY_LABELS[i] for i in rng.integers(4, size=L).tolist())
+            labels = tuple([DECOY_LABELS[i] for i in rng.integers(4, size=L).tolist()])
             qubits = [reg.prepare_single(lab) for lab in labels]
             net.send_quantum(TP1, ALICE, qubits)
-            net.send_classical(ALICE, TP1, Ack())
-            bases = tuple(LABEL_EXPECTATION[lab][0] for lab in labels)
+            net.send_classical(ALICE, TP1, ACK)
+            bases = tuple([LABEL_EXPECTATION[lab][0] for lab in labels])
             net.send_classical(
                 TP1, ALICE, PositionsBases(STAGE_DECOY, tuple(range(L)), bases)
             )
@@ -489,7 +493,7 @@ class GameInstance:
             self._secret = labels
             self._results = bits
             self.announced_bases = bases
-        else:
+        elif discussion == "pair_check":
             a_qubits, b_qubits = [], []
             for _ in range(L):
                 qa, qb = reg.prepare_epr_pair()
@@ -497,7 +501,7 @@ class GameInstance:
                 b_qubits.append(qb)
             net.send_quantum(TP1, ALICE, a_qubits)
             net.send_quantum(TP1, BOB, b_qubits)
-            bases = tuple(BASIS_BY_BIT[b] for b in rng.integers(2, size=L).tolist())
+            bases = tuple([BASIS_BY_BIT[b] for b in rng.integers(2, size=L).tolist()])
             announce = PositionsBases(STAGE_PAIR_CHECK, tuple(range(L)), bases)
             net.send_classical(TP2, ALICE, announce)
             net.send_classical(TP2, BOB, announce)
@@ -511,7 +515,11 @@ class GameInstance:
             self._secret = ("phi+",) * L
             self._results = a_bits
             self.announced_bases = bases
-        self._view = tuple(e for e in net.transcript if e.kind != "measurement_results")
+        else:
+            _key("game", "discussion").check(discussion)  # raises: no such discussion
+        self._view = tuple(
+            [e for e in net.transcript.events if e.kind != "measurement_results"]
+        )
 
     # -- queries ---------------------------------------------------------------
 
@@ -626,9 +634,10 @@ def run_distinguishing_game(
     the tally, as are instances the strategy never brought to challenge.
     """
     fn = strategy if strategy is not None else _STRATEGIES[spec.strategy]
+    granted = frozenset(spec.queries)
 
     def play(rng, index: int) -> Optional[bool]:
-        inst = GameInstance(spec.discussion, spec.challenge_len, rng, spec.queries)
+        inst = GameInstance(spec.discussion, spec.challenge_len, rng, granted)
         challenge = inst.test()
         return inst.judge(fn(inst, challenge, rng))
 

@@ -27,10 +27,10 @@ import numpy as np
 
 from .adversaries import Adversary, AttackSpec, build_adversary
 from .channels import (
+    ACK,
     STAGE_DECOY,
     STAGE_PAIR_CHECK,
     AbortNotice,
-    Ack,
     MeasurementResults,
     Network,
     PartyId,
@@ -228,7 +228,7 @@ class Session:
         """
         net, reg = self.net, self.register
         positions, bases, expected = zip(*records) if records else ((), (), ())
-        net.send_classical(holder, checker, Ack())
+        net.send_classical(holder, checker, ACK)
         net.send_classical(checker, holder, PositionsBases(stage, positions, bases))
         measured = [holder_sequence[pos] for pos in positions]
         bits = reg.measure_all(measured, bases, self.rng)

@@ -197,7 +197,8 @@ def run_qsdc(
     bob_held = est.shared_pairs[BOB]
 
     tag = mac_protect(message.bits)
-    net.send_classical(ALICE, TP2, MacTag(tag))
+    mac = MacTag(tag)  # one frozen payload serves both hops
+    net.send_classical(ALICE, TP2, mac)
     encode_message(reg, alice_held, message)
 
     # Step 5: Alice -> TP2, protected by decoys of Alice's own choosing.
@@ -213,7 +214,7 @@ def run_qsdc(
         return aborted(QsdcStatus.ABORTED_STEP7, detail)
 
     # Step 7: Bob reads the pairs and checks the integrity tag.
-    net.send_classical(TP2, BOB, MacTag(tag))
+    net.send_classical(TP2, BOB, mac)
     decoded = decode_pairs(reg, delivered, bob_held, session.rng)
     status = QsdcStatus.DELIVERED if mac_verify(decoded, tag) else QsdcStatus.MAC_REJECTED
     outcome = QsdcOutcome(status, decoded, message=message, establishment=est, session=session)

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from eprlink import channels
 from eprlink.adversaries import Adversary
 from eprlink.channels import (
     ALICE,
@@ -16,6 +17,7 @@ from eprlink.channels import (
     AbortNotice,
     Ack,
     ChannelContractError,
+    ClassicalMessage,
     MacTag,
     MeasurementResults,
     Network,
@@ -30,7 +32,9 @@ from eprlink.channels import (
     end_parties,
     participant,
 )
+from eprlink.protocol import EstablishmentConfig
 from eprlink.qcore import Basis, QuantumRegister
+from eprlink.qsdc import run_qsdc
 
 
 def _net(seed=0):
@@ -268,6 +272,47 @@ def test_all_interceptors_hear_public_traffic():
     net.send_classical(TP1, ALICE, Ack())
     net.send_classical(ALICE, TP1, MeasurementResults(STAGE_DECOY, (1,)))
     assert tapper.saw_classical == ["ack", "measurement_results"]
+
+
+def test_interceptors_observe_each_classical_event_once_in_order():
+    """On a whole qsdc run, each classical transcript event reaches a listener once."""
+
+    class Listener(Adversary):
+        def __init__(self):
+            super().__init__(EVE)
+            self.heard = []
+
+        def on_classical_observed(self, net, msg):
+            self.heard.append(msg)
+
+    listener = Listener()
+    cfg = EstablishmentConfig(m_pairs=4, n_decoys=2)
+    out = run_qsdc(cfg, None, listener, np.random.default_rng(3))
+    assert out.delivered
+    logged = [e for e in out.session.net.transcript if not isinstance(e.payload, str)]
+    assert len(logged) == len(listener.heard) > 0
+    for event, msg in zip(logged, listener.heard):
+        assert isinstance(msg, ClassicalMessage)
+        assert (msg.sender.name, msg.receiver.name) == (event.frm, event.to)
+        assert msg.payload is event.payload and event.kind == msg.payload.KIND
+
+
+def test_send_classical_returns_nothing_and_builds_no_message_without_listeners(monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(ClassicalMessage(*args))
+        return built[-1]
+
+    monkeypatch.setattr(channels, "ClassicalMessage", counted)
+    assert _net().send_classical(TP1, ALICE, Ack()) is None
+    out = run_qsdc(EstablishmentConfig(m_pairs=4, n_decoys=2), rng=np.random.default_rng(3))
+    assert out.delivered and built == []
+
+    listened = _net()
+    listened.add_interceptor(_Recorder("eve"))
+    assert listened.send_classical(TP1, ALICE, Ack()) is None
+    assert len(built) == 1 and built[0].payload == Ack()
 
 
 # --- probe-photon filters ----------------------------------------------------------

@@ -459,3 +459,47 @@ def test_a_closed_stdout_still_gets_the_report_file_written(tmp_path):
     proc = _run_into_a_closed_pipe(args)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(out.read_text())["trials"] == 3
+
+
+def test_the_setup_path_imports_neither_argparse_nor_the_cli():
+    """Loading a config, as library callers do, must not pay for the command line."""
+    probe = (
+        "import sys\n"
+        "import eprlink\n"
+        "from eprlink.harness import load_config\n"
+        "print(sorted(m for m in ('argparse', 'eprlink.cli') if m in sys.modules))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_the_parser_is_built_once_and_reused():
+    from eprlink.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    assert main(["game", "--trials", "3"]) == main(["game", "--trials", "3"]) == 0
+
+
+def test_a_failing_trial_is_named_in_the_summary_line(monkeypatch, capsys):
+    from eprlink import harness
+
+    real = harness._trial_qsdc
+
+    def flaky(ec, cfg, rng, index):
+        if index == 3:
+            raise RuntimeError("stub failure")
+        return real(ec, cfg, rng, index)
+
+    monkeypatch.setattr(harness, "_trial_qsdc", flaky)
+    code = main(["qsdc", "--trials", "5", "--seed", "1", "--pairs", "4", "--decoys", "2"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in err
+    summary = out.splitlines()[0]
+    assert summary.endswith(" pass=false first_error=#3 RuntimeError: stub failure")
+    assert json.loads(out.split("\n", 1)[1])["errors"] == 1

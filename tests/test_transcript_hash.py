@@ -1,0 +1,78 @@
+"""Byte-stability guard for transcripts: seeded runs must log exactly the same events.
+
+Reports pin only counts and rates, so they cannot see a send that changed its
+sender, its order or its summary text.  Each case here hashes the JSON-lines
+transcripts of a few seeded qsdc runs, one case for the honest run and one per
+attack name, with probe filters on so ``trojan_invisible_photon`` is caught by
+the ``trojan_detected`` scan.  The game cases hash ``repr`` of the public view
+(``GameInstance.execute()``) of seeded decoy and pair-check instances, which
+holds the payload objects themselves.  Attacks that leave the public record
+as an honest run leaves it (the decoy-avoiding modifications) share the honest
+hash, and both probe-photon kinds are caught at the first scan.  Update a pinned value only for a change
+that is meant to alter what a run logs, and say so where it lands.
+"""
+
+import hashlib
+
+import pytest
+
+from eprlink.adversaries import ATTACK_NAMES, attack_from_name, build_adversary
+from eprlink.harness import GameInstance
+from eprlink.protocol import EstablishmentConfig
+from eprlink.qsdc import run_qsdc
+from eprlink.seeding import trial_rngs
+
+CFG = EstablishmentConfig(m_pairs=4, n_decoys=2, check_fraction=0.5)
+RUNS = 4
+
+QSDC_CASES = {
+    "honest": "4d68a82286a34c7576b2a0bd460d38b02aaceeaa5dfc8b28d013982f1f87c917",
+    "intercept_resend": "477d91750d7c7fd6972756b722b1aa2fb20f94a672241d28bbdfd1ad0b192d43",
+    "dense_coding": "f6ac9a6a8b384d07a4d86fc212ca4d347a94387a353ff37c129870d4931151e6",
+    "entanglement_swap": "0a25b00503c8bf44ceb7aa6ad50d04bf560fa0da35b76515eb9778cba893c4c0",
+    "entangle_measure": "ab48363d7126b030b6aa1babd63293f228fb3f518f6236af691f02127fd17cfe",
+    "correlation_elicitation": "c0167ff7eb8b64f960cb074dd955af00327e9e540d78fd016deb58992fc99072",
+    "modification_all_slots": "b35f7a79a2e0c725380b5532fe3f964dd8d9506d0b8ce01bc030370c42d34b3b",
+    "modification_single_slot": "4d68a82286a34c7576b2a0bd460d38b02aaceeaa5dfc8b28d013982f1f87c917",
+    "modification_tp2_decoy_aware": "4d68a82286a34c7576b2a0bd460d38b02aaceeaa5dfc8b28d013982f1f87c917",
+    "trojan_invisible_photon": "dbd363b6f7fa2f00123b0d4d309fe3a2d435464483a5d8213dba1372260d5c41",
+    "trojan_delay_photon": "dbd363b6f7fa2f00123b0d4d309fe3a2d435464483a5d8213dba1372260d5c41",
+}
+
+GAME_CASES = {
+    "decoy": "8030dc9596390e74bb7836f25c102cf2f829e8013a10b3637f02376535eda077",
+    "pair_check": "0642c8aae2e6cee12e832a2fdcf6611b8f7d2fe03c86d6a4927711e6a98b3ca1",
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _qsdc_transcripts(name: str) -> str:
+    docs = []
+    for rng in trial_rngs(31, RUNS):
+        adversary = None if name == "honest" else build_adversary(attack_from_name(name))
+        out = run_qsdc(CFG, None, adversary, rng, filters_enabled=True)
+        docs.append(out.session.net.transcript.to_jsonl())
+    return "\n\n".join(docs)
+
+
+def test_every_attack_name_has_a_case():
+    assert set(QSDC_CASES) == {"honest", *ATTACK_NAMES}
+
+
+@pytest.mark.parametrize("name", sorted(QSDC_CASES))
+def test_qsdc_transcript_bytes_are_pinned(name):
+    text = _qsdc_transcripts(name)
+    if name == "trojan_invisible_photon":
+        assert '"kind": "trojan_detected"' in text
+    assert _sha(text) == QSDC_CASES[name]
+
+
+@pytest.mark.parametrize("discussion", sorted(GAME_CASES))
+def test_game_view_repr_is_pinned(discussion):
+    views = [
+        repr(GameInstance(discussion, 5, rng).execute()) for rng in trial_rngs(37, RUNS)
+    ]
+    assert _sha("\n".join(views)) == GAME_CASES[discussion]
