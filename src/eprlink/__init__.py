@@ -37,12 +37,18 @@ from .channels import (
 from .protocol import (
     EstablishmentConfig,
     EstablishmentOutcome,
-    EstablishStatus,
+    RunStatus,
     run_establishment,
     run_multiparty,
 )
-from .qsdc import Message, QsdcOutcome, QsdcStatus, mac_protect, mac_verify, run_qsdc
-from .adversaries import AttackKind, AttackSpec, build_adversary
+from .qsdc import Message, QsdcOutcome, mac_protect, mac_verify, run_qsdc
+from .adversaries import (
+    AttackKind,
+    AttackSpec,
+    NoAnalyticOracle,
+    analytic_detection,
+    build_adversary,
+)
 from .harness import (
     AggregateReport,
     ExperimentConfig,
@@ -50,9 +56,7 @@ from .harness import (
     GameInstance,
     GameResult,
     GameSpec,
-    NoAnalyticOracle,
     TrialReport,
-    analytic_detection,
     attack_from_name,
     emit_report,
     load_config,

@@ -167,7 +167,6 @@ class InterceptResend(Adversary):
 
     def __init__(self, spec: AttackSpec):
         super().__init__(spec.actor, spec.edge)
-        self.observations: List[Tuple[Basis, int]] = []
 
     def on_quantum_in_flight(self, net, edge, msg):
         reg, rng = net.register, net.rng
@@ -175,7 +174,6 @@ class InterceptResend(Adversary):
         for q in msg.qubits:
             basis = Basis.Z if int(rng.integers(2)) == 0 else Basis.X
             out = reg.measure(q, basis, rng)
-            self.observations.append((basis, out.bit))
             fakes.append(reg.prepare_single(eigenstate_label(basis, out.bit)))
         return QuantumMessage(msg.sender, msg.receiver, tuple(fakes))
 

@@ -30,12 +30,10 @@ from typing import Callable, Collection, Dict, List, NamedTuple, Optional, Seque
 
 import numpy as np
 
-from .adversaries import (  # re-exports the short names and the analytic oracle
+from .adversaries import (
     ATTACK_NAMES,
     AttackKind,
     AttackSpec,
-    NoAnalyticOracle,
-    analytic_detection,
     attack_from_name,
     attack_label,
     build_adversary,
@@ -57,15 +55,8 @@ from .channels import (
     Topology,
     TrojanKind,
 )
-from .protocol import (
-    DECOY_LABELS,
-    EstablishmentConfig,
-    LABEL_EXPECTATION,
-    ghz_target_vector,
-    run_establishment,
-    run_multiparty,
-)
-from .qcore import BASIS_BY_BIT, QuantumRegister
+from .protocol import EstablishmentConfig, ghz_target_vector, run_establishment, run_multiparty
+from .qcore import BASIS_BY_BIT, LABEL_EXPECTATION, SINGLE_STATE_LABELS, QuantumRegister
 from .qsdc import run_qsdc
 from .seeding import MAX_TRIALS, sweep_seed, trial_rngs
 
@@ -109,7 +100,6 @@ class TrialReport:
 
     index: int
     status: str = "error"
-    detected: bool = False
     detected_at: Optional[str] = None
     error: Optional[str] = None
     min_pair_fidelity: Optional[float] = None
@@ -298,12 +288,7 @@ def _trial_establish(ec: ExperimentConfig, cfg: EstablishmentConfig, rng, index:
     adversary = build_adversary(ec.attack) if ec.attack is not None else None
     runner = run_multiparty if ec.scenario == "multiparty" else run_establishment
     out = runner(cfg, adversary, rng, filters_enabled=ec.filters_enabled)
-    tr = TrialReport(
-        index=index,
-        status=out.status.value,
-        detected=not out.established,
-        detected_at=out.step,
-    )
+    tr = TrialReport(index=index, status=out.status.value, detected_at=out.status.step)
     _collect_establishment(tr, out, ec)
     if out.established and ec.measure_fidelity:
         target = ghz_target_vector(cfg.parties)
@@ -323,8 +308,7 @@ def _trial_qsdc(ec: ExperimentConfig, cfg: EstablishmentConfig, rng, index: int)
     tr = TrialReport(
         index=index,
         status=out.status.value,
-        detected=out.detected_step is not None,
-        detected_at=out.detected_step,
+        detected_at=out.status.step,
         delivered=out.delivered,
         **{name: getattr(out, name) for name in _LEAK_COUNTS},
     )
@@ -360,7 +344,7 @@ def _aggregate(ec: ExperimentConfig, reports: List[TrialReport]) -> AggregateRep
     ok = [r for r in reports if r.error is None]
     errors = len(reports) - len(ok)
     site = ec.attack.detection_site if ec.attack is not None else None
-    detected_any = sum(1 for r in ok if r.detected)
+    detected_any = sum(1 for r in ok if r.detected_at is not None)
     if site is None:
         detected_site = detected_any
     else:
@@ -480,7 +464,7 @@ class GameInstance:
         net = Network(Topology.two_party(), reg, rng)
         L = challenge_len
         if discussion == "decoy":
-            labels = tuple([DECOY_LABELS[i] for i in rng.integers(4, size=L).tolist()])
+            labels = tuple([SINGLE_STATE_LABELS[i] for i in rng.integers(4, size=L).tolist()])
             qubits = [reg.prepare_single(lab) for lab in labels]
             net.send_quantum(TP1, ALICE, qubits)
             net.send_classical(ALICE, TP1, ACK)

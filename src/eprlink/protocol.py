@@ -12,7 +12,8 @@ One run:
      outcomes are correlated the way a shared state forces them to be.
   4. Checked positions are consumed; the surviving pairs are the product.
 
-Abort always ends the run; retry loops live in the harness.
+The first failed check ends the run: it raises :class:`Aborted`, which the
+entry point turns into the outcome.  Retry loops live in the harness.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,17 +41,15 @@ from .channels import (
     TP2,
     end_parties,
 )
-from .qcore import BASIS_BY_BIT, Basis, QuantumRegister, QubitRef, ghz_vector
-
-# Decoy photons are drawn uniformly from the four single-qubit states; the
-# label fixes both the preparation basis and the expected measurement bit.
-DECOY_LABELS = ("0", "1", "+", "-")
-LABEL_EXPECTATION = {
-    "0": (Basis.Z, 0),
-    "1": (Basis.Z, 1),
-    "+": (Basis.X, 0),
-    "-": (Basis.X, 1),
-}
+from .qcore import (
+    BASIS_BY_BIT,
+    LABEL_EXPECTATION,
+    SINGLE_STATE_LABELS,
+    Basis,
+    QuantumRegister,
+    QubitRef,
+    ghz_vector,
+)
 
 
 class DecoyRecord(NamedTuple):
@@ -73,17 +72,33 @@ def _decoy_record(position: int, label: str) -> DecoyRecord:
     return record
 
 
-class EstablishStatus(Enum):
+class RunStatus(Enum):
+    """How a run ended: established or delivered, or the check that failed first."""
+
     ESTABLISHED = "established"
+    DELIVERED = "delivered"
     ABORTED_STEP2 = "aborted_step2"
     ABORTED_STEP3 = "aborted_step3"
+    ABORTED_STEP5 = "aborted_step5"
+    ABORTED_STEP7 = "aborted_step7"
+    MAC_REJECTED = "mac_rejected"
+
+    @property
+    def step(self) -> Optional[str]:
+        """The failed check, ``"step2"`` to ``"step7"`` or ``"mac"``; None on success."""
+        if self is RunStatus.MAC_REJECTED:
+            return "mac"
+        return self.value.partition("aborted_")[2] or None
 
 
-_STATUS_TO_STEP = {
-    EstablishStatus.ESTABLISHED: None,
-    EstablishStatus.ABORTED_STEP2: "step2",
-    EstablishStatus.ABORTED_STEP3: "step3",
-}
+class Aborted(Exception):
+    """A failed check; the run's entry point turns it into the outcome."""
+
+    def __init__(self, status: RunStatus, detail: str, detected_by: PartyId) -> None:
+        super().__init__(detail)
+        self.status = status
+        self.detail = detail
+        self.detected_by = detected_by
 
 
 @dataclass
@@ -133,7 +148,7 @@ class CheckEntry:
 
 @dataclass
 class EstablishmentOutcome:
-    status: EstablishStatus
+    status: RunStatus
     detected_by: Optional[PartyId]
     shared_pairs: Dict[PartyId, List[QubitRef]]
     check_log: List[CheckEntry]
@@ -143,11 +158,7 @@ class EstablishmentOutcome:
 
     @property
     def established(self) -> bool:
-        return self.status is EstablishStatus.ESTABLISHED
-
-    @property
-    def step(self) -> Optional[str]:
-        return _STATUS_TO_STEP[self.status]
+        return self.status is RunStatus.ESTABLISHED
 
     @property
     def pairs_established(self) -> int:
@@ -162,7 +173,7 @@ class EstablishmentOutcome:
             {
                 "status": self.status.value,
                 "detected_by": None if self.detected_by is None else str(self.detected_by),
-                "step": self.step,
+                "step": self.status.step,
                 "pairs_established": self.pairs_established,
                 "check_log": [e.to_json_dict() for e in self.check_log],
             }
@@ -192,6 +203,8 @@ class Session:
         # (checker, holder) -> [decoys compared, mismatches]; fed by discussions.
         # The checker sent the decoys, so the key is the quantum edge, as in AttackSpec.edge.
         self.decoy_counts: Dict[Tuple[PartyId, PartyId], List[int]] = {}
+        # The step-3 spot check's entries, also read when that check aborts.
+        self.check_log: List[CheckEntry] = []
 
     # -- helpers -------------------------------------------------------------
 
@@ -204,7 +217,7 @@ class Session:
             return list(payload), []
         rng = self.rng
         positions = sorted(rng.choice(len(payload) + n, size=n, replace=False).tolist())
-        labels = [DECOY_LABELS[i] for i in rng.integers(4, size=n).tolist()]
+        labels = [SINGLE_STATE_LABELS[i] for i in rng.integers(4, size=n).tolist()]
         prepare = self.register.prepare_single
         sequence = list(payload)
         # Ascending inserts: every decoy lands on its final slot.
@@ -243,13 +256,8 @@ class Session:
 
 
 def _abort(
-    session: Session,
-    status: EstablishStatus,
-    detected_by: PartyId,
-    stage: str,
-    reason: str,
-    check_log: Optional[List[CheckEntry]] = None,
-) -> EstablishmentOutcome:
+    session: Session, status: RunStatus, detected_by: PartyId, stage: str, reason: str
+) -> NoReturn:
     # Flood the notice hop by hop: there is no direct link between the two
     # relay nodes, nor between end parties, so whoever hears it first passes
     # it on until every participant has been told.
@@ -267,18 +275,12 @@ def _abort(
                     reached.add(p)
                     next_frontier.append(p)
         frontier = next_frontier
-    return EstablishmentOutcome(
-        status=status,
-        detected_by=detected_by,
-        shared_pairs={},
-        check_log=check_log or [],
-        surviving_indices=[],
-        detail=reason,
-        session=session,
-    )
+    raise Aborted(status, reason, detected_by)
 
 
-def _distribute(session: Session) -> Tuple[Optional[EstablishmentOutcome], dict, dict]:
+def _distribute(
+    session: Session,
+) -> Tuple[Dict[PartyId, List[QubitRef]], Dict[PartyId, List[DecoyRecord]]]:
     """Step 1: make payload states, hide decoys, ship one sequence per party."""
     cfg, reg = session.cfg, session.register
     k = len(session.parties)
@@ -295,41 +297,35 @@ def _distribute(session: Session) -> Tuple[Optional[EstablishmentOutcome], dict,
         halves = [g[j] for g in groups]
         sequence, recs = session.build_decoyed_sequence(halves)
         msg = session.net.send_quantum(TP1, p, sequence)
-        tags = session.net.scan_trojan(p, msg)
-        if tags:
-            return (
-                _abort(
-                    session,
-                    EstablishStatus.ABORTED_STEP2,
-                    p,
-                    STAGE_DECOY,
-                    "probe photons found in incoming sequence",
-                ),
-                {},
-                {},
+        if session.net.scan_trojan(p, msg):
+            _abort(
+                session,
+                RunStatus.ABORTED_STEP2,
+                p,
+                STAGE_DECOY,
+                "probe photons found in incoming sequence",
             )
         holder_seqs[p] = list(msg.qubits)
         records[p] = recs
-    return None, holder_seqs, records
+    return holder_seqs, records
 
 
 def _decoy_discussions(
     session: Session,
     holder_seqs: Dict[PartyId, List[QubitRef]],
     records: Dict[PartyId, List[DecoyRecord]],
-) -> Optional[EstablishmentOutcome]:
+) -> None:
     """Step 2: per-channel public decoy comparison, TP1 checking."""
     for p in session.parties:
         bad = session.run_decoy_discussion(TP1, p, STAGE_DECOY, holder_seqs[p], records[p])
         if bad is not None:
-            return _abort(
+            _abort(
                 session,
-                EstablishStatus.ABORTED_STEP2,
+                RunStatus.ABORTED_STEP2,
                 TP1,
                 STAGE_DECOY,
                 f"decoy mismatch on the {p} channel at slot {bad}",
             )
-    return None
 
 
 def strip_decoys(sequence: Sequence[QubitRef], records: Sequence[DecoyRecord]) -> List[QubitRef]:
@@ -338,10 +334,11 @@ def strip_decoys(sequence: Sequence[QubitRef], records: Sequence[DecoyRecord]) -
     return [q for i, q in enumerate(sequence) if i not in drop]
 
 
-def _pair_check(
-    session: Session, payload: Dict[PartyId, List[QubitRef]]
-) -> Tuple[Optional[EstablishmentOutcome], List[CheckEntry], List[int]]:
-    """Step 3: TP2 spot-checks random payload positions in random bases."""
+def _pair_check(session: Session, payload: Dict[PartyId, List[QubitRef]]) -> List[int]:
+    """Step 3: TP2 spot-checks random payload positions in random bases.
+
+    Returns the checked positions and logs each comparison in ``session.check_log``.
+    """
     cfg, net, reg, rng = session.cfg, session.net, session.register, session.rng
     m, c = cfg.m_pairs, cfg.checked_count
     positions = sorted(int(p) for p in rng.choice(m, size=c, replace=False))
@@ -355,7 +352,7 @@ def _pair_check(
         bits = reg.measure_all([payload[p][pos] for pos in positions], bases, rng)
         net.send_classical(p, TP2, MeasurementResults(STAGE_PAIR_CHECK, tuple(bits)))
         reported[p] = bits
-    check_log: List[CheckEntry] = []
+    check_log = session.check_log
     first_bad: Optional[int] = None
     for i, (pos, b) in enumerate(zip(positions, bases)):
         outcomes = tuple(reported[p][i] for p in session.parties)
@@ -372,40 +369,38 @@ def _pair_check(
         for pos in positions:
             reg.discard(payload[p][pos])
     if first_bad is not None:
-        return (
-            _abort(
-                session,
-                EstablishStatus.ABORTED_STEP3,
-                TP2,
-                STAGE_PAIR_CHECK,
-                f"uncorrelated outcomes at payload position {first_bad}",
-                check_log,
-            ),
-            check_log,
-            positions,
+        _abort(
+            session,
+            RunStatus.ABORTED_STEP3,
+            TP2,
+            STAGE_PAIR_CHECK,
+            f"uncorrelated outcomes at payload position {first_bad}",
         )
-    return None, check_log, positions
+    return positions
 
 
 def _run(session: Session) -> EstablishmentOutcome:
-    failure, holder_seqs, records = _distribute(session)
-    if failure is not None:
-        return failure
-    failure = _decoy_discussions(session, holder_seqs, records)
-    if failure is not None:
-        return failure
-    payload = {p: strip_decoys(seq, records[p]) for p, seq in holder_seqs.items()}
-    failure, check_log, checked = _pair_check(session, payload)
-    if failure is not None:
-        return failure
-    checked_set = set(checked)
-    surviving = [i for i in range(session.cfg.m_pairs) if i not in checked_set]
+    try:
+        holder_seqs, records = _distribute(session)
+        _decoy_discussions(session, holder_seqs, records)
+        payload = {p: strip_decoys(seq, records[p]) for p, seq in holder_seqs.items()}
+        checked = set(_pair_check(session, payload))
+    except Aborted as abort:
+        return EstablishmentOutcome(
+            status=abort.status,
+            detected_by=abort.detected_by,
+            shared_pairs={},
+            check_log=session.check_log,
+            detail=abort.detail,
+            session=session,
+        )
+    surviving = [i for i in range(session.cfg.m_pairs) if i not in checked]
     shared = {p: [payload[p][i] for i in surviving] for p in session.parties}
     return EstablishmentOutcome(
-        status=EstablishStatus.ESTABLISHED,
+        status=RunStatus.ESTABLISHED,
         detected_by=None,
         shared_pairs=shared,
-        check_log=check_log,
+        check_log=session.check_log,
         surviving_indices=surviving,
         session=session,
     )

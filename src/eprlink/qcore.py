@@ -46,8 +46,6 @@ UNITARY_ATOL = 1e-10
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
-SINGLE_STATE_LABELS = ("0", "1", "+", "-")
-
 # Immutable, so a fresh qubit shares its label's tuple.
 _SINGLE_STATES = {
     "0": (1 + 0j, 0j),
@@ -84,6 +82,16 @@ class Basis(Enum):
 
 # Index 0 selects Z and 1 selects X, for bases drawn as random bits.
 BASIS_BY_BIT = (Basis.Z, Basis.X)
+
+# The four single-qubit preparation labels, in the order random draws index
+# them, each with its basis and the bit a measurement in that basis reads.
+LABEL_EXPECTATION = {
+    "0": (Basis.Z, 0),
+    "1": (Basis.Z, 1),
+    "+": (Basis.X, 0),
+    "-": (Basis.X, 1),
+}
+SINGLE_STATE_LABELS = tuple(LABEL_EXPECTATION)
 
 
 class PauliCode(Enum):
@@ -239,12 +247,7 @@ def _single_state(label: str) -> Tuple[complex, complex]:
         raise ValueError(f"unknown state label {label!r}") from None
 
 
-_EIGENSTATE_LABEL = {
-    (Basis.Z, 0): "0",
-    (Basis.Z, 1): "1",
-    (Basis.X, 0): "+",
-    (Basis.X, 1): "-",
-}
+_EIGENSTATE_LABEL = {expect: label for label, expect in LABEL_EXPECTATION.items()}
 
 
 def eigenstate_label(basis: Basis, bit: int) -> str:

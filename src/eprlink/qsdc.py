@@ -15,7 +15,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,34 +32,16 @@ from .channels import (
     TP2,
 )
 from .protocol import (
+    Aborted,
     EstablishmentConfig,
+    EstablishmentOutcome,
+    RunStatus,
     Session,
     _coerce_adversary,
     _run,
     strip_decoys,
 )
 from .qcore import PauliCode, QuantumRegister, QubitRef
-
-
-class QsdcStatus(Enum):
-    """How a messaging attempt ended; an establishment abort keeps EstablishStatus's value."""
-
-    DELIVERED = "delivered"
-    ABORTED_STEP2 = "aborted_step2"
-    ABORTED_STEP3 = "aborted_step3"
-    ABORTED_STEP5 = "aborted_step5"
-    ABORTED_STEP7 = "aborted_step7"
-    MAC_REJECTED = "mac_rejected"
-
-
-_DETECTED_STEP = {
-    QsdcStatus.DELIVERED: None,
-    QsdcStatus.ABORTED_STEP2: "step2",
-    QsdcStatus.ABORTED_STEP3: "step3",
-    QsdcStatus.ABORTED_STEP5: "step5",
-    QsdcStatus.ABORTED_STEP7: "step7",
-    QsdcStatus.MAC_REJECTED: "mac",
-}
 
 
 @dataclass(frozen=True)
@@ -105,7 +86,7 @@ def mac_verify(bits: Sequence[int], tag: str) -> bool:
 
 @dataclass
 class QsdcOutcome:
-    status: QsdcStatus
+    status: RunStatus
     decoded: Optional[Tuple[int, ...]]
     leak_bits_correct: int = 0
     leak_bits_total: int = 0
@@ -113,17 +94,13 @@ class QsdcOutcome:
     leak_second_correct: int = 0
     leak_pairs: int = 0
     message: Optional[Message] = None
-    establishment: Optional[object] = None
+    establishment: Optional[EstablishmentOutcome] = None
     detail: str = ""
     session: Optional[Session] = None
 
     @property
-    def detected_step(self) -> Optional[str]:
-        return _DETECTED_STEP[self.status]
-
-    @property
     def delivered(self) -> bool:
-        return self.status is QsdcStatus.DELIVERED
+        return self.status is RunStatus.DELIVERED
 
     def to_json(self) -> str:
         return json.dumps(
@@ -132,7 +109,7 @@ class QsdcOutcome:
                 "decoded_hex": None if self.decoded is None else bits_to_hex(self.decoded),
                 "leak_bits_correct": self.leak_bits_correct,
                 "leak_bits_total": self.leak_bits_total,
-                "detected_step": self.detected_step,
+                "detected_step": self.status.step,
             }
         )
 
@@ -180,19 +157,23 @@ def run_qsdc(
     if message is not None and len(message) != length:
         raise ValueError(f"this configuration carries {length} bits, got {len(message)}")
     session = Session(cfg, _coerce_adversary(attack), rng, filters_enabled=filters_enabled)
-    adversary = session.adversary
     est = _run(session)
+    status, detail = est.status, est.detail
+    if est.established:
+        if message is None:
+            message = Message.random(session.rng, length)
+        try:
+            return _deliver(session, est, message)
+        except Aborted as abort:
+            status, detail = abort.status, abort.detail
+    return QsdcOutcome(
+        status, None, message=message, establishment=est, detail=detail, session=session
+    )
 
-    def aborted(status: QsdcStatus, detail: str) -> QsdcOutcome:
-        return QsdcOutcome(
-            status, None, message=message, establishment=est, detail=detail, session=session
-        )
 
-    if not est.established:
-        return aborted(QsdcStatus(est.status.value), est.detail)
-    if message is None:
-        message = Message.random(session.rng, length)
-    net, reg = session.net, session.register
+def _deliver(session: Session, est: EstablishmentOutcome, message: Message) -> QsdcOutcome:
+    """Steps 5 to 7 over established pairs; a failed relay-leg check raises :class:`Aborted`."""
+    net, reg, adversary = session.net, session.register, session.adversary
     alice_held = est.shared_pairs[ALICE]
     bob_held = est.shared_pairs[BOB]
 
@@ -202,21 +183,21 @@ def run_qsdc(
     encode_message(reg, alice_held, message)
 
     # Step 5: Alice -> TP2, protected by decoys of Alice's own choosing.
-    relay_payload, detail = _relay_leg(session, ALICE, TP2, STAGE_RELAY_IN, alice_held, TP2)
-    if relay_payload is None:
-        return aborted(QsdcStatus.ABORTED_STEP5, detail)
+    relay_payload = _relay_leg(
+        session, ALICE, TP2, STAGE_RELAY_IN, alice_held, TP2, RunStatus.ABORTED_STEP5
+    )
     if adversary is not None:
         adversary.on_relay_payload(net, relay_payload, list(est.surviving_indices))
 
     # Step 6: TP2 -> Bob behind fresh decoys chosen by TP2.
-    delivered, detail = _relay_leg(session, TP2, BOB, STAGE_RELAY_OUT, relay_payload, ALICE)
-    if delivered is None:
-        return aborted(QsdcStatus.ABORTED_STEP7, detail)
+    delivered = _relay_leg(
+        session, TP2, BOB, STAGE_RELAY_OUT, relay_payload, ALICE, RunStatus.ABORTED_STEP7
+    )
 
     # Step 7: Bob reads the pairs and checks the integrity tag.
     net.send_classical(TP2, BOB, mac)
     decoded = decode_pairs(reg, delivered, bob_held, session.rng)
-    status = QsdcStatus.DELIVERED if mac_verify(decoded, tag) else QsdcStatus.MAC_REJECTED
+    status = RunStatus.DELIVERED if mac_verify(decoded, tag) else RunStatus.MAC_REJECTED
     outcome = QsdcOutcome(status, decoded, message=message, establishment=est, session=session)
     return _finish_leak(outcome, adversary, message, est.pairs_established)
 
@@ -228,12 +209,13 @@ def _relay_leg(
     stage: str,
     payload: Sequence[QubitRef],
     mismatch_to: PartyId,
-) -> Tuple[Optional[List[QubitRef]], str]:
+    status: RunStatus,
+) -> List[QubitRef]:
     """Carry ``payload`` across one relay leg behind the sender's fresh decoys.
 
-    Returns the payload as the receiver holds it, or ``None`` and why the leg
-    aborted: the receiver's probe filter fired (it tells the sender), or the
-    public decoy discussion found a mismatch (the sender tells
+    Returns the payload as the receiver holds it.  Raises :class:`Aborted`
+    with ``status`` when the receiver's probe filter fires (it tells the
+    sender) or the public decoy discussion finds a mismatch (the sender tells
     ``mismatch_to``).
     """
     net = session.net
@@ -241,13 +223,13 @@ def _relay_leg(
     msg = net.send_quantum(sender, receiver, sequence)
     if net.scan_trojan(receiver, msg):
         net.send_classical(receiver, sender, AbortNotice(stage, "probe photons found"))
-        return None, f"probe photons found at {receiver}"
+        raise Aborted(status, f"probe photons found at {receiver}", receiver)
     bad = session.run_decoy_discussion(sender, receiver, stage, list(msg.qubits), records)
     if bad is not None:
         detail = f"decoy mismatch at slot {bad}"
         net.send_classical(sender, mismatch_to, AbortNotice(stage, detail))
-        return None, detail
-    return strip_decoys(msg.qubits, records), ""
+        raise Aborted(status, detail, sender)
+    return strip_decoys(msg.qubits, records)
 
 
 def _finish_leak(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from eprlink.channels import ALICE, BOB, EVE, TP1, TP2, TrojanKind
-from eprlink.protocol import EstablishStatus, EstablishmentConfig, run_establishment
+from eprlink.protocol import EstablishmentConfig, RunStatus, run_establishment
 from eprlink.qcore import (
     Basis,
     BellOutcome,
@@ -17,7 +17,7 @@ from eprlink.qcore import (
     cnot_matrix,
     state_vector_for_label,
 )
-from eprlink.qsdc import Message, QsdcStatus, run_qsdc
+from eprlink.qsdc import Message, run_qsdc
 from eprlink.adversaries import (
     AttackKind,
     AttackSpec,
@@ -150,7 +150,6 @@ def test_build_adversary_instances_are_fresh():
     spec = AttackSpec(kind=AttackKind.INTERCEPT_RESEND)
     a, b = build_adversary(spec), build_adversary(spec)
     assert a is not b
-    assert a.observations == [] and b.observations == []
 
 
 def test_build_adversary_custom_probe_unitary():
@@ -345,9 +344,9 @@ def _establish_rates(spec, cfg, trials, seed):
     step2 = step3 = 0
     for child in np.random.SeedSequence(seed).spawn(trials):
         out = run_establishment(cfg, attack=spec, rng=np.random.default_rng(child))
-        if out.status is EstablishStatus.ABORTED_STEP2:
+        if out.status is RunStatus.ABORTED_STEP2:
             step2 += 1
-        elif out.status is EstablishStatus.ABORTED_STEP3:
+        elif out.status is RunStatus.ABORTED_STEP3:
             step3 += 1
     return step2 / trials, step3 / trials
 
@@ -406,7 +405,7 @@ def test_scramble_all_slots_detection_rate():
     cfg = EstablishmentConfig(m_pairs=6, n_decoys=4, check_fraction=0.5)
     spec = AttackSpec(kind=AttackKind.MODIFICATION, strategy="all_slots")
     p = modification_detection("all_slots", cfg.n_decoys, cfg.m_pairs - cfg.checked_count)
-    rate = _qsdc_status_rate(spec, cfg, 600, 127, QsdcStatus.ABORTED_STEP5)
+    rate = _qsdc_status_rate(spec, cfg, 600, 127, RunStatus.ABORTED_STEP5)
     assert abs(rate - p) <= three_sigma(p, 600)
 
 
@@ -414,7 +413,7 @@ def test_scramble_single_slot_detection_rate():
     cfg = EstablishmentConfig(m_pairs=6, n_decoys=4, check_fraction=0.5)
     spec = AttackSpec(kind=AttackKind.MODIFICATION, strategy="single_slot")
     p = modification_detection("single_slot", cfg.n_decoys, cfg.m_pairs - cfg.checked_count)
-    rate = _qsdc_status_rate(spec, cfg, 800, 131, QsdcStatus.ABORTED_STEP5)
+    rate = _qsdc_status_rate(spec, cfg, 800, 131, RunStatus.ABORTED_STEP5)
     assert abs(rate - p) <= three_sigma(p, 800)
 
 
@@ -422,12 +421,12 @@ def test_decoy_aware_scramble_is_caught_by_the_integrity_tag():
     cfg = EstablishmentConfig(m_pairs=6, n_decoys=4, check_fraction=0.5)
     spec = AttackSpec(kind=AttackKind.MODIFICATION, strategy="tp2_decoy_aware")
     p = modification_detection("tp2_decoy_aware", cfg.n_decoys, cfg.m_pairs - cfg.checked_count)
-    rate = _qsdc_status_rate(spec, cfg, 600, 137, QsdcStatus.MAC_REJECTED)
+    rate = _qsdc_status_rate(spec, cfg, 600, 137, RunStatus.MAC_REJECTED)
     assert abs(rate - p) <= three_sigma(p, 600)
     # No discussion ever flags it.
     for child in np.random.SeedSequence(139).spawn(60):
         out = run_qsdc(cfg, attack=spec, rng=np.random.default_rng(child))
-        assert out.status in (QsdcStatus.DELIVERED, QsdcStatus.MAC_REJECTED)
+        assert out.status in (RunStatus.DELIVERED, RunStatus.MAC_REJECTED)
 
 
 def test_trojan_probes_caught_by_filters():
@@ -436,8 +435,8 @@ def test_trojan_probes_caught_by_filters():
     for kind in TrojanKind:
         spec_k = AttackSpec(kind=AttackKind.TROJAN_HORSE, trojan=kind)
         out = run_qsdc(cfg, attack=spec_k, rng=np.random.default_rng(41))
-        assert out.status is QsdcStatus.ABORTED_STEP2
-    rate = _qsdc_status_rate(spec, cfg, 30, 149, QsdcStatus.ABORTED_STEP2)
+        assert out.status is RunStatus.ABORTED_STEP2
+    rate = _qsdc_status_rate(spec, cfg, 30, 149, RunStatus.ABORTED_STEP2)
     assert rate == 1.0
 
 
@@ -447,7 +446,7 @@ def test_trojan_probes_leak_only_without_filters():
     for seed in range(8):
         adv = build_adversary(spec)
         out = run_qsdc(cfg, attack=adv, rng=np.random.default_rng(seed), filters_enabled=False)
-        assert out.status is QsdcStatus.DELIVERED
+        assert out.status is RunStatus.DELIVERED
         assert adv.trojan_leak()
         assert out.decoded == out.message.bits
     adv = build_adversary(spec)
@@ -469,10 +468,10 @@ def test_pair_substitution_reads_message_exactly_without_decoys():
     reached = 0
     for child in np.random.SeedSequence(151).spawn(60):
         out = run_qsdc(cfg, attack=spec, rng=np.random.default_rng(child))
-        if out.status is QsdcStatus.ABORTED_STEP3:
+        if out.status is RunStatus.ABORTED_STEP3:
             continue
         reached += 1
-        assert out.status is QsdcStatus.MAC_REJECTED  # the relayed pairs were consumed
+        assert out.status is RunStatus.MAC_REJECTED  # the relayed pairs were consumed
         assert out.leak_bits_total == 2 * (cfg.m_pairs - cfg.checked_count)
         assert out.leak_bits_correct == out.leak_bits_total
     assert reached >= 10  # about half of 60 runs pass the single checked position
@@ -488,8 +487,8 @@ def test_correlation_probe_reads_first_bit_only():
     delivered = pairs = firsts = seconds = 0
     for child in np.random.SeedSequence(157).spawn(300):
         out = run_qsdc(cfg, attack=spec, rng=np.random.default_rng(child))
-        assert out.status in (QsdcStatus.DELIVERED, QsdcStatus.ABORTED_STEP3)
-        if out.status is QsdcStatus.DELIVERED:
+        assert out.status in (RunStatus.DELIVERED, RunStatus.ABORTED_STEP3)
+        if out.status is RunStatus.DELIVERED:
             assert out.decoded == out.message.bits
             delivered += 1
             pairs += out.leak_pairs
@@ -507,7 +506,7 @@ def test_corrupted_source_reads_message_exactly_without_decoys():
     reached = 0
     for child in np.random.SeedSequence(163).spawn(40):
         out = run_qsdc(cfg, attack=spec, rng=np.random.default_rng(child))
-        if out.status is QsdcStatus.ABORTED_STEP3:
+        if out.status is RunStatus.ABORTED_STEP3:
             continue
         reached += 1
         assert out.leak_pairs == cfg.m_pairs - cfg.checked_count

@@ -14,7 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eprlink.adversaries import Adversary, AttackKind, AttackSpec
+from eprlink.adversaries import (
+    Adversary,
+    AttackKind,
+    AttackSpec,
+    NoAnalyticOracle,
+    analytic_detection,
+)
 from eprlink.channels import ALICE, BOB, EVE, TP1, TP2, TrojanKind
 from eprlink.protocol import EstablishmentConfig
 from eprlink import harness, seeding
@@ -27,8 +33,6 @@ from eprlink.harness import (
     GameError,
     GameInstance,
     GameSpec,
-    NoAnalyticOracle,
-    analytic_detection,
     attack_from_name,
     attack_label,
     emit_report,

@@ -6,20 +6,18 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from eprlink.adversaries import Adversary
+from eprlink.adversaries import ATTACK_NAMES, Adversary, AttackKind, AttackSpec, attack_from_name
 from eprlink.channels import ALICE, BOB, EVE, TP1, TP2
 from eprlink.protocol import (
-    DECOY_LABELS,
-    LABEL_EXPECTATION,
     DecoyRecord,
-    EstablishStatus,
     EstablishmentConfig,
+    RunStatus,
     Session,
     ghz_target_vector,
     run_establishment,
     run_multiparty,
 )
-from eprlink.qcore import Basis, PauliCode
+from eprlink.qcore import LABEL_EXPECTATION, SINGLE_STATE_LABELS, Basis, PauliCode
 
 
 # --- configuration ---------------------------------------------------------------
@@ -55,7 +53,7 @@ def test_bad_configs_rejected(kwargs):
 def test_honest_run_establishes_good_pairs():
     cfg = EstablishmentConfig(m_pairs=8, n_decoys=6)
     out = run_establishment(cfg, rng=np.random.default_rng(1))
-    assert out.status is EstablishStatus.ESTABLISHED
+    assert out.status is RunStatus.ESTABLISHED
     assert out.detected_by is None
     assert out.pairs_established == cfg.m_pairs - cfg.checked_count
     target = ghz_target_vector(2)
@@ -158,7 +156,9 @@ def test_decoys_preserve_payload_order():
 
 
 def test_decoy_labels_cover_both_bases():
-    assert set(DECOY_LABELS) == {"0", "1", "+", "-"}
+    # Draws index the labels, so their order is part of the random stream.
+    assert SINGLE_STATE_LABELS == ("0", "1", "+", "-")
+    assert {basis for basis, _ in LABEL_EXPECTATION.values()} == {Basis.Z, Basis.X}
 
 
 def _ref_build_decoyed_sequence(session, payload):
@@ -174,7 +174,7 @@ def _ref_build_decoyed_sequence(session, payload):
     it = iter(payload)
     for slot in range(total):
         if slot in decoy_at:
-            label = DECOY_LABELS[int(session.rng.integers(4))]
+            label = SINGLE_STATE_LABELS[int(session.rng.integers(4))]
             basis, bit = LABEL_EXPECTATION[label]
             records.append(DecoyRecord(slot, basis, bit))
             sequence.append(session.register.prepare_single(label))
@@ -224,6 +224,31 @@ def test_decoy_records_are_shared_and_equal_the_reference_records():
 # --- aborts ---------------------------------------------------------------------------
 
 
+def test_run_status_names_the_failed_check():
+    assert {status: status.step for status in RunStatus} == {
+        RunStatus.ESTABLISHED: None,
+        RunStatus.DELIVERED: None,
+        RunStatus.ABORTED_STEP2: "step2",
+        RunStatus.ABORTED_STEP3: "step3",
+        RunStatus.ABORTED_STEP5: "step5",
+        RunStatus.ABORTED_STEP7: "step7",
+        RunStatus.MAC_REJECTED: "mac",
+    }
+    # Every attack's catch point is a check some run status ends at, for the
+    # named attacks and for each kind moved onto every quantum edge it accepts.
+    steps = {status.step for status in RunStatus} - {None}
+    specs = [attack_from_name(name) for name in ATTACK_NAMES]
+    for kind in AttackKind:
+        for edge in [(TP1, ALICE), (TP1, BOB), (ALICE, TP2), (TP2, BOB)]:
+            try:
+                specs.append(AttackSpec(kind=kind, actor=EVE, edge=edge))
+            except ValueError:
+                continue  # the kind is pinned to its own edge, or to a relay leg
+    sites = {spec.detection_site for spec in specs}
+    assert sites <= steps
+    assert sites == steps  # and every check catches some attack
+
+
 class _FlipEverything(Adversary):
     """Interceptor that flips every in-flight qubit; every decoy then mismatches."""
 
@@ -240,9 +265,9 @@ class _FlipEverything(Adversary):
 def test_flipped_channel_always_aborts_step2(edge, holder):
     cfg = EstablishmentConfig(m_pairs=3, n_decoys=2)
     out = run_establishment(cfg, _FlipEverything(edge), np.random.default_rng(10))
-    assert out.status is EstablishStatus.ABORTED_STEP2
+    assert out.status is RunStatus.ABORTED_STEP2
     assert out.detected_by == TP1
-    assert out.step == "step2"
+    assert out.status.step == "step2"
     assert str(holder) in out.detail
     assert out.shared_pairs == {} and out.pairs_established == 0
     # the abort notice propagated across the star
@@ -260,34 +285,30 @@ def test_attack_must_be_a_spec_or_an_adversary():
 
 
 def test_corrupted_source_aborts_at_step3_with_log():
-    from eprlink.adversaries import AttackKind, AttackSpec
-
     spec = AttackSpec(AttackKind.ENTANGLEMENT_SWAP)
     cfg = EstablishmentConfig(m_pairs=10, n_decoys=1, check_fraction=0.4)
     seen_step3 = 0
     for seed in range(40):
         out = run_establishment(cfg, spec, np.random.default_rng(seed))
-        if out.status is EstablishStatus.ABORTED_STEP3:
+        if out.status is RunStatus.ABORTED_STEP3:
             seen_step3 += 1
             assert out.detected_by == TP2
-            assert out.step == "step3"
+            assert out.status.step == "step3"
             assert len(out.check_log) == cfg.checked_count
             assert any(not e.passed for e in out.check_log)
         else:
-            assert out.status is EstablishStatus.ESTABLISHED
+            assert out.status is RunStatus.ESTABLISHED
     # detection chance is 1 - 2^-4 per run; forty misses would be absurd
     assert seen_step3 >= 25
 
 
 def test_attack_spec_accepted_directly_by_run():
-    from eprlink.adversaries import AttackKind, AttackSpec
-
     out = run_establishment(
         EstablishmentConfig(m_pairs=2, n_decoys=8),
         AttackSpec(AttackKind.INTERCEPT_RESEND),
         np.random.default_rng(0),
     )
-    assert out.status in (EstablishStatus.ABORTED_STEP2, EstablishStatus.ESTABLISHED)
+    assert out.status in (RunStatus.ABORTED_STEP2, RunStatus.ESTABLISHED)
 
 
 # --- multiparty --------------------------------------------------------------------

@@ -7,12 +7,11 @@ import pytest
 
 from eprlink.adversaries import Adversary, AttackKind, AttackSpec
 from eprlink.channels import ALICE, BOB, EVE, TP1, TP2
-from eprlink.protocol import EstablishmentConfig
+from eprlink.protocol import EstablishmentConfig, RunStatus
 from eprlink.qcore import PauliCode
 from eprlink.qsdc import (
     HONEST_CLASSICAL_KINDS,
     Message,
-    QsdcStatus,
     audit_classical_vocabulary,
     audit_whole_block_transmission,
     bits_to_hex,
@@ -82,9 +81,9 @@ def test_tag_is_length_sensitive():
 
 def test_honest_run_delivers_exact_bits():
     out = run_qsdc(CFG, rng=np.random.default_rng(21))
-    assert out.status is QsdcStatus.DELIVERED
+    assert out.status is RunStatus.DELIVERED
     assert out.decoded == out.message.bits
-    assert out.detected_step is None
+    assert out.status.step is None
     assert out.establishment.established
 
 
@@ -157,22 +156,23 @@ class _FlipLeg(Adversary):
 
 def test_establishment_failure_maps_to_step2_status():
     out = run_qsdc(CFG, attack=_FlipLeg((TP1, ALICE)), rng=np.random.default_rng(28))
-    assert out.status is QsdcStatus.ABORTED_STEP2
-    assert out.detected_step == "step2"
+    assert out.status is RunStatus.ABORTED_STEP2
+    assert out.status is out.establishment.status  # one status for both runs
+    assert out.status.step == "step2"
     assert out.decoded is None
 
 
 def test_tampered_first_relay_aborts_step5():
     out = run_qsdc(CFG, attack=_FlipLeg((ALICE, TP2)), rng=np.random.default_rng(29))
-    assert out.status is QsdcStatus.ABORTED_STEP5
-    assert out.detected_step == "step5"
+    assert out.status is RunStatus.ABORTED_STEP5
+    assert out.status.step == "step5"
     assert out.decoded is None
 
 
 def test_tampered_second_relay_aborts_step7():
     out = run_qsdc(CFG, attack=_FlipLeg((TP2, BOB)), rng=np.random.default_rng(30))
-    assert out.status is QsdcStatus.ABORTED_STEP7
-    assert out.detected_step == "step7"
+    assert out.status is RunStatus.ABORTED_STEP7
+    assert out.status.step == "step7"
 
 
 def _relay_events(attack):
@@ -207,7 +207,7 @@ _RELAY_OUT_CHECK = [
 def test_relay_transcript_trojan_abort_at_tp2():
     spec = AttackSpec(AttackKind.TROJAN_HORSE, edge=(ALICE, TP2))
     assert _relay_events(spec) == (
-        QsdcStatus.ABORTED_STEP5,
+        RunStatus.ABORTED_STEP5,
         "probe photons found at TP2",
         _RELAY_IN_HEAD
         + [
@@ -220,7 +220,7 @@ def test_relay_transcript_trojan_abort_at_tp2():
 def test_relay_transcript_trojan_abort_at_bob():
     spec = AttackSpec(AttackKind.TROJAN_HORSE, edge=(TP2, BOB))
     assert _relay_events(spec) == (
-        QsdcStatus.ABORTED_STEP7,
+        RunStatus.ABORTED_STEP7,
         "probe photons found at Bob",
         _RELAY_IN_HEAD
         + _RELAY_IN_CHECK
@@ -234,7 +234,7 @@ def test_relay_transcript_trojan_abort_at_bob():
 
 def test_relay_transcript_decoy_mismatch_on_first_leg():
     assert _relay_events(_FlipLeg((ALICE, TP2))) == (
-        QsdcStatus.ABORTED_STEP5,
+        RunStatus.ABORTED_STEP5,
         "decoy mismatch at slot 0",
         _RELAY_IN_HEAD
         + _RELAY_IN_CHECK
@@ -245,7 +245,7 @@ def test_relay_transcript_decoy_mismatch_on_first_leg():
 def test_relay_transcript_decoy_mismatch_on_second_leg():
     # TP2 tells Alice, not Bob, that the second leg failed.
     assert _relay_events(_FlipLeg((TP2, BOB))) == (
-        QsdcStatus.ABORTED_STEP7,
+        RunStatus.ABORTED_STEP7,
         "decoy mismatch at slot 0",
         _RELAY_IN_HEAD
         + _RELAY_IN_CHECK
@@ -257,7 +257,7 @@ def test_relay_transcript_decoy_mismatch_on_second_leg():
 
 def test_relay_transcript_delivered_run():
     assert _relay_events(None) == (
-        QsdcStatus.DELIVERED,
+        RunStatus.DELIVERED,
         "",
         _RELAY_IN_HEAD
         + _RELAY_IN_CHECK
@@ -276,12 +276,12 @@ def test_decoy_aware_tampering_never_delivers_wrong_bits():
     for seed in range(40):
         out = run_qsdc(CFG, attack=spec, rng=np.random.default_rng(seed))
         statuses.add(out.status)
-        if out.status is QsdcStatus.DELIVERED:
+        if out.status is RunStatus.DELIVERED:
             assert out.decoded == out.message.bits  # only untouched runs deliver
         else:
-            assert out.status is QsdcStatus.MAC_REJECTED
-            assert out.detected_step == "mac"
-    assert QsdcStatus.MAC_REJECTED in statuses
+            assert out.status is RunStatus.MAC_REJECTED
+            assert out.status.step == "mac"
+    assert RunStatus.MAC_REJECTED in statuses
 
 
 def test_mac_rejection_still_reports_decoded_bits():
@@ -290,7 +290,7 @@ def test_mac_rejection_still_reports_decoded_bits():
     spec = AttackSpec(AttackKind.MODIFICATION, strategy="tp2_decoy_aware")
     for seed in range(40):
         out = run_qsdc(CFG, attack=spec, rng=np.random.default_rng(seed))
-        if out.status is QsdcStatus.MAC_REJECTED:
+        if out.status is RunStatus.MAC_REJECTED:
             assert out.decoded is not None
             assert out.decoded != out.message.bits
             break

@@ -10,13 +10,26 @@ holds the payload objects themselves.  Attacks that leave the public record
 as an honest run leaves it (the decoy-avoiding modifications) share the honest
 hash, and both probe-photon kinds are caught at the first scan.  Update a pinned value only for a change
 that is meant to alter what a run logs, and say so where it lands.
+
+The outcome cases pin how each of those runs ended rather than what it logged:
+the status, the abort detail, ``QsdcOutcome.to_json()`` and the
+establishment's ``to_json()`` and ``detected_by``.  Beside honest and every
+attack name they cover a probe photon on each relay leg and an honest run with
+the probe filters off.
 """
 
 import hashlib
 
 import pytest
 
-from eprlink.adversaries import ATTACK_NAMES, attack_from_name, build_adversary
+from eprlink.adversaries import (
+    ATTACK_NAMES,
+    AttackKind,
+    AttackSpec,
+    attack_from_name,
+    build_adversary,
+)
+from eprlink.channels import ALICE, BOB, TP2
 from eprlink.harness import GameInstance
 from eprlink.protocol import EstablishmentConfig
 from eprlink.qsdc import run_qsdc
@@ -37,6 +50,30 @@ QSDC_CASES = {
     "modification_tp2_decoy_aware": "4d68a82286a34c7576b2a0bd460d38b02aaceeaa5dfc8b28d013982f1f87c917",
     "trojan_invisible_photon": "dbd363b6f7fa2f00123b0d4d309fe3a2d435464483a5d8213dba1372260d5c41",
     "trojan_delay_photon": "dbd363b6f7fa2f00123b0d4d309fe3a2d435464483a5d8213dba1372260d5c41",
+}
+
+OUTCOME_CASES = {
+    "honest": "67ee0b3a965871932e92beee804574a61dc5ecf62ea20e383772877c9799268c",
+    "intercept_resend": "abae37a933388b77ec24953bf96ea7640c47bafc3eea3577442fa08d85eb48e9",
+    "entangle_measure": "fc6b9598b228fe753e03977bec6873faa82b174b5172fbd975587507e3d77e94",
+    "entanglement_swap": "a76299ab6e8c40a4042ffd1050e4933d8d1e697e7a0741694f20af5d66ab397f",
+    "correlation_elicitation": "b9d7ca1337ba88a0a9ff3f4a09c7a6d96e3e6a1a16b96f7812d6db8652f56e91",
+    "dense_coding": "cab7442b52b1654ea2207b8203f9ed99ae55cc25a05913ea85dcc011dfc72dff",
+    "modification_all_slots": "a046c00652e370027bf1753cce1efdec7fb164b814f772d0a60d0aa240ea572e",
+    "modification_single_slot": "6a9d7cc63fddbd39101f07e36d1615fdda01c855800d2853e8ecf11be7aa2815",
+    "modification_tp2_decoy_aware": "c1cfa8f5cba25b73f9e190e22ba90ec8f5aa0c4f7ed280ce1ab3095192dd53b3",
+    "trojan_invisible_photon": "143b97acc3826457b14c3d4fd942aa58d3c30578a957f76009a69b1afb994398",
+    "trojan_delay_photon": "143b97acc3826457b14c3d4fd942aa58d3c30578a957f76009a69b1afb994398",
+    "trojan_relay_in": "fbdb504f7ffa94b7968867595ddc93d6d3a20d3baa068ef0d85c87dd69795f11",
+    "trojan_relay_out": "7a6148b93d0e87d4215c873618bbd655a08f937bef251046b01b28d30fc093ed",
+    "honest_filters_off": "67ee0b3a965871932e92beee804574a61dc5ecf62ea20e383772877c9799268c",
+}
+
+# Outcome cases beyond the attack names: (attack spec, probe filters on).
+_EXTRA_OUTCOME_RUNS = {
+    "trojan_relay_in": (AttackSpec(kind=AttackKind.TROJAN_HORSE, edge=(ALICE, TP2)), True),
+    "trojan_relay_out": (AttackSpec(kind=AttackKind.TROJAN_HORSE, edge=(TP2, BOB)), True),
+    "honest_filters_off": (None, False),
 }
 
 GAME_CASES = {
@@ -68,6 +105,33 @@ def test_qsdc_transcript_bytes_are_pinned(name):
     if name == "trojan_invisible_photon":
         assert '"kind": "trojan_detected"' in text
     assert _sha(text) == QSDC_CASES[name]
+
+
+def _qsdc_outcomes(name: str) -> str:
+    if name in _EXTRA_OUTCOME_RUNS:
+        spec, filters = _EXTRA_OUTCOME_RUNS[name]
+    else:
+        spec, filters = (None if name == "honest" else attack_from_name(name)), True
+    docs = []
+    for rng in trial_rngs(31, RUNS):
+        adversary = None if spec is None else build_adversary(spec)
+        out = run_qsdc(CFG, None, adversary, rng, filters_enabled=filters)
+        est = out.establishment
+        docs.append(
+            "\n".join(
+                [out.status.value, out.detail, out.to_json(), est.to_json(), str(est.detected_by)]
+            )
+        )
+    return "\n\n".join(docs)
+
+
+def test_outcome_cases_cover_every_attack_name():
+    assert set(OUTCOME_CASES) == {"honest", *ATTACK_NAMES, *_EXTRA_OUTCOME_RUNS}
+
+
+@pytest.mark.parametrize("name", sorted(OUTCOME_CASES))
+def test_qsdc_outcome_bytes_are_pinned(name):
+    assert _sha(_qsdc_outcomes(name)) == OUTCOME_CASES[name]
 
 
 @pytest.mark.parametrize("discussion", sorted(GAME_CASES))
