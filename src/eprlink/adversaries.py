@@ -33,6 +33,7 @@ from .channels import (
     PartyId,
     PositionsBases,
     QuantumMessage,
+    RunStatus,
     TP1,
     TP2,
     TrojanKind,
@@ -65,15 +66,9 @@ class AttackKind(Enum):
 
 MODIFICATION_STRATEGIES = ("all_slots", "single_slot", "tp2_decoy_aware")
 
-# Where each attack is expected to trip an alarm, keyed by the attacked edge;
-# the keys are every quantum channel an attack can tap.
-_EDGE_TO_SITE = {
-    (TP1, ALICE): "step2",
-    (TP1, BOB): "step2",
-    (ALICE, TP2): "step5",
-    (TP2, BOB): "step7",
-}
-_RELAY_LEGS = ((ALICE, TP2), (TP2, BOB))
+# The check that compares the decoys on each attacked edge; the keys are every
+# quantum channel an attack can tap.
+_EDGE_CHECK = {edge: status for status in RunStatus for edge in status.edges}
 
 
 @dataclass(frozen=True)
@@ -108,9 +103,9 @@ class AttackSpec:
         if row.pinned and (actor, edge) != (row.actor, row.edge):
             raise ValueError(row.pinned)
         if edge is not None:
-            if edge not in _EDGE_TO_SITE:
+            if edge not in _EDGE_CHECK:
                 raise ValueError(f"{edge[0]}->{edge[1]} is not a quantum channel")
-            if row.relay_leg and edge not in _RELAY_LEGS:
+            if row.relay_leg and _EDGE_CHECK[edge].before_establishment:
                 raise ValueError(f"{self.kind.value} targets a relay leg")
             if actor in edge:
                 raise ValueError("a channel endpoint cannot also tap that channel in flight")
@@ -118,9 +113,14 @@ class AttackSpec:
         object.__setattr__(self, "edge", edge)
 
     @property
+    def detection_check(self) -> RunStatus:
+        """The check that should catch this attack: a discussion or the integrity tag."""
+        return _row(self).site or _EDGE_CHECK[self.edge]
+
+    @property
     def detection_site(self) -> str:
-        """Which discussion (or the integrity tag) should catch this attack."""
-        return _row(self).site or _EDGE_TO_SITE[self.edge]
+        """The report's name for that check, its ``step``."""
+        return self.detection_check.step
 
 
 class Adversary:
@@ -523,7 +523,7 @@ class AttackRow:
     default: object = None  # that field's value when the spec leaves it out
     pinned: str = ""  # if set, the error for overriding the default actor or edge
     relay_leg: bool = False  # the tapped edge must be a relay leg
-    site: Optional[str] = None  # the catch point of a kind that taps no edge
+    site: Optional[RunStatus] = None  # the catch point of a kind that taps no edge
 
 
 _ATTACKS: Dict[AttackKind, AttackRow] = {
@@ -537,7 +537,8 @@ _ATTACKS: Dict[AttackKind, AttackRow] = {
     ),
     AttackKind.ENTANGLEMENT_SWAP: AttackRow(
         TP1, None, EntanglementSwapSource, lambda s, n, c, m, f: entanglement_swap_detection(c),
-        pinned="only TP1 can corrupt the pair source, which is not an edge attack", site="step3",
+        pinned="only TP1 can corrupt the pair source, which is not an edge attack",
+        site=RunStatus.ABORTED_STEP3,
     ),
     AttackKind.CORRELATION_ELICITATION: AttackRow(
         TP2, (TP1, BOB), CorrelationElicitation,
@@ -562,7 +563,7 @@ _ATTACKS: Dict[AttackKind, AttackRow] = {
 
 # TP2 scrambling only message slots inside the relay, caught by the integrity tag.
 _DECOY_AWARE = replace(
-    _ATTACKS[AttackKind.MODIFICATION], actor=TP2, edge=None, site="mac",
+    _ATTACKS[AttackKind.MODIFICATION], actor=TP2, edge=None, site=RunStatus.MAC_REJECTED,
     pinned="the decoy-aware variant is TP2 tampering inside the relay, not on an edge",
 )
 

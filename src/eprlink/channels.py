@@ -108,6 +108,38 @@ STAGE_RELAY_IN = "relay_in_check"  # decoy discussion on the Alice -> TP2 leg
 STAGE_RELAY_OUT = "relay_out_check"  # decoy discussion on the TP2 -> Bob leg
 
 
+class RunStatus(Enum):
+    """How a run ended: established or delivered, or the check that failed first.
+
+    The abort members are the table of checks.  Each names its stage label
+    (None for the integrity tag), the quantum edges whose decoys it compares,
+    and whether it runs before establishment ends.
+    """
+
+    def __new__(cls, value: str, stage=None, edges=(), before_establishment=False):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.stage = stage
+        member.edges = edges
+        member.before_establishment = before_establishment
+        return member
+
+    ESTABLISHED = ("established",)
+    DELIVERED = ("delivered",)
+    ABORTED_STEP2 = ("aborted_step2", STAGE_DECOY, ((TP1, ALICE), (TP1, BOB)), True)
+    ABORTED_STEP3 = ("aborted_step3", STAGE_PAIR_CHECK, (), True)
+    ABORTED_STEP5 = ("aborted_step5", STAGE_RELAY_IN, ((ALICE, TP2),))
+    ABORTED_STEP7 = ("aborted_step7", STAGE_RELAY_OUT, ((TP2, BOB),))
+    MAC_REJECTED = ("mac_rejected",)
+
+    @property
+    def step(self) -> Optional[str]:
+        """The failed check, ``"step2"`` to ``"step7"`` or ``"mac"``; None on success."""
+        if self is RunStatus.MAC_REJECTED:
+            return "mac"
+        return self.value.partition("aborted_")[2] or None
+
+
 @dataclass(frozen=True)
 class Ack:
     KIND = "ack"

@@ -50,6 +50,7 @@ from .channels import (
     Network,
     PartyId,
     PositionsBases,
+    RunStatus,
     STAGE_DECOY,
     STAGE_PAIR_CHECK,
     Topology,
@@ -381,7 +382,7 @@ def _aggregate(ec: ExperimentConfig, reports: List[TrialReport]) -> AggregateRep
         passed=passed,
         status_counts=dict(Counter(r.status for r in ok)),
         site_counts=dict(Counter(r.detected_at for r in ok if r.detected_at is not None)),
-        established=sum(1 for r in ok if r.status not in ("aborted_step2", "aborted_step3")),
+        established=sum(1 for r in ok if not RunStatus(r.status).before_establishment),
         delivered=sum(1 for r in ok if r.delivered),
         delivered_wrong=sum(1 for r in ok if r.delivered and (r.bit_errors or 0) > 0),
         min_pair_fidelity=float(min(fids)) if fids else None,
@@ -952,8 +953,7 @@ class ExperimentConfig:
         if self.scenario == "game" and self.game is None:
             self.game = GameSpec()
         if self.attack is not None:
-            site = self.attack.detection_site
-            if site in ("step5", "step7", "mac") and self.scenario != "qsdc":
+            if not self.attack.detection_check.before_establishment and self.scenario != "qsdc":
                 raise ValueError(
                     f"{attack_label(self.attack)} acts on the message relay; "
                     "run it under the qsdc scenario"

@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Dict, List, NamedTuple, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,13 +28,13 @@ import numpy as np
 from .adversaries import Adversary, AttackSpec, build_adversary
 from .channels import (
     ACK,
-    STAGE_DECOY,
     STAGE_PAIR_CHECK,
     AbortNotice,
     MeasurementResults,
     Network,
     PartyId,
     PositionsBases,
+    RunStatus,
     Topology,
     TP1,
     TP2,
@@ -70,25 +69,6 @@ def _decoy_record(position: int, label: str) -> DecoyRecord:
     if record is None:
         record = _RECORDS[position, label] = DecoyRecord(position, *LABEL_EXPECTATION[label])
     return record
-
-
-class RunStatus(Enum):
-    """How a run ended: established or delivered, or the check that failed first."""
-
-    ESTABLISHED = "established"
-    DELIVERED = "delivered"
-    ABORTED_STEP2 = "aborted_step2"
-    ABORTED_STEP3 = "aborted_step3"
-    ABORTED_STEP5 = "aborted_step5"
-    ABORTED_STEP7 = "aborted_step7"
-    MAC_REJECTED = "mac_rejected"
-
-    @property
-    def step(self) -> Optional[str]:
-        """The failed check, ``"step2"`` to ``"step7"`` or ``"mac"``; None on success."""
-        if self is RunStatus.MAC_REJECTED:
-            return "mac"
-        return self.value.partition("aborted_")[2] or None
 
 
 class Aborted(Exception):
@@ -255,13 +235,11 @@ class Session:
         return bad[0] if bad else None
 
 
-def _abort(
-    session: Session, status: RunStatus, detected_by: PartyId, stage: str, reason: str
-) -> NoReturn:
+def _abort(session: Session, status: RunStatus, detected_by: PartyId, reason: str) -> NoReturn:
     # Flood the notice hop by hop: there is no direct link between the two
     # relay nodes, nor between end parties, so whoever hears it first passes
     # it on until every participant has been told.
-    notice = AbortNotice(stage, reason)
+    notice = AbortNotice(status.stage, reason)
     everyone = [TP1, TP2, *session.parties]
     topo = session.net.topology
     reached = {detected_by}
@@ -298,13 +276,7 @@ def _distribute(
         sequence, recs = session.build_decoyed_sequence(halves)
         msg = session.net.send_quantum(TP1, p, sequence)
         if session.net.scan_trojan(p, msg):
-            _abort(
-                session,
-                RunStatus.ABORTED_STEP2,
-                p,
-                STAGE_DECOY,
-                "probe photons found in incoming sequence",
-            )
+            _abort(session, RunStatus.ABORTED_STEP2, p, "probe photons found in incoming sequence")
         holder_seqs[p] = list(msg.qubits)
         records[p] = recs
     return holder_seqs, records
@@ -316,16 +288,11 @@ def _decoy_discussions(
     records: Dict[PartyId, List[DecoyRecord]],
 ) -> None:
     """Step 2: per-channel public decoy comparison, TP1 checking."""
+    status = RunStatus.ABORTED_STEP2
     for p in session.parties:
-        bad = session.run_decoy_discussion(TP1, p, STAGE_DECOY, holder_seqs[p], records[p])
+        bad = session.run_decoy_discussion(TP1, p, status.stage, holder_seqs[p], records[p])
         if bad is not None:
-            _abort(
-                session,
-                RunStatus.ABORTED_STEP2,
-                TP1,
-                STAGE_DECOY,
-                f"decoy mismatch on the {p} channel at slot {bad}",
-            )
+            _abort(session, status, TP1, f"decoy mismatch on the {p} channel at slot {bad}")
 
 
 def strip_decoys(sequence: Sequence[QubitRef], records: Sequence[DecoyRecord]) -> List[QubitRef]:
@@ -369,13 +336,8 @@ def _pair_check(session: Session, payload: Dict[PartyId, List[QubitRef]]) -> Lis
         for pos in positions:
             reg.discard(payload[p][pos])
     if first_bad is not None:
-        _abort(
-            session,
-            RunStatus.ABORTED_STEP3,
-            TP2,
-            STAGE_PAIR_CHECK,
-            f"uncorrelated outcomes at payload position {first_bad}",
-        )
+        reason = f"uncorrelated outcomes at payload position {first_bad}"
+        _abort(session, RunStatus.ABORTED_STEP3, TP2, reason)
     return positions
 
 

@@ -23,11 +23,13 @@ from .adversaries import Adversary
 from .channels import (
     ALICE,
     BOB,
-    STAGE_RELAY_IN,
-    STAGE_RELAY_OUT,
     AbortNotice,
+    Ack,
     MacTag,
+    MeasurementResults,
     PartyId,
+    PositionsBases,
+    RunStatus,
     Transcript,
     TP2,
 )
@@ -35,7 +37,6 @@ from .protocol import (
     Aborted,
     EstablishmentConfig,
     EstablishmentOutcome,
-    RunStatus,
     Session,
     _coerce_adversary,
     _run,
@@ -97,6 +98,8 @@ class QsdcOutcome:
     establishment: Optional[EstablishmentOutcome] = None
     detail: str = ""
     session: Optional[Session] = None
+    # The party whose check ended the run; None when the message was delivered.
+    detected_by: Optional[PartyId] = None
 
     @property
     def delivered(self) -> bool:
@@ -158,16 +161,17 @@ def run_qsdc(
         raise ValueError(f"this configuration carries {length} bits, got {len(message)}")
     session = Session(cfg, _coerce_adversary(attack), rng, filters_enabled=filters_enabled)
     est = _run(session)
-    status, detail = est.status, est.detail
+    end = est  # what ended the run: the establishment, or a relay check's abort
     if est.established:
         if message is None:
             message = Message.random(session.rng, length)
         try:
             return _deliver(session, est, message)
         except Aborted as abort:
-            status, detail = abort.status, abort.detail
+            end = abort
     return QsdcOutcome(
-        status, None, message=message, establishment=est, detail=detail, session=session
+        end.status, None, message=message, establishment=est, detail=end.detail,
+        session=session, detected_by=end.detected_by,
     )
 
 
@@ -183,22 +187,21 @@ def _deliver(session: Session, est: EstablishmentOutcome, message: Message) -> Q
     encode_message(reg, alice_held, message)
 
     # Step 5: Alice -> TP2, protected by decoys of Alice's own choosing.
-    relay_payload = _relay_leg(
-        session, ALICE, TP2, STAGE_RELAY_IN, alice_held, TP2, RunStatus.ABORTED_STEP5
-    )
+    relay_payload = _relay_leg(session, ALICE, TP2, alice_held, TP2, RunStatus.ABORTED_STEP5)
     if adversary is not None:
         adversary.on_relay_payload(net, relay_payload, list(est.surviving_indices))
 
     # Step 6: TP2 -> Bob behind fresh decoys chosen by TP2.
-    delivered = _relay_leg(
-        session, TP2, BOB, STAGE_RELAY_OUT, relay_payload, ALICE, RunStatus.ABORTED_STEP7
-    )
+    delivered = _relay_leg(session, TP2, BOB, relay_payload, ALICE, RunStatus.ABORTED_STEP7)
 
     # Step 7: Bob reads the pairs and checks the integrity tag.
     net.send_classical(TP2, BOB, mac)
     decoded = decode_pairs(reg, delivered, bob_held, session.rng)
-    status = RunStatus.DELIVERED if mac_verify(decoded, tag) else RunStatus.MAC_REJECTED
-    outcome = QsdcOutcome(status, decoded, message=message, establishment=est, session=session)
+    ok = mac_verify(decoded, tag)
+    outcome = QsdcOutcome(
+        RunStatus.DELIVERED if ok else RunStatus.MAC_REJECTED, decoded, message=message,
+        establishment=est, session=session, detected_by=None if ok else BOB,
+    )
     return _finish_leak(outcome, adversary, message, est.pairs_established)
 
 
@@ -206,7 +209,6 @@ def _relay_leg(
     session: Session,
     sender: PartyId,
     receiver: PartyId,
-    stage: str,
     payload: Sequence[QubitRef],
     mismatch_to: PartyId,
     status: RunStatus,
@@ -214,11 +216,11 @@ def _relay_leg(
     """Carry ``payload`` across one relay leg behind the sender's fresh decoys.
 
     Returns the payload as the receiver holds it.  Raises :class:`Aborted`
-    with ``status`` when the receiver's probe filter fires (it tells the
-    sender) or the public decoy discussion finds a mismatch (the sender tells
-    ``mismatch_to``).
+    with ``status``, the leg's check, when the receiver's probe filter fires
+    (it tells the sender) or the public decoy discussion finds a mismatch (the
+    sender tells ``mismatch_to``).
     """
-    net = session.net
+    net, stage = session.net, status.stage
     sequence, records = session.build_decoyed_sequence(payload)
     msg = net.send_quantum(sender, receiver, sequence)
     if net.scan_trojan(receiver, msg):
@@ -257,8 +259,8 @@ def _finish_leak(
 
 # --- transcript audits --------------------------------------------------------
 
-_CLASSICAL_KINDS = {"ack", "positions_bases", "measurement_results", "abort", "mac_tag"}
-HONEST_CLASSICAL_KINDS = {"ack", "positions_bases", "measurement_results", "mac_tag"}
+HONEST_CLASSICAL_KINDS = {p.KIND for p in (Ack, PositionsBases, MeasurementResults, MacTag)}
+_CLASSICAL_KINDS = HONEST_CLASSICAL_KINDS | {AbortNotice.KIND}
 
 
 def classical_event_kinds(transcript: Transcript) -> set:

@@ -19,6 +19,7 @@ from eprlink.qcore import (
 )
 from eprlink.qsdc import Message, run_qsdc
 from eprlink.adversaries import (
+    ATTACK_NAMES,
     AttackKind,
     AttackSpec,
     CorrelationElicitation,
@@ -28,6 +29,7 @@ from eprlink.adversaries import (
     InterceptResend,
     Modification,
     TrojanHorse,
+    attack_from_name,
     build_adversary,
     dense_coding_detection,
     entanglement_swap_detection,
@@ -452,6 +454,50 @@ def test_trojan_probes_leak_only_without_filters():
     adv = build_adversary(spec)
     out = run_qsdc(cfg, attack=adv, rng=np.random.default_rng(99), filters_enabled=True)
     assert not adv.trojan_leak()
+
+
+def test_relay_aborts_name_who_caught_them():
+    cfg = EstablishmentConfig(m_pairs=4, n_decoys=2, check_fraction=0.5)
+    # A receiver's probe filter catches the photons riding on its incoming leg.
+    legs = [((ALICE, TP2), RunStatus.ABORTED_STEP5), ((TP2, BOB), RunStatus.ABORTED_STEP7)]
+    for edge, status in legs:
+        spec = AttackSpec(kind=AttackKind.TROJAN_HORSE, edge=edge)
+        out = run_qsdc(cfg, attack=spec, rng=np.random.default_rng(3))
+        assert (out.status, out.detected_by) == (status, edge[1])
+        assert out.establishment.detected_by is None  # the establishment succeeded
+    # The sender's decoy discussion catches a scrambled first leg.
+    spec = AttackSpec(kind=AttackKind.MODIFICATION, strategy="all_slots")
+    seen = set()
+    for seed in range(30):
+        out = run_qsdc(cfg, attack=spec, rng=np.random.default_rng(seed))
+        seen.add(out.status)
+        expected = {RunStatus.ABORTED_STEP5: ALICE, RunStatus.MAC_REJECTED: BOB}
+        assert out.detected_by == expected.get(out.status)
+    assert RunStatus.ABORTED_STEP5 in seen
+
+
+def test_every_qsdc_outcome_names_who_caught_it():
+    """An establishment abort keeps its checker, the tag is Bob's, a delivery names nobody."""
+    cfg = EstablishmentConfig(m_pairs=4, n_decoys=2, check_fraction=0.5)
+    specs = [None, *map(attack_from_name, ATTACK_NAMES)]
+    specs.append(AttackSpec(kind=AttackKind.INTERCEPT_RESEND, actor=EVE, edge=(TP2, BOB)))
+    statuses = set()
+    for spec in specs:
+        for seed in range(6):
+            out = run_qsdc(cfg, attack=spec, rng=np.random.default_rng(seed))
+            statuses.add(out.status)
+            if out.status.before_establishment:
+                assert out.detected_by is out.establishment.detected_by is not None
+            elif out.status is RunStatus.DELIVERED:
+                assert out.detected_by is None
+            elif out.status is RunStatus.MAC_REJECTED:
+                assert out.detected_by == BOB
+            else:
+                # The leg's receiver finds probe photons; its sender finds bad decoys.
+                (sender, receiver), = out.status.edges
+                caught_by = receiver if out.detail.startswith("probe") else sender
+                assert out.detected_by == caught_by
+    assert statuses == set(RunStatus) - {RunStatus.ESTABLISHED}
 
 
 # --- what the adversary learns ------------------------------------------------------

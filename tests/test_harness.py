@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +153,39 @@ def test_attack_labels():
 def test_experiment_config_rejects_bad_setups(kwargs, match):
     with pytest.raises(ValueError, match=match):
         ExperimentConfig(**kwargs)
+
+
+def _attack_variants():
+    """Every named attack, and each one moved onto each relay leg it may tap."""
+    out = []
+    for name in ATTACK_NAMES:
+        spec = attack_from_name(name)
+        out.append(pytest.param(spec, id=name))
+        for edge in [(ALICE, TP2), (TP2, BOB)]:
+            try:
+                moved = replace(spec, actor=EVE, edge=edge)
+            except ValueError:
+                continue  # pinned to its own roles
+            if moved != spec:
+                out.append(pytest.param(moved, id=f"{name}@{edge[0]}-{edge[1]}"))
+    return out
+
+
+@pytest.mark.parametrize("spec", _attack_variants())
+def test_relay_attacks_run_only_under_qsdc(spec):
+    # Steps 2 and 3 end before establishment does; every later check guards the message relay.
+    relay = spec.detection_site not in ("step2", "step3")
+    for scenario, parties in (("establish", 2), ("multiparty", 3)):
+        cfg = EstablishmentConfig(m_pairs=4, n_decoys=2, parties=parties)
+        if relay:
+            with pytest.raises(ValueError, match="message relay"):
+                ExperimentConfig(scenario=scenario, cfg=cfg, attack=spec)
+            continue
+        try:
+            ExperimentConfig(scenario=scenario, cfg=cfg, attack=spec)
+        except ValueError as exc:  # the corrupted source makes two-party pairs only
+            assert "message relay" not in str(exc)
+    ExperimentConfig(scenario="qsdc", cfg=EstablishmentConfig(m_pairs=4, n_decoys=2), attack=spec)
 
 
 def test_game_scenario_gets_a_default_game_spec():

@@ -1,13 +1,33 @@
 """Establishment-protocol tests: honest runs, sequencing invariants, aborts."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from eprlink.adversaries import ATTACK_NAMES, Adversary, AttackKind, AttackSpec, attack_from_name
-from eprlink.channels import ALICE, BOB, EVE, TP1, TP2
+import eprlink
+from eprlink.adversaries import (
+    ATTACK_NAMES,
+    Adversary,
+    AttackKind,
+    AttackSpec,
+    attack_from_name,
+    build_adversary,
+)
+from eprlink.channels import (
+    ALICE,
+    BOB,
+    EVE,
+    STAGE_DECOY,
+    STAGE_PAIR_CHECK,
+    STAGE_RELAY_IN,
+    STAGE_RELAY_OUT,
+    TP1,
+    TP2,
+)
 from eprlink.protocol import (
     DecoyRecord,
     EstablishmentConfig,
@@ -224,6 +244,16 @@ def test_decoy_records_are_shared_and_equal_the_reference_records():
 # --- aborts ---------------------------------------------------------------------------
 
 
+_QUANTUM_EDGES = [(TP1, ALICE), (TP1, BOB), (ALICE, TP2), (TP2, BOB)]
+# The check that compares the decoys on each edge, as the paper numbers its steps.
+_EDGE_STEP = {
+    (TP1, ALICE): "step2",
+    (TP1, BOB): "step2",
+    (ALICE, TP2): "step5",
+    (TP2, BOB): "step7",
+}
+
+
 def test_run_status_names_the_failed_check():
     assert {status: status.step for status in RunStatus} == {
         RunStatus.ESTABLISHED: None,
@@ -239,7 +269,7 @@ def test_run_status_names_the_failed_check():
     steps = {status.step for status in RunStatus} - {None}
     specs = [attack_from_name(name) for name in ATTACK_NAMES]
     for kind in AttackKind:
-        for edge in [(TP1, ALICE), (TP1, BOB), (ALICE, TP2), (TP2, BOB)]:
+        for edge in _QUANTUM_EDGES:
             try:
                 specs.append(AttackSpec(kind=kind, actor=EVE, edge=edge))
             except ValueError:
@@ -247,6 +277,47 @@ def test_run_status_names_the_failed_check():
     sites = {spec.detection_site for spec in specs}
     assert sites <= steps
     assert sites == steps  # and every check catches some attack
+
+    # Each discussion's stage label names exactly one check; the tag has none.
+    checks = [status for status in RunStatus if status.step is not None]
+    stages = [status.stage for status in checks if status is not RunStatus.MAC_REJECTED]
+    assert stages == [STAGE_DECOY, STAGE_PAIR_CHECK, STAGE_RELAY_IN, STAGE_RELAY_OUT]
+    assert RunStatus.MAC_REJECTED.stage is None
+    # Every edge an attack can tap, by its spec or through its hooks, is guarded by one check.
+    tapped = {spec.edge for spec in specs if spec.edge is not None}
+    tapped |= {edge for spec in specs for edge in build_adversary(spec).quantum_taps()}
+    assert tapped == set(_QUANTUM_EDGES)
+    for edge in tapped:
+        assert [status for status in RunStatus if edge in status.edges] == [
+            status for status in checks if status.step == _EDGE_STEP[edge]
+        ]
+    # Steps 2 and 3 end before establishment does; the relay legs are the edges of the others.
+    assert [s for s in RunStatus if s.before_establishment] == [
+        RunStatus.ABORTED_STEP2,
+        RunStatus.ABORTED_STEP3,
+    ]
+    relay_legs = []
+    for edge in _QUANTUM_EDGES:
+        try:
+            AttackSpec(kind=AttackKind.MODIFICATION, strategy="all_slots", actor=EVE, edge=edge)
+        except ValueError:
+            continue  # not a relay leg
+        relay_legs.append(edge)
+    late = [edge for s in RunStatus if not s.before_establishment for edge in s.edges]
+    assert relay_legs == late == [(ALICE, TP2), (TP2, BOB)]
+
+
+def test_check_names_are_spelled_only_in_the_table():
+    """No module but ``channels`` types a step or abort-status name as a string."""
+    literal = re.compile(r"""["'](?:aborted_)?step\d["']""")
+    found = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(Path(eprlink.__file__).parent.glob("*.py"))
+        if path.name != "channels.py"
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if literal.search(line)
+    ]
+    assert found == []
 
 
 class _FlipEverything(Adversary):
