@@ -124,10 +124,12 @@ class AttackSpec:
 
 
 class Adversary:
-    """Base adversary: hears all public traffic, taps only its ``edge`` (if any), does nothing.
+    """Base adversary: taps only its ``edge`` (if any), does nothing.
 
     Every interceptor subclasses it; the network and the protocol call each
-    hook directly, so an attack overrides only the hooks it acts through.
+    hook directly, so an attack overrides only the hooks it acts through.  The
+    network hands public traffic only to an adversary whose class overrides
+    :meth:`on_classical_observed`.
     """
 
     # True when the adversary, not TP1, makes every payload group.
@@ -149,6 +151,11 @@ class Adversary:
 
     def on_classical_observed(self, net: Network, msg: ClassicalMessage) -> None:
         pass
+
+    @property
+    def observes_classical(self) -> bool:
+        """Whether the class overrides :meth:`on_classical_observed`; read once at registration."""
+        return type(self).on_classical_observed is not Adversary.on_classical_observed
 
     def on_relay_payload(
         self, net: Network, payload: Sequence, surviving_indices: Sequence[int]

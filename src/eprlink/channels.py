@@ -339,6 +339,8 @@ class Network:
         self.rng = rng if rng is not None else np.random.default_rng()
         self.transcript = Transcript()
         self.interceptors: List[object] = []
+        # The interceptors that override the classical hook, the only ones it is called on.
+        self.observers: List[object] = []
         # Parties equipped with ideal probe filters (photon-number split and
         # wavelength); scanning without a filter sees nothing.  A fresh set per
         # network, since a run may switch its filters off.
@@ -348,6 +350,8 @@ class Network:
     def add_interceptor(self, adversary: object) -> None:
         """Register an ``Adversary``; its hooks run in registration order."""
         self.interceptors.append(adversary)
+        if adversary.observes_classical:
+            self.observers.append(adversary)
 
     # -- trojan bookkeeping -------------------------------------------------
 
@@ -392,9 +396,10 @@ class Network:
     def send_classical(self, sender: PartyId, receiver: PartyId, payload: object) -> None:
         """Deliver an authenticated classical payload verbatim.
 
-        The content is public: every registered interceptor observes it, but
-        none can alter it (payloads are immutable values).  The send is one
-        transcript event; a ``ClassicalMessage`` is built only for interceptors.
+        The content is public: every registered interceptor that overrides
+        ``on_classical_observed`` observes it, but none can alter it (payloads
+        are immutable values).  The send is one transcript event; a
+        ``ClassicalMessage`` is built only for such observers.
         """
         if not self.topology.has_classical(sender, receiver):
             raise TopologyError(f"no classical channel between {sender} and {receiver}")
@@ -402,7 +407,7 @@ class Network:
         if kind is None:
             raise ChannelContractError("classical payload outside the protocol vocabulary")
         self.transcript.log(kind, sender, receiver, payload)
-        if self.interceptors:
+        if self.observers:
             msg = ClassicalMessage(sender, receiver, payload)
-            for adv in self.interceptors:
+            for adv in self.observers:
                 adv.on_classical_observed(self, msg)

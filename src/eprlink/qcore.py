@@ -8,8 +8,9 @@ get.  Entangling operations merge factors on demand; discarding a qubit that
 is back in a product state shrinks its factor again.
 
 One map, ``QuantumRegister._where``, takes each live qubit straight to the
-:class:`StateVector` of its factor; a factor has no id of its own, and the
-distinct factors are the distinct values of that map.  The per-qubit hot path
+:class:`StateVector` of its factor, or, for a qubit that is alone, to its bare
+amplitude pair; a factor has no id of its own, and the distinct factors are the
+distinct values of that map.  The per-qubit hot path
 builds no throwaway objects: :meth:`QuantumRegister.measure` returns one of
 four shared :class:`MeasurementOutcome` values, shared-state amplitudes are
 copied from one template per size, and the fixed one-qubit gates keep their
@@ -21,9 +22,9 @@ Conventions:
     owns bit n-1-k of the flat index, so the list is the C-order flattening of
     a (2,) * n tensor.  Every operation runs one kernel over cached index
     tables (:func:`_halves`, :func:`_quarters`) and writes the list in place.
-    A 1-qubit factor is any 2-sequence of Python complex numbers (a shared
-    label tuple when fresh), measured and gated by its own short path, since
-    most measurements in a trial read lone decoys,
+    A lone qubit has no factor object: its entry is a 2-tuple of Python
+    complex numbers (its label's shared tuple when fresh), measured and gated
+    inline, since most measurements in a trial read lone decoys,
   * numpy holds the constants and serves the inspection calls
     (``reduced_density``, ``state_fidelity``, ``norm_error``), which reshape
     the flat list to a tensor,
@@ -37,7 +38,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -320,36 +321,12 @@ def _check_unitary(u: np.ndarray, dim: int) -> np.ndarray:
     return u
 
 
-def _measure_single(
-    amps: Sequence[complex], x_basis: bool, rng: np.random.Generator, draw: Optional[float]
-) -> Tuple[Tuple[complex, complex], int]:
-    """:meth:`QuantumRegister.measure` of a 1-qubit factor: the new amplitudes and the bit.
-
-    The same projection, draw and comparison as the flat kernel, on the two
-    amplitudes as Python complex scalars.
-    """
-    b0, b1 = amps
-    if x_basis:
-        # sqrt2 <+|psi> and sqrt2 <-|psi>; the 1/sqrt2 factors go into p1 and scale.
-        b0, b1 = b0 + b1, b0 - b1
-    p1 = b1.real * b1.real + b1.imag * b1.imag
-    if x_basis:
-        p1 *= 0.5
-    if draw is None:
-        draw = rng.random()
-    bit = 1 if draw < p1 else 0
-    scale = 1.0 / math.sqrt(p1 if bit else 1.0 - p1)
-    if x_basis:
-        kept = (b1 if bit else b0) * (0.5 * scale)
-        return ((kept, -kept) if bit else (kept, kept)), bit
-    return ((0j, b1 * scale) if bit else (b0 * scale, 0j)), bit
-
-
 class StateVector:
-    """One independent tensor factor of the run's global state.
+    """One independent tensor factor of two or more qubits of the run's global state.
 
-    ``amps`` is a 2-sequence of Python complex numbers for one qubit and a
-    flat list of 2**n of them for n >= 2 qubits (see the module conventions).
+    ``amps`` is a flat list of 2**n Python complex numbers (see the module
+    conventions).  Only inspection wraps a lone qubit's pair in a one-qubit
+    instance, which the register never stores.
     """
 
     __slots__ = ("amps", "qubit_order")
@@ -378,8 +355,9 @@ class QuantumRegister:
 
     def __init__(self) -> None:
         self._next_uid = 0
-        # Each live qubit's factor; qubits that share a factor share its object.
-        self._where: Dict[QubitRef, StateVector] = {}
+        # Each live qubit's factor (qubits that share a factor share its
+        # object), or a lone qubit's bare amplitude pair.
+        self._where: Dict[QubitRef, Union[StateVector, Tuple[complex, complex]]] = {}
         self._consumed: set = set()
 
     # -- bookkeeping -------------------------------------------------------
@@ -400,18 +378,22 @@ class QuantumRegister:
         return DeadQubitError(f"{q} does not belong to this register")
 
     def _locate(self, q: QubitRef) -> StateVector:
+        """q's factor; a lone qubit's pair comes in a throwaway one-qubit wrapper."""
         sv = self._where.get(q)
         if sv is None:
             raise self._dead(q)
-        return sv
+        return StateVector(sv, [q]) if type(sv) is tuple else sv
 
-    def _merge(self, a: StateVector, b: StateVector) -> StateVector:
+    def _merge(self, qa: QubitRef, qb: QubitRef) -> StateVector:
+        """The one factor holding qa and qb, qa's qubits first when two are joined."""
+        a, b = self._locate(qa), self._locate(qb)
         if a is b:
             return a
         a.amps = [x * y for x in a.amps for y in b.amps]
         a.qubit_order = a.qubit_order + b.qubit_order
         for r in b.qubit_order:
             self._where[r] = a
+        self._where[qa] = a
         return a
 
     def is_live(self, q: QubitRef) -> bool:
@@ -421,7 +403,7 @@ class QuantumRegister:
         return list(self._where)
 
     def max_norm_error(self) -> float:
-        return max((sv.norm_error() for sv in set(self._where.values())), default=0.0)
+        return max((self._locate(q).norm_error() for q in self._where), default=0.0)
 
     # -- preparation -------------------------------------------------------
 
@@ -430,7 +412,7 @@ class QuantumRegister:
         vec = _single_state(label)
         ref = QubitRef(self._next_uid)
         self._next_uid += 1
-        self._where[ref] = StateVector(vec, [ref])
+        self._where[ref] = vec
         return ref
 
     def prepare_epr_pair(self) -> Tuple[QubitRef, QubitRef]:
@@ -449,15 +431,18 @@ class QuantumRegister:
 
     # -- unitaries ---------------------------------------------------------
 
-    def _apply_1q(self, sv: StateVector, k: int, rows: List[List[complex]]) -> None:
+    def _apply_1q(self, q: QubitRef, rows: List[List[complex]]) -> None:
         (u00, u01), (u10, u11) = rows
+        sv = self._where.get(q)
+        if sv is None:
+            raise self._dead(q)
+        if type(sv) is tuple:
+            x, y = sv
+            self._where[q] = (u00 * x + u01 * y, u10 * x + u11 * y)
+            return
         amps = sv.amps
         order = sv.qubit_order
-        if len(order) == 1:
-            x, y = amps
-            sv.amps = (u00 * x + u01 * y, u10 * x + u11 * y)
-            return
-        for i, j in zip(*_halves(len(order), k)):
+        for i, j in zip(*_halves(len(order), order.index(q))):
             x, y = amps[i], amps[j]
             amps[i] = u00 * x + u01 * y
             amps[j] = u10 * x + u11 * y
@@ -474,17 +459,15 @@ class QuantumRegister:
     def apply_pauli(self, q: QubitRef, code: PauliCode) -> None:
         if code is PauliCode.I:
             return
-        sv = self._locate(q)
-        self._apply_1q(sv, sv.axis_of(q), _PAULI_ROWS[code])
+        self._apply_1q(q, _PAULI_ROWS[code])
 
     def apply_hadamard(self, q: QubitRef) -> None:
-        sv = self._locate(q)
-        self._apply_1q(sv, sv.axis_of(q), _HADAMARD_ROWS)
+        self._apply_1q(q, _HADAMARD_ROWS)
 
     def apply_cnot(self, control: QubitRef, target: QubitRef) -> None:
         if control == target:
             raise ValueError("control and target must differ")
-        sv = self._merge(self._locate(control), self._locate(target))
+        sv = self._merge(control, target)
         self._apply_2q(sv, sv.axis_of(control), sv.axis_of(target), _CNOT_ROWS)
 
     def apply_two_qubit_unitary(self, u: np.ndarray, qa: QubitRef, qb: QubitRef) -> None:
@@ -492,7 +475,7 @@ class QuantumRegister:
         if qa == qb:
             raise ValueError("the two qubits must differ")
         rows = _check_unitary(u, 4).tolist()
-        sv = self._merge(self._locate(qa), self._locate(qb))
+        sv = self._merge(qa, qb)
         self._apply_2q(sv, sv.axis_of(qa), sv.axis_of(qb), rows)
 
     # -- measurement -------------------------------------------------------
@@ -514,12 +497,27 @@ class QuantumRegister:
         sv = self._where.get(q)
         if sv is None:
             raise self._dead(q)
+        x_basis = basis is Basis.X
+        if type(sv) is tuple:
+            # A lone qubit: the same projection, draw and comparison on its pair.
+            b0, b1 = sv
+            if x_basis:
+                b0, b1 = b0 + b1, b0 - b1
+            p1 = b1.real * b1.real + b1.imag * b1.imag
+            if x_basis:
+                p1 *= 0.5
+            if draw is None:
+                draw = rng.random()
+            bit = 1 if draw < p1 else 0
+            scale = 1.0 / math.sqrt(p1 if bit else 1.0 - p1)
+            if x_basis:
+                kept = (b1 if bit else b0) * (0.5 * scale)
+                self._where[q] = (kept, -kept) if bit else (kept, kept)
+            else:
+                self._where[q] = (0j, b1 * scale) if bit else (b0 * scale, 0j)
+            return _OUTCOMES[x_basis][bit]
         amps = sv.amps
         order = sv.qubit_order
-        x_basis = basis is Basis.X
-        if len(order) == 1:
-            sv.amps, bit = _measure_single(amps, x_basis, rng, draw)
-            return _OUTCOMES[x_basis][bit]
         zeros, ones = _halves(len(order), order.index(q))
         if x_basis:
             # sqrt2 <+|psi> and sqrt2 <-|psi>; the 1/sqrt2 factors go into p1 and scale.
@@ -578,7 +576,7 @@ class QuantumRegister:
         """
         if q1 == q2:
             raise ValueError("bell_measure needs two distinct qubits")
-        sv = self._merge(self._locate(q1), self._locate(q2))
+        sv = self._merge(q1, q2)
         order = sv.qubit_order
         quads = _quarters(len(order), order.index(q1), order.index(q2))
         amps = sv.amps
@@ -616,8 +614,8 @@ class QuantumRegister:
         sv = self._where.get(q)
         if sv is None:
             raise self._dead(q)
-        order = sv.qubit_order
-        if len(order) > 1:
+        if type(sv) is not tuple:
+            order = sv.qubit_order
             amps = sv.amps
             # The qubit's reduced state is the Gram matrix of its two halves.
             zeros, ones = _halves(len(order), order.index(q))
@@ -635,8 +633,13 @@ class QuantumRegister:
             # the larger one, normalised, is it up to a global phase.
             kept, g = (zeros, g00) if g00 >= g11 else (ones, g11)
             norm = math.sqrt(g)
-            sv.amps = [amps[i] / norm for i in kept]
-            sv.qubit_order = [r for r in order if r != q]
+            rest = [r for r in order if r != q]
+            if len(rest) == 1:
+                i, j = kept
+                self._where[rest[0]] = (amps[i] / norm, amps[j] / norm)
+            else:
+                sv.amps = [amps[i] / norm for i in kept]
+                sv.qubit_order = rest
         del self._where[q]
         self._consumed.add(q)
 
@@ -683,8 +686,8 @@ class QuantumRegister:
         in the same order, so the matrix is bit-identical; any other qubit set
         goes through :meth:`reduced_density`.
         """
-        sv = self._where.get(qubits[0]) if qubits else None
-        if sv is not None:
+        if qubits and qubits[0] in self._where:
+            sv = self._locate(qubits[0])
             order = sv.qubit_order
             if len(order) == len(qubits) and set(order) == set(qubits):
                 amps = sv.tensor()

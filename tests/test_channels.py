@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from eprlink import channels
-from eprlink.adversaries import Adversary
+from eprlink.adversaries import Adversary, attack_from_name, build_adversary
 from eprlink.channels import (
     ALICE,
     BOB,
@@ -32,7 +32,7 @@ from eprlink.channels import (
     end_parties,
     participant,
 )
-from eprlink.protocol import EstablishmentConfig
+from eprlink.protocol import EstablishmentConfig, run_establishment
 from eprlink.qcore import Basis, QuantumRegister
 from eprlink.qsdc import run_qsdc
 
@@ -274,27 +274,33 @@ def test_all_interceptors_hear_public_traffic():
     assert tapper.saw_classical == ["ack", "measurement_results"]
 
 
-def test_interceptors_observe_each_classical_event_once_in_order():
-    """On a whole qsdc run, each classical transcript event reaches a listener once."""
+class _Listener(Adversary):
+    """Hears public traffic and nothing else."""
 
-    class Listener(Adversary):
-        def __init__(self):
-            super().__init__(EVE)
-            self.heard = []
+    def __init__(self):
+        super().__init__(EVE)
+        self.heard = []
 
-        def on_classical_observed(self, net, msg):
-            self.heard.append(msg)
+    def on_classical_observed(self, net, msg):
+        self.heard.append(msg)
 
-    listener = Listener()
-    cfg = EstablishmentConfig(m_pairs=4, n_decoys=2)
-    out = run_qsdc(cfg, None, listener, np.random.default_rng(3))
-    assert out.delivered
-    logged = [e for e in out.session.net.transcript if not isinstance(e.payload, str)]
-    assert len(logged) == len(listener.heard) > 0
-    for event, msg in zip(logged, listener.heard):
+
+def _assert_heard_every_classical_event_in_order(heard, transcript):
+    logged = [e for e in transcript if not isinstance(e.payload, str)]
+    assert len(logged) == len(heard) > 0
+    for event, msg in zip(logged, heard):
         assert isinstance(msg, ClassicalMessage)
         assert (msg.sender.name, msg.receiver.name) == (event.frm, event.to)
         assert msg.payload is event.payload and event.kind == msg.payload.KIND
+
+
+def test_interceptors_observe_each_classical_event_once_in_order():
+    """On a whole qsdc run, each classical transcript event reaches a listener once."""
+    listener = _Listener()
+    cfg = EstablishmentConfig(m_pairs=4, n_decoys=2)
+    out = run_qsdc(cfg, None, listener, np.random.default_rng(3))
+    assert out.delivered
+    _assert_heard_every_classical_event_in_order(listener.heard, out.session.net.transcript)
 
 
 def test_send_classical_returns_nothing_and_builds_no_message_without_listeners(monkeypatch):
@@ -313,6 +319,47 @@ def test_send_classical_returns_nothing_and_builds_no_message_without_listeners(
     listened.add_interceptor(_Recorder("eve"))
     assert listened.send_classical(TP1, ALICE, Ack()) is None
     assert len(built) == 1 and built[0].payload == Ack()
+
+    # An attack that keeps the base classical hook is no observer: it costs no message.
+    cfg = EstablishmentConfig(m_pairs=4, n_decoys=2, check_fraction=0.5)
+    built.clear()
+    intercept = build_adversary(attack_from_name("intercept_resend"))
+    out = run_establishment(cfg, intercept, np.random.default_rng(3))
+    net = out.session.net
+    assert net.interceptors == [intercept] and net.observers == [] and built == []
+    assert any(not isinstance(e.payload, str) for e in net.transcript)
+
+    # Every class that overrides the hook still hears every classical event, in order.
+    recorder = _Recorder("eve")
+    built.clear()
+    out = run_qsdc(cfg, None, recorder, np.random.default_rng(3))
+    assert out.session.net.observers == [recorder]
+    _assert_heard_every_classical_event_in_order(built, out.session.net.transcript)
+    assert recorder.saw_classical == [m.payload.KIND for m in built]
+    listener = _Listener()
+    built.clear()
+    out = run_qsdc(cfg, None, listener, np.random.default_rng(3))
+    assert out.session.net.observers == [listener]
+    _assert_heard_every_classical_event_in_order(listener.heard, out.session.net.transcript)
+    assert list(map(id, listener.heard)) == list(map(id, built))
+    for name, run in (
+        ("entanglement_swap", lambda adv: run_establishment(cfg, adv, np.random.default_rng(3))),
+        ("correlation_elicitation", lambda adv: run_qsdc(cfg, None, adv, np.random.default_rng(3))),
+    ):
+        attack = build_adversary(attack_from_name(name))
+        heard = []
+        hook = type(attack).on_classical_observed
+
+        def recording(self, net, msg, _hook=hook, _heard=heard):
+            _heard.append(msg)
+            _hook(self, net, msg)
+
+        monkeypatch.setattr(type(attack), "on_classical_observed", recording)
+        built.clear()
+        out = run(attack)
+        assert out.session.net.observers == [attack]
+        _assert_heard_every_classical_event_in_order(heard, out.session.net.transcript)
+        assert list(map(id, heard)) == list(map(id, built))
 
 
 # --- probe-photon filters ----------------------------------------------------------

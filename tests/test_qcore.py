@@ -21,6 +21,7 @@ from eprlink.qcore import (
     NonUnitaryError,
     PauliCode,
     QuantumRegister,
+    StateVector,
     attempt_clone_unitary,
     bell_vector,
     cnot_matrix,
@@ -558,10 +559,16 @@ def _random_unitary(rng, dim):
 
 
 def _loaded_register(amps):
-    """A register whose only factor holds ``amps``, one qubit per axis."""
+    """A register whose only factor holds ``amps``, one qubit per axis.
+
+    One qubit has no factor object: its entry is the bare amplitude pair.
+    """
     reg = QuantumRegister()
     refs = reg._new_refs(amps.ndim)
-    reg._add_factor(amps.ravel().tolist(), refs)
+    if amps.ndim == 1:
+        reg._where[refs[0]] = tuple(amps.tolist())
+    else:
+        reg._add_factor(amps.ravel().tolist(), refs)
     return reg, refs
 
 
@@ -604,8 +611,7 @@ def test_one_qubit_gate_kernel_matches_reference(n):
         u = _random_unitary(rng, 2)
         for k in range(n):
             reg, refs = _loaded_register(amps)
-            sv = reg._locate(refs[k])
-            reg._apply_1q(sv, k, u.tolist())
+            reg._apply_1q(refs[k], u.tolist())
             want = _ref_apply_1q(amps, k, u)
             assert np.max(np.abs(_factor_amps(reg, refs[k]) - want)) < 1e-12
 
@@ -641,6 +647,8 @@ def test_discard_kernel_matches_reference_on_product_states(n):
             survivor = refs[1] if k == 0 else refs[0]
             sv = reg._locate(survivor)
             assert sv.qubit_order == [q for q in refs if q != refs[k]]
+            # A lone survivor is stored as its bare pair, never as a one-qubit factor.
+            assert (type(reg._where[survivor]) is tuple) == (n == 2)
             _assert_same_up_to_phase(_factor_amps(reg, survivor), want_rest)
 
 
@@ -766,7 +774,8 @@ def test_measure_with_a_given_draw_reads_no_random_number():
 
 # --- lone qubits: the 1-qubit path against reference kernels ---------------------------
 #
-# A 1-qubit factor is any pair of Python complex numbers.  The references below
+# A lone qubit's register entry is a bare pair of Python complex numbers, with
+# no factor object around it.  The references below
 # are kernels for a (2,) ndarray factor; each side gets its own generator from
 # the same seed, so equal next draws mean equal consumption.
 
@@ -823,19 +832,40 @@ def _lone_states():
 
 
 def _lone_register(vec):
-    """A register holding one qubit whose factor is ``vec`` as Python complex numbers."""
+    """A register holding one lone qubit whose pair is ``vec`` as Python complex numbers."""
     reg = QuantumRegister()
     q = reg.prepare_single("0")
-    reg._locate(q).amps = tuple(complex(v) for v in vec)
+    reg._where[q] = tuple(complex(v) for v in vec)
     return reg, q
 
 
 def _assert_lone_amps(reg, q, want):
-    """q is alone in its factor, held as two Python complex numbers (a tuple or a list)."""
-    amps = reg._locate(q).amps
+    """q is alone, its register entry a bare tuple of two Python complex numbers."""
+    amps = reg._where[q]
+    assert type(amps) is tuple
     assert len(reg._locate(q).qubit_order) == 1 and len(amps) == 2
     assert all(type(a) is complex for a in amps)
     assert np.max(np.abs(np.asarray(amps) - want)) < 1e-12
+
+
+def _threshold(reg, q, basis):
+    """The p1 that ``reg.measure(q, basis, ...)`` compares its draw against."""
+    stub = _RecordingRng(0.5)
+    reg.measure(q, basis, stub)
+    (p1,) = stub.seen
+    return p1
+
+
+def _draws_around(p1):
+    """p1 and one ulp either side, kept to the [0, 1) that ``rng.random()`` returns."""
+    near = (math.nextafter(p1, -math.inf), p1, math.nextafter(p1, math.inf))
+    return [d for d in near if 0.0 <= d < 1.0]
+
+
+def _with_fresh_zero(reg, q):
+    """Merge a fresh |0> behind q's factor; q keeps its amplitudes in the flat kernel's layout."""
+    reg._merge(q, reg.prepare_single("0"))
+    return reg._locate(q)
 
 
 def test_prepare_single_shares_its_label_tuple():
@@ -887,8 +917,57 @@ def test_discard_leaves_a_lone_qubit_matching_the_reference():
             reg, refs = _loaded_register(amps)
             reg.discard(refs[k])
             _assert_lone_amps(reg, refs[1 - k], _ref_pair_discard(amps, k))
+            # The bare survivor holds exactly the flat kernel's values.
+            flat, flat_refs = _loaded_register(amps)
+            sv = _with_fresh_zero(flat, flat_refs[0])
+            flat.discard(flat_refs[k])
+            assert reg._where[refs[1 - k]] == (sv.amps[0], sv.amps[2])
             reg.discard(refs[1 - k])
             assert reg.live_qubits() == [] and reg._where == {}
+
+
+@pytest.mark.parametrize("basis", [Basis.Z, Basis.X])
+def test_bare_pair_measure_equals_the_flat_kernel_bit_for_bit(basis):
+    """The lone branch of ``measure`` against the flat kernel on the qubit beside a fresh |0>."""
+    for vec in _lone_states():
+        reg, q = _lone_register(vec)
+        p1 = _threshold(reg, q, basis)
+        flat, qf = _lone_register(vec)
+        _with_fresh_zero(flat, qf)
+        assert _threshold(flat, qf, basis) == p1
+        for draw in _draws_around(p1):
+            reg, q = _lone_register(vec)
+            flat, qf = _lone_register(vec)
+            sv = _with_fresh_zero(flat, qf)
+            rng_lone, rng_flat = np.random.default_rng(0), np.random.default_rng(0)
+            got = reg.measure(q, basis, rng_lone, draw)
+            assert got is flat.measure(qf, basis, rng_flat, draw)
+            assert got.bit == (1 if draw < p1 else 0)
+            # q owns the high bit of the flat index; the fresh |0> stays zero.
+            assert type(reg._where[q]) is tuple
+            assert reg._where[q] == (sv.amps[0], sv.amps[2])
+            assert sv.amps[1] == sv.amps[3] == 0
+            assert rng_lone.random() == rng_flat.random()
+
+
+@pytest.mark.parametrize("basis", [Basis.Z, Basis.X])
+@pytest.mark.parametrize("k", [0, 1])
+def test_discarding_a_measured_epr_half_leaves_a_bare_pair_equal_to_the_kernel(k, basis):
+    reg = QuantumRegister()
+    p1 = _threshold(reg, reg.prepare_epr_pair()[k], basis)
+    for draw in _draws_around(p1):
+        reg, flat = QuantumRegister(), QuantumRegister()
+        pair, flat_pair = reg.prepare_epr_pair(), flat.prepare_epr_pair()
+        sv = _with_fresh_zero(flat, flat_pair[0])
+        rng = np.random.default_rng(0)
+        assert reg.measure(pair[k], basis, rng, draw) is flat.measure(flat_pair[k], basis, rng, draw)
+        reg.discard(pair[k])
+        flat.discard(flat_pair[k])
+        survivor = pair[1 - k]
+        assert type(reg._where[survivor]) is tuple and reg.live_qubits() == [survivor]
+        assert sv.qubit_order[0] == flat_pair[1 - k]
+        assert reg._where[survivor] == (sv.amps[0], sv.amps[2])
+        assert all(type(a) is complex for a in reg._where[survivor])
 
 
 def test_lone_qubits_merge_like_ndarray_factors():
@@ -941,8 +1020,6 @@ def test_whole_factor_fidelity_is_bit_identical_to_reduced_density(n):
     for _ in range(10):
         amps = _random_state(rng, n)
         reg, refs = _loaded_register(amps)
-        if n == 1:
-            reg._locate(refs[0]).amps = tuple(amps.tolist())
         _forbid_reduced_density(reg)
         target = _random_state(rng, n).reshape(-1)
         for order in itertools.permutations(refs):
@@ -1028,14 +1105,20 @@ def test_measure_returns_one_shared_outcome_per_basis_and_bit():
 
 
 def _assert_factor_map_consistent(reg, discarded):
-    factors = set(reg._where.values())
+    factors = {sv for sv in reg._where.values() if type(sv) is not tuple}
+    lone = [q for q, sv in reg._where.items() if type(sv) is tuple]
+    for q in lone:
+        pair = reg._where[q]
+        assert len(pair) == 2 and all(type(a) is complex for a in pair)
     for q, sv in reg._where.items():
-        assert q in sv.qubit_order
+        if q not in lone:
+            assert type(sv) is StateVector and q in sv.qubit_order
     for sv in factors:
+        assert len(sv.qubit_order) >= 2
         assert len(set(sv.qubit_order)) == len(sv.qubit_order)
         assert all(reg._where[r] is sv for r in sv.qubit_order)
         assert np.asarray(sv.amps).size == 2 ** len(sv.qubit_order)
-    assert sum(len(sv.qubit_order) for sv in factors) == len(reg._where)
+    assert sum(len(sv.qubit_order) for sv in factors) + len(lone) == len(reg._where)
     assert not discarded & set(reg._where)
     assert reg.max_norm_error() < 1e-10
 
@@ -1067,7 +1150,7 @@ def test_factor_map_stays_consistent_through_merges_bell_measurements_and_discar
             assert not reg.is_live(q)
         _assert_factor_map_consistent(reg, discarded)
         assert sorted(reg.live_qubits()) == sorted(live)
-    assert discarded and max(len(sv.qubit_order) for sv in reg._where.values()) >= 3
+    assert discarded and max(len(reg._locate(q).qubit_order) for q in reg._where) >= 3
     for q in live:
         reg.measure(q, Basis.Z, rng)
         reg.discard(q)

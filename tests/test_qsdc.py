@@ -1,5 +1,6 @@
 """Direct-messaging tests: delivery, integrity tag, aborts, transcript audits."""
 
+import collections
 import json
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from eprlink.adversaries import Adversary, AttackKind, AttackSpec
 from eprlink.channels import ALICE, BOB, EVE, TP1, TP2
 from eprlink.protocol import EstablishmentConfig, RunStatus
-from eprlink.qcore import PauliCode
+from eprlink.qcore import PauliCode, QuantumRegister
 from eprlink.qsdc import (
     HONEST_CLASSICAL_KINDS,
     Message,
@@ -116,6 +117,37 @@ def test_honest_runs_deterministic_per_seed():
     assert a.decoded == b.decoded
     text_a = a.session.net.transcript.to_jsonl()
     assert text_a == b.session.net.transcript.to_jsonl()
+
+
+_COUNTED_REGISTER_CALLS = (
+    "prepare_single", "prepare_epr_pair", "prepare_ghz", "measure", "discard", "bell_measure",
+)
+
+
+def test_an_honest_trial_makes_one_register_call_per_qubit(monkeypatch):
+    """Each decoy and each checked qubit is one prepare, measure and discard call.
+
+    A counter of these methods reads one call as one qubit, so a call that
+    handled several qubits at once would change these numbers.  At m=10, n=10
+    and check fraction 0.3: 4 legs of 10 decoys, 10 shared pairs, 3 checked
+    pairs measured on both halves, 7 pairs read in the Bell basis.
+    """
+    counts = collections.Counter()
+    for name in _COUNTED_REGISTER_CALLS:
+        method = getattr(QuantumRegister, name)
+
+        def counted(self, *args, _name=name, _method=method, **kwargs):
+            counts[_name] += 1
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(QuantumRegister, name, counted)
+    cfg = EstablishmentConfig(m_pairs=10, n_decoys=10, check_fraction=0.3)
+    for seed in range(3):
+        counts.clear()
+        assert run_qsdc(cfg, rng=np.random.default_rng(seed)).delivered
+        assert counts == {
+            "prepare_single": 40, "prepare_ghz": 10, "measure": 46, "discard": 46, "bell_measure": 7,
+        }
 
 
 # --- transcript audits ----------------------------------------------------------------
