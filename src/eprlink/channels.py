@@ -69,11 +69,17 @@ def participant(k: int) -> PartyId:
     return PartyId(f"P{k}")
 
 
-def end_parties(k: int) -> List[PartyId]:
-    """The k end parties of a run, in fixed order."""
+@lru_cache(maxsize=None)  # one entry per party count a run uses
+def end_party_tuple(k: int) -> Tuple[PartyId, ...]:
+    """The k end parties of a run, in fixed order, built once per k and shared."""
     if k < 2:
         raise ValueError("a run needs at least two end parties")
-    return [participant(i + 1) for i in range(k)]
+    return tuple(participant(i + 1) for i in range(k))
+
+
+def end_parties(k: int) -> List[PartyId]:
+    """The k end parties of a run, in fixed order, as a fresh list."""
+    return list(end_party_tuple(k))
 
 
 class TrojanKind(Enum):
@@ -281,6 +287,8 @@ class Topology:
     _classical_pairs: frozenset = field(init=False, repr=False, compare=False)
     # Every party at the end of a quantum link.
     quantum_parties: frozenset = field(init=False, repr=False, compare=False)
+    # flood_route's answers, keyed by (origin, everyone).
+    _flood_routes: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_quantum_pairs", _ordered_pairs(self.quantum_edges))
@@ -288,12 +296,41 @@ class Topology:
         object.__setattr__(
             self, "quantum_parties", frozenset(p for edge in self.quantum_edges for p in edge)
         )
+        object.__setattr__(self, "_flood_routes", {})
 
     def has_quantum(self, a: PartyId, b: PartyId) -> bool:
         return (a, b) in self._quantum_pairs
 
     def has_classical(self, a: PartyId, b: PartyId) -> bool:
         return (a, b) in self._classical_pairs
+
+    def flood_route(
+        self, origin: PartyId, everyone: Tuple[PartyId, ...]
+    ) -> Tuple[Tuple[PartyId, PartyId], ...]:
+        """The classical sends, in order, that flood a notice from ``origin``.
+
+        Hop by hop: each party told in the last round passes the notice on to
+        every party of ``everyone`` not yet told, in that order, with which it
+        shares a classical link.  A topology is immutable, so each (origin,
+        everyone) route is worked out once.
+        """
+        key = (origin, everyone)
+        route = self._flood_routes.get(key)
+        if route is None:
+            sends = []
+            reached = {origin}
+            frontier = [origin]
+            while frontier:
+                next_frontier = []
+                for sender in frontier:
+                    for p in everyone:
+                        if p not in reached and self.has_classical(sender, p):
+                            sends.append((sender, p))
+                            reached.add(p)
+                            next_frontier.append(p)
+                frontier = next_frontier
+            route = self._flood_routes[key] = tuple(sends)
+        return route
 
     @classmethod
     def for_parties(cls, parties: Sequence[PartyId]) -> "Topology":

@@ -702,13 +702,20 @@ def _check_keys(mapping: dict, allowed: Sequence[str], where: str) -> None:
 def _parse_matrix(rows) -> tuple:
     """Nested lists of JSON numbers or [re, im] pairs of them -> nested tuples of complex.
 
-    A string or boolean entry is an error, never coerced.
+    A string or boolean entry is an error, never coerced; so is a non-finite one
+    (JSON's NaN and Infinity, or an integer too large for a float).
     """
 
     def number(x) -> float:
         if isinstance(x, bool) or not isinstance(x, (int, float)):
             raise ValueError(f"unitary entries must be numbers or [re, im] pairs, got {x!r}")
-        return float(x)
+        try:
+            value = float(x)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError(f"unitary entries must be finite, got {x!r}")
+        return value
 
     def cell(x) -> complex:
         if isinstance(x, list) and len(x) == 2:
@@ -985,6 +992,33 @@ def _check_output_path(path) -> None:
         raise ValueError(f"output directory {parent!r} does not exist")
 
 
+def _read_json_config(fh) -> object:
+    """``json.load``, except that a key given twice in one object is a ValueError.
+
+    The error names the key and the section it sits in (``config`` for the top
+    level).  Objects are built innermost first, so a section's repeat is held
+    until the object around it names the section.
+    """
+    held: Dict[int, Tuple[dict, str]] = {}  # id of an object with a repeat -> (it, the key)
+
+    def build(pairs: List[Tuple[str, object]]) -> dict:
+        obj: dict = {}
+        for key, value in pairs:
+            inner = held.pop(id(value), None)
+            if inner is not None and id(obj) not in held:  # else obj's own repeat came first
+                raise ValueError(f"repeated key {inner[1]!r} in {key}")
+            if key in obj and id(obj) not in held:
+                held[id(obj)] = (obj, key)
+            obj[key] = value
+        return obj
+
+    data = json.load(fh, object_pairs_hook=build)
+    if held:
+        _, key = next(iter(held.values()))
+        raise ValueError(f"repeated key {key!r} in config")
+    return data
+
+
 def load_config(
     path: Optional[str],
     flags: Optional[Dict[Tuple[str, ...], object]] = None,
@@ -994,13 +1028,14 @@ def load_config(
 
     ``flags`` maps ``CONFIG_KEYS`` paths to values that override the file's.
     ``scenario`` is the scenario a CLI command fixes, if any; a file naming
-    another is an error.  So are unknown keys, values of the wrong JSON type,
-    and keys that the run's scenario does not read.
+    another is an error.  So are unknown keys, a key given twice in one
+    object, values of the wrong JSON type, and keys that the run's scenario
+    does not read.
     """
     data, flags = {}, flags or {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = _read_json_config(fh)
         if not isinstance(data, dict):
             raise ValueError("config must be a JSON object")
     _check_keys(data, _READERS, "config")

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, NamedTuple, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,7 +39,7 @@ from .channels import (
     Topology,
     TP1,
     TP2,
-    end_parties,
+    end_party_tuple,
 )
 from .qcore import (
     BASIS_BY_BIT,
@@ -81,9 +82,9 @@ class Aborted(Exception):
         self.detected_by = detected_by
 
 
-@dataclass
+@dataclass(frozen=True)
 class EstablishmentConfig:
-    """Knobs of one establishment run."""
+    """Knobs of one establishment run; immutable, so derived counts are worked out once."""
 
     m_pairs: int
     n_decoys: int
@@ -100,7 +101,7 @@ class EstablishmentConfig:
         if self.parties < 2:
             raise ValueError("parties must be >= 2")
 
-    @property
+    @cached_property
     def checked_count(self) -> int:
         # Round before taking the ceiling so that fractions like 0.4 * 10,
         # which float arithmetic can nudge just above the intended integer,
@@ -171,7 +172,7 @@ class Session:
         filters_enabled: bool = True,
     ) -> None:
         self.cfg = cfg
-        self.parties = end_parties(cfg.parties)
+        self.parties = end_party_tuple(cfg.parties)
         self.rng = rng if rng is not None else np.random.default_rng()
         self.register = QuantumRegister()
         self.net = Network(Topology.for_parties(self.parties), self.register, self.rng)
@@ -203,7 +204,8 @@ class Session:
         # Ascending inserts: every decoy lands on its final slot.
         for pos, lab in zip(positions, labels):
             sequence.insert(pos, prepare(lab))
-        return sequence, [_decoy_record(pos, lab) for pos, lab in zip(positions, labels)]
+        shared = _RECORDS.get
+        return sequence, [shared(key) or _decoy_record(*key) for key in zip(positions, labels)]
 
     def run_decoy_discussion(
         self,
@@ -240,25 +242,15 @@ def _abort(session: Session, status: RunStatus, detected_by: PartyId, reason: st
     # relay nodes, nor between end parties, so whoever hears it first passes
     # it on until every participant has been told.
     notice = AbortNotice(status.stage, reason)
-    everyone = [TP1, TP2, *session.parties]
-    topo = session.net.topology
-    reached = {detected_by}
-    frontier = [detected_by]
-    while frontier:
-        next_frontier = []
-        for sender in frontier:
-            for p in everyone:
-                if p not in reached and topo.has_classical(sender, p):
-                    session.net.send_classical(sender, p, notice)
-                    reached.add(p)
-                    next_frontier.append(p)
-        frontier = next_frontier
+    net = session.net
+    for sender, receiver in net.topology.flood_route(detected_by, (TP1, TP2, *session.parties)):
+        net.send_classical(sender, receiver, notice)
     raise Aborted(status, reason, detected_by)
 
 
 def _distribute(
     session: Session,
-) -> Tuple[Dict[PartyId, List[QubitRef]], Dict[PartyId, List[DecoyRecord]]]:
+) -> Tuple[Dict[PartyId, Sequence[QubitRef]], Dict[PartyId, List[DecoyRecord]]]:
     """Step 1: make payload states, hide decoys, ship one sequence per party."""
     cfg, reg = session.cfg, session.register
     k = len(session.parties)
@@ -269,7 +261,7 @@ def _distribute(
             groups.append(list(adversary.make_payload_group(session.net, k)))
         else:
             groups.append(reg.prepare_ghz(k))
-    holder_seqs: Dict[PartyId, List[QubitRef]] = {}
+    holder_seqs: Dict[PartyId, Sequence[QubitRef]] = {}
     records: Dict[PartyId, List[DecoyRecord]] = {}
     for j, p in enumerate(session.parties):
         halves = [g[j] for g in groups]
@@ -277,14 +269,14 @@ def _distribute(
         msg = session.net.send_quantum(TP1, p, sequence)
         if session.net.scan_trojan(p, msg):
             _abort(session, RunStatus.ABORTED_STEP2, p, "probe photons found in incoming sequence")
-        holder_seqs[p] = list(msg.qubits)
+        holder_seqs[p] = msg.qubits
         records[p] = recs
     return holder_seqs, records
 
 
 def _decoy_discussions(
     session: Session,
-    holder_seqs: Dict[PartyId, List[QubitRef]],
+    holder_seqs: Dict[PartyId, Sequence[QubitRef]],
     records: Dict[PartyId, List[DecoyRecord]],
 ) -> None:
     """Step 2: per-channel public decoy comparison, TP1 checking."""
@@ -296,9 +288,16 @@ def _decoy_discussions(
 
 
 def strip_decoys(sequence: Sequence[QubitRef], records: Sequence[DecoyRecord]) -> List[QubitRef]:
-    """The payload a decoyed sequence carries: every slot but the decoys', in order."""
-    drop = {r.position for r in records}
-    return [q for i, q in enumerate(sequence) if i not in drop]
+    """The payload a decoyed sequence carries: every slot but the decoys', in order.
+
+    ``records`` ascend by position, as :meth:`Session.build_decoyed_sequence`
+    builds them, so deleting the highest position first leaves every lower
+    position where it was.
+    """
+    payload = list(sequence)
+    for record in reversed(records):
+        del payload[record.position]
+    return payload
 
 
 def _pair_check(session: Session, payload: Dict[PartyId, List[QubitRef]]) -> List[int]:
@@ -308,21 +307,21 @@ def _pair_check(session: Session, payload: Dict[PartyId, List[QubitRef]]) -> Lis
     """
     cfg, net, reg, rng = session.cfg, session.net, session.register, session.rng
     m, c = cfg.m_pairs, cfg.checked_count
-    positions = sorted(int(p) for p in rng.choice(m, size=c, replace=False))
+    positions = sorted(rng.choice(m, size=c, replace=False).tolist())
     bases = [BASIS_BY_BIT[b] for b in rng.integers(2, size=c).tolist()]
     announce = PositionsBases(STAGE_PAIR_CHECK, tuple(positions), tuple(bases))
     # Everyone hears the challenge before anyone answers.
     for p in session.parties:
         net.send_classical(TP2, p, announce)
-    reported: Dict[PartyId, List[int]] = {}
+    # Each party's bits, in party order; zip(*reported) gives each position's outcomes.
+    reported: List[List[int]] = []
     for p in session.parties:
         bits = reg.measure_all([payload[p][pos] for pos in positions], bases, rng)
         net.send_classical(p, TP2, MeasurementResults(STAGE_PAIR_CHECK, tuple(bits)))
-        reported[p] = bits
+        reported.append(bits)
     check_log = session.check_log
     first_bad: Optional[int] = None
-    for i, (pos, b) in enumerate(zip(positions, bases)):
-        outcomes = tuple(reported[p][i] for p in session.parties)
+    for pos, b, outcomes in zip(positions, bases, zip(*reported)):
         if b is Basis.Z:
             ok = len(set(outcomes)) == 1
         else:

@@ -96,65 +96,58 @@ SINGLE_STATE_LABELS = tuple(LABEL_EXPECTATION)
 
 
 class PauliCode(Enum):
-    """The four encoding operations and their two-bit codes."""
+    """The four encoding operations and their two-bit codes.
 
-    I = "I"
-    Z = "Z"
-    X = "X"
-    IY = "iY"
+    Each member carries its matrix, the same entries as nested lists of Python
+    complex numbers (as ``_apply_1q`` reads them), and its code: 00 is the
+    identity, 01 a phase flip, 10 a bit flip and 11 both.
+    """
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return _PAULI_MATRICES[self]
+    def __new__(cls, value: str, matrix: np.ndarray, bits: Tuple[int, int]):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.matrix = matrix
+        member.rows = matrix.tolist()
+        member.bits = bits
+        return member
 
-    @property
-    def bits(self) -> Tuple[int, int]:
-        return _PAULI_TO_BITS[self]
+    I = ("I", _ID2, (0, 0))
+    Z = ("Z", _PAULI_Z, (0, 1))
+    X = ("X", _PAULI_X, (1, 0))
+    IY = ("iY", _PAULI_IY, (1, 1))
 
     @classmethod
     def from_bits(cls, first: int, second: int) -> "PauliCode":
-        return _BITS_TO_PAULI[(first & 1, second & 1)]
+        return _PAULI_BY_CODE[(first & 1) << 1 | (second & 1)]
 
 
-_PAULI_MATRICES = {
-    PauliCode.I: _ID2,
-    PauliCode.Z: _PAULI_Z,
-    PauliCode.X: _PAULI_X,
-    PauliCode.IY: _PAULI_IY,
-}
-# The same entries as nested lists of Python complex numbers, as _apply_1q reads them.
-_PAULI_ROWS = {code: u.tolist() for code, u in _PAULI_MATRICES.items()}
-
-# 00 -> identity, 01 -> phase flip, 10 -> bit flip, 11 -> both.
-_PAULI_TO_BITS = {
-    PauliCode.I: (0, 0),
-    PauliCode.Z: (0, 1),
-    PauliCode.X: (1, 0),
-    PauliCode.IY: (1, 1),
-}
-_BITS_TO_PAULI = {v: k for k, v in _PAULI_TO_BITS.items()}
+# Indexed by the two-bit code read as a number, first bit high.
+_PAULI_BY_CODE = tuple(sorted(PauliCode, key=lambda code: code.bits))
 
 
 class BellOutcome(Enum):
-    """Result of a joint measurement in the maximally entangled basis."""
+    """Result of a joint measurement in the maximally entangled basis.
 
-    PHI_PLUS = "phi+"
-    PHI_MINUS = "phi-"
-    PSI_PLUS = "psi+"
-    PSI_MINUS = "psi-"
+    Each member carries the encoding operation that lands a phi+ pair on it
+    (applied to the first half) and that operation's two-bit code, which is
+    what makes dense coding decodable.
+    """
+
+    def __new__(cls, value: str, pauli: PauliCode):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.pauli = pauli
+        member.bits = pauli.bits
+        return member
+
+    PHI_PLUS = ("phi+", PauliCode.I)
+    PHI_MINUS = ("phi-", PauliCode.Z)
+    PSI_PLUS = ("psi+", PauliCode.X)
+    PSI_MINUS = ("psi-", PauliCode.IY)
 
     @property
     def vector(self) -> np.ndarray:
         return _BELL_VECTORS[self].copy()
-
-    @property
-    def bits(self) -> Tuple[int, int]:
-        """Two-bit code carried by this outcome under dense coding."""
-        return _PAULI_TO_BITS[self.pauli]
-
-    @property
-    def pauli(self) -> PauliCode:
-        return _BELL_TO_PAULI[self]
 
     @classmethod
     def from_pauli(cls, code: PauliCode) -> "BellOutcome":
@@ -175,15 +168,7 @@ _BELL_VECTORS = {
     BellOutcome.PSI_MINUS: np.array([0, _SQRT_HALF, -_SQRT_HALF, 0], dtype=complex),
 }
 
-# Applying the coded operation to the first half of a phi+ pair lands exactly
-# on the matching Bell state, which is what makes dense coding decodable.
-_BELL_TO_PAULI = {
-    BellOutcome.PHI_PLUS: PauliCode.I,
-    BellOutcome.PHI_MINUS: PauliCode.Z,
-    BellOutcome.PSI_PLUS: PauliCode.X,
-    BellOutcome.PSI_MINUS: PauliCode.IY,
-}
-_PAULI_TO_BELL = {v: k for k, v in _BELL_TO_PAULI.items()}
+_PAULI_TO_BELL = {outcome.pauli: outcome for outcome in BellOutcome}
 
 
 class QubitRef(int):
@@ -248,12 +233,19 @@ def _single_state(label: str) -> Tuple[complex, complex]:
         raise ValueError(f"unknown state label {label!r}") from None
 
 
-_EIGENSTATE_LABEL = {expect: label for label, expect in LABEL_EXPECTATION.items()}
+# Each (basis, bit)'s preparation label, indexed [basis is Basis.X][bit] like _OUTCOMES.
+_EIGENSTATE_LABELS = tuple(
+    tuple(
+        next(label for label, expect in LABEL_EXPECTATION.items() if expect == (basis, bit))
+        for bit in (0, 1)
+    )
+    for basis in BASIS_BY_BIT
+)
 
 
 def eigenstate_label(basis: Basis, bit: int) -> str:
     """Preparation label of the post-measurement state for (basis, bit)."""
-    return _EIGENSTATE_LABEL[(basis, bit & 1)]
+    return _EIGENSTATE_LABELS[basis is Basis.X][bit & 1]
 
 
 def bell_vector(outcome: BellOutcome) -> np.ndarray:
@@ -316,7 +308,8 @@ def _check_unitary(u: np.ndarray, dim: int) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.shape != (dim, dim):
         raise NonUnitaryError(f"expected a {dim}x{dim} matrix, got {u.shape}")
-    if np.max(np.abs(u.conj().T @ u - np.eye(dim))) > UNITARY_ATOL:
+    # Written so that NaN, which fails every comparison, is rejected too.
+    if not np.max(np.abs(u.conj().T @ u - np.eye(dim))) <= UNITARY_ATOL:
         raise NonUnitaryError("matrix is not unitary within tolerance")
     return u
 
@@ -334,10 +327,6 @@ class StateVector:
     def __init__(self, amps: Sequence[complex], qubit_order: List[QubitRef]):
         self.amps = amps
         self.qubit_order = qubit_order
-
-    @property
-    def n(self) -> int:
-        return len(self.qubit_order)
 
     def axis_of(self, q: QubitRef) -> int:
         return self.qubit_order.index(q)
@@ -459,7 +448,7 @@ class QuantumRegister:
     def apply_pauli(self, q: QubitRef, code: PauliCode) -> None:
         if code is PauliCode.I:
             return
-        self._apply_1q(q, _PAULI_ROWS[code])
+        self._apply_1q(q, code.rows)
 
     def apply_hadamard(self, q: QubitRef) -> None:
         self._apply_1q(q, _HADAMARD_ROWS)
@@ -583,13 +572,16 @@ class QuantumRegister:
         # <bell_i|psi> for each Bell state i, per setting of the other qubits.
         s = _SQRT_HALF
         coeffs = []
-        probs = [0.0, 0.0, 0.0, 0.0]
+        p0 = p1 = p2 = p3 = 0.0
         for i00, i01, i10, i11 in quads:
             a00, a01, a10, a11 = amps[i00], amps[i01], amps[i10], amps[i11]
-            c = (s * (a00 + a11), s * (a00 - a11), s * (a01 + a10), s * (a01 - a10))
-            coeffs.append(c)
-            for j, v in enumerate(c):
-                probs[j] += v.real * v.real + v.imag * v.imag
+            c0, c1, c2, c3 = s * (a00 + a11), s * (a00 - a11), s * (a01 + a10), s * (a01 - a10)
+            coeffs.append((c0, c1, c2, c3))
+            p0 += c0.real * c0.real + c0.imag * c0.imag
+            p1 += c1.real * c1.real + c1.imag * c1.imag
+            p2 += c2.real * c2.real + c2.imag * c2.imag
+            p3 += c3.real * c3.real + c3.imag * c3.imag
+        probs = (p0, p1, p2, p3)
         r = rng.random()
         acc = 0.0
         for idx, p in enumerate(probs):
@@ -600,11 +592,13 @@ class QuantumRegister:
             # Rounding left sum(probs) <= r: take the last outcome that can occur.
             idx = max(i for i, p in enumerate(probs) if p > 0.0)
         scale = 1.0 / math.sqrt(probs[idx])
-        row = _BELL_ROWS[idx]
-        for quad, c in zip(quads, coeffs):
+        v00, v01, v10, v11 = _BELL_ROWS[idx]
+        for (i00, i01, i10, i11), c in zip(quads, coeffs):
             picked = c[idx] * scale
-            for i, v in zip(quad, row):
-                amps[i] = v * picked
+            amps[i00] = v00 * picked
+            amps[i01] = v01 * picked
+            amps[i10] = v10 * picked
+            amps[i11] = v11 * picked
         return _BELL_ORDER[idx]
 
     # -- disposal ----------------------------------------------------------

@@ -128,8 +128,9 @@ def encode_message(register: QuantumRegister, held: Sequence[QubitRef], message:
         raise ValueError(
             f"message carries {len(message)} bits but {len(held)} pairs hold {2 * len(held)}"
         )
-    for i, q in enumerate(held):
-        register.apply_pauli(q, PauliCode.from_bits(message.bits[2 * i], message.bits[2 * i + 1]))
+    bits = message.bits
+    for q, first, second in zip(held, bits[0::2], bits[1::2]):
+        register.apply_pauli(q, PauliCode.from_bits(first, second))
 
 
 def decode_pairs(
@@ -226,7 +227,7 @@ def _relay_leg(
     if net.scan_trojan(receiver, msg):
         net.send_classical(receiver, sender, AbortNotice(stage, "probe photons found"))
         raise Aborted(status, f"probe photons found at {receiver}", receiver)
-    bad = session.run_decoy_discussion(sender, receiver, stage, list(msg.qubits), records)
+    bad = session.run_decoy_discussion(sender, receiver, stage, msg.qubits, records)
     if bad is not None:
         detail = f"decoy mismatch at slot {bad}"
         net.send_classical(sender, mismatch_to, AbortNotice(stage, detail))

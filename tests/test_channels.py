@@ -30,6 +30,7 @@ from eprlink.channels import (
     TrojanKind,
     TrojanTag,
     end_parties,
+    end_party_tuple,
     participant,
 )
 from eprlink.protocol import EstablishmentConfig, run_establishment
@@ -49,6 +50,52 @@ def test_participants_are_stable():
     assert participant(2) == BOB
     assert str(participant(3)) == "P3"
     assert end_parties(3) == [ALICE, BOB, participant(3)]
+
+
+def test_end_parties_is_a_fresh_list_of_the_shared_tuple():
+    for k in (2, 3, 5):
+        first, second = end_parties(k), end_parties(k)
+        assert first == second == list(end_party_tuple(k))
+        assert type(first) is list and first is not second
+        first.append(EVE)
+        assert end_parties(k) == second
+        assert end_party_tuple(k) is end_party_tuple(k)
+        assert end_party_tuple(k) == tuple(participant(i + 1) for i in range(k))
+    for k in (1, 0, -1):
+        with pytest.raises(ValueError):
+            end_party_tuple(k)
+
+
+def _ref_flood(topo, origin, everyone):
+    """The breadth-first flood, rerun per call: each told party tells its untold neighbours."""
+    sends, reached, frontier = [], {origin}, [origin]
+    while frontier:
+        next_frontier = []
+        for sender in frontier:
+            for p in everyone:
+                if p not in reached and topo.has_classical(sender, p):
+                    sends.append((sender, p))
+                    reached.add(p)
+                    next_frontier.append(p)
+        frontier = next_frontier
+    return sends
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_each_cached_flood_route_equals_the_breadth_first_search(k):
+    parties = end_party_tuple(k)
+    topo = Topology.for_parties(parties)
+    everyone = (TP1, TP2, *parties)
+    for origin in everyone:
+        route = topo.flood_route(origin, everyone)
+        assert list(route) == _ref_flood(topo, origin, everyone)
+        assert topo.flood_route(origin, everyone) is route
+        # Every other participant is told exactly once.
+        assert sorted(receiver for _, receiver in route) == sorted(set(everyone) - {origin})
+    # A topology with links missing reaches only who it can, in the same order.
+    sparse = Topology(frozenset(), frozenset({frozenset((TP1, ALICE)), frozenset((ALICE, TP2))}))
+    for origin in (TP1, TP2, ALICE, BOB):
+        assert list(sparse.flood_route(origin, everyone)) == _ref_flood(sparse, origin, everyone)
 
 
 def test_star_topology_edges():

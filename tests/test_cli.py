@@ -181,6 +181,49 @@ def test_ragged_unitary_rows_are_named_not_left_to_numpy(tmp_path, capsys, rows)
     assert err == f"error: unitary must be a list of rows of equal length, got row lengths {lengths}\n"
 
 
+@pytest.mark.parametrize(
+    "entry", [float("nan"), float("inf"), float("-inf"), [0.0, float("nan")], 10**400]
+)
+def test_non_finite_unitary_entries_are_config_errors(tmp_path, capsys, entry):
+    rows = [[entry, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+    attack = {"kind": "entangle_measure", "unitary": rows}
+    config = {"scenario": "establish", "trials": 20, "cfg": {"m_pairs": 4, "n_decoys": 2}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**config, "attack": attack}))  # NaN and Infinity as JSON writes them
+    assert main(["establish", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: unitary entries must be finite, got ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('{"trials": 5, "trials": 7}', "repeated key 'trials' in config"),
+        ('{"trials": 1, "cfg": {"m_pairs": 4, "n_decoys": 2, "n_decoys": 3}}',
+         "repeated key 'n_decoys' in cfg"),
+        # The first repeat in the file is the one named.
+        ('{"trials": 5, "trials": 7, "cfg": {"m_pairs": 4, "n_decoys": 2, "n_decoys": 3}}',
+         "repeated key 'trials' in config"),
+        ('{"cfg": {"m_pairs": 4, "n_decoys": 2, "n_decoys": 3}, "trials": 5, "trials": 7}',
+         "repeated key 'n_decoys' in cfg"),
+        # Equal values are still an error.
+        ('{"trials": 1, "attack": {"kind": "intercept_resend", "kind": "intercept_resend"}}',
+         "repeated key 'kind' in attack"),
+        ('{"trials": 1, "cfg": {"m_pairs": 4}, "cfg": {"m_pairs": 4}}',
+         "repeated key 'cfg' in config"),
+    ],
+)
+def test_a_repeated_config_key_is_an_error(tmp_path, capsys, text, message):
+    path = tmp_path / "config.json"
+    path.write_text('{"scenario": "establish", ' + text[1:])
+    assert main(["establish", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_config_accepts_json_booleans_and_integers(tmp_path, capsys):
     path = tmp_path / "config.json"
     data = {

@@ -1,5 +1,6 @@
 """Establishment-protocol tests: honest runs, sequencing invariants, aborts."""
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -36,6 +37,7 @@ from eprlink.protocol import (
     ghz_target_vector,
     run_establishment,
     run_multiparty,
+    strip_decoys,
 )
 from eprlink.qcore import LABEL_EXPECTATION, SINGLE_STATE_LABELS, Basis, PauliCode
 
@@ -65,6 +67,20 @@ def test_checked_count_rounds_up(fraction, m, expected):
 def test_bad_configs_rejected(kwargs):
     with pytest.raises(ValueError):
         EstablishmentConfig(**kwargs)
+
+
+def test_a_config_is_frozen_and_replace_recounts_the_checked_positions():
+    cfg = EstablishmentConfig(m_pairs=10, n_decoys=1, check_fraction=0.3)
+    assert cfg.checked_count == 3
+    for name, value in [("m_pairs", 20), ("n_decoys", 2), ("check_fraction", 0.5), ("parties", 3)]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)
+    assert cfg.checked_count == 3
+    assert dataclasses.replace(cfg, m_pairs=20).checked_count == 6
+    assert dataclasses.replace(cfg, check_fraction=0.41).checked_count == 5
+    assert cfg == EstablishmentConfig(m_pairs=10, n_decoys=1, check_fraction=0.3)
+    with pytest.raises(ValueError):
+        dataclasses.replace(cfg, m_pairs=0)
 
 
 # --- honest runs ------------------------------------------------------------------
@@ -239,6 +255,27 @@ def test_decoy_records_are_shared_and_equal_the_reference_records():
         assert got == want
         assert all(type(r) is DecoyRecord for r in got)
         assert all(a is b for a, b in zip(got, again))
+
+
+def _ref_strip_decoys(sequence, records):
+    """The set-and-walk version: keep every slot whose index no record names."""
+    drop = {r.position for r in records}
+    return [q for i, q in enumerate(sequence) if i not in drop]
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 10])
+@pytest.mark.parametrize("n", [0, 1, 3, 10])
+def test_strip_decoys_equals_the_set_walk_on_built_sequences(m, n):
+    for seed in range(10):
+        session = Session(EstablishmentConfig(m_pairs=m, n_decoys=n), rng=np.random.default_rng(seed))
+        payload = [session.register.prepare_epr_pair()[0] for _ in range(m)]
+        sequence, records = session.build_decoyed_sequence(payload)
+        assert [r.position for r in records] == sorted({r.position for r in records})
+        for seq in (sequence, tuple(sequence)):
+            got = strip_decoys(seq, records)
+            assert got == _ref_strip_decoys(seq, records) == payload
+            assert type(got) is list and got is not seq
+        assert len(sequence) == m + n  # the input is left as it was
 
 
 # --- aborts ---------------------------------------------------------------------------

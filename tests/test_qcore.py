@@ -13,6 +13,7 @@ from scipy.stats import chisquare
 
 from eprlink.qcore import (
     BASIS_BY_BIT,
+    LABEL_EXPECTATION,
     Basis,
     BellOutcome,
     DeadQubitError,
@@ -22,9 +23,12 @@ from eprlink.qcore import (
     PauliCode,
     QuantumRegister,
     StateVector,
+    _check_unitary,
+    _quarters,
     attempt_clone_unitary,
     bell_vector,
     cnot_matrix,
+    eigenstate_label,
     ghz_vector,
     is_bell_product,
     state_vector_for_label,
@@ -120,6 +124,45 @@ def test_code_bit_assignment_is_a_bijection():
     assert PauliCode.from_bits(0, 1) is PauliCode.Z
     assert PauliCode.from_bits(1, 0) is PauliCode.X
     assert PauliCode.from_bits(1, 1) is PauliCode.IY
+
+
+# The forward tables the member attributes replaced, as they were written;
+# PAULI above holds the matrices.
+_OLD_PAULI_TO_BITS = {
+    PauliCode.I: (0, 0),
+    PauliCode.Z: (0, 1),
+    PauliCode.X: (1, 0),
+    PauliCode.IY: (1, 1),
+}
+_OLD_BELL_TO_PAULI = {
+    BellOutcome.PHI_PLUS: PauliCode.I,
+    BellOutcome.PHI_MINUS: PauliCode.Z,
+    BellOutcome.PSI_PLUS: PauliCode.X,
+    BellOutcome.PSI_MINUS: PauliCode.IY,
+}
+
+
+def test_member_facts_equal_the_old_tables():
+    assert [code.value for code in PauliCode] == ["I", "Z", "X", "iY"]
+    for code in PauliCode:
+        assert code.bits == _OLD_PAULI_TO_BITS[code]
+        np.testing.assert_array_equal(code.matrix, PAULI[code.value])
+        assert code.rows == PAULI[code.value].tolist()
+        assert all(type(x) is complex for row in code.rows for x in row)
+        assert PauliCode(code.value) is code
+    assert [o.value for o in BellOutcome] == ["phi+", "phi-", "psi+", "psi-"]
+    for outcome in BellOutcome:
+        assert outcome.pauli is _OLD_BELL_TO_PAULI[outcome]
+        assert outcome.bits == _OLD_PAULI_TO_BITS[_OLD_BELL_TO_PAULI[outcome]]
+        assert BellOutcome.from_pauli(outcome.pauli) is outcome
+        assert BellOutcome(outcome.value) is outcome
+
+
+def test_eigenstate_labels_equal_the_inverted_label_table():
+    old = {expect: label for label, expect in LABEL_EXPECTATION.items()}
+    for basis in Basis:
+        for bit in (0, 1, 2, 3):
+            assert eigenstate_label(basis, bit) == old[(basis, bit & 1)]
 
 
 @pytest.mark.parametrize("code", list(PauliCode))
@@ -382,6 +425,20 @@ def test_non_unitary_rejected():
     bad[0, 0] = 2.0
     with pytest.raises(NonUnitaryError):
         reg.apply_two_qubit_unitary(bad, qa, qb)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_non_finite_matrices_are_not_unitary(value):
+    bad = np.eye(4, dtype=complex)
+    bad[0, 0] = value
+    reg = QuantumRegister()
+    qa, qb = reg.prepare_epr_pair()
+    with np.errstate(invalid="ignore"):  # inf * 0 in the product is NaN
+        with pytest.raises(NonUnitaryError):
+            _check_unitary(bad, 4)
+        with pytest.raises(NonUnitaryError):
+            reg.apply_two_qubit_unitary(bad, qa, qb)
+    np.testing.assert_array_equal(_check_unitary(np.eye(4), 4), np.eye(4))
 
 
 def test_seeded_runs_reproduce_exactly():
@@ -686,6 +743,54 @@ def test_bell_measure_kernel_matches_reference(n):
                 assert np.max(np.abs(np.array(stub.seen) - cumulative)) < 1e-12
                 assert got is list(BellOutcome)[want_idx]
                 _assert_same_up_to_phase(_factor_amps(reg, refs[0]), want_post)
+
+
+def _loop_bell_measure(amps, quads, r):
+    """The per-coefficient loop bell_measure used to run, on a flat amplitude list."""
+    s = 1.0 / math.sqrt(2.0)
+    coeffs = []
+    probs = [0.0, 0.0, 0.0, 0.0]
+    for i00, i01, i10, i11 in quads:
+        a00, a01, a10, a11 = amps[i00], amps[i01], amps[i10], amps[i11]
+        c = (s * (a00 + a11), s * (a00 - a11), s * (a01 + a10), s * (a01 - a10))
+        coeffs.append(c)
+        for j, v in enumerate(c):
+            probs[j] += v.real * v.real + v.imag * v.imag
+    acc = 0.0
+    for idx, p in enumerate(probs):
+        acc += p
+        if r < acc:
+            break
+    else:
+        idx = max(i for i, p in enumerate(probs) if p > 0.0)
+    scale = 1.0 / math.sqrt(probs[idx])
+    row = [bell_vector(o).real.tolist() for o in BellOutcome][idx]
+    out = list(amps)
+    for quad, c in zip(quads, coeffs):
+        picked = c[idx] * scale
+        for i, v in zip(quad, row):
+            out[i] = v * picked
+    return idx, out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_bell_measure_equals_the_coefficient_loop_bit_for_bit(n):
+    rng = np.random.default_rng(7000 + n)
+    states = [_random_state(rng, n) for _ in range(10)]
+    # A Bell pair beside |+>s, so three outcomes have probability 0.
+    rest = np.full(2 ** (n - 2), math.sqrt(2.0 ** (2 - n)))
+    states.append(np.kron(bell_vector(BellOutcome.PSI_MINUS), rest).reshape((2,) * n))
+    for amps in states:
+        flat = amps.ravel().tolist()
+        for ka, kb in itertools.permutations(range(n), 2):
+            quads = _quarters(n, ka, kb)
+            for r in [float(rng.random()), 0.0, 0.25, 0.5, 0.75, 1.0 - 2**-53]:
+                want_idx, want = _loop_bell_measure(flat, quads, r)
+                reg, refs = _loaded_register(amps)
+                got = reg.bell_measure(refs[ka], refs[kb], _RecordingRng(r))
+                assert got is list(BellOutcome)[want_idx]
+                assert reg._locate(refs[0]).amps == want
+                assert reg._locate(refs[0]).qubit_order == refs
 
 
 def test_bell_measure_rounding_fall_through_picks_a_possible_outcome():
