@@ -59,10 +59,12 @@ from .harness import (
     TrialReport,
     attack_from_name,
     emit_report,
+    gate_false_fail,
     load_config,
     run_distinguishing_game,
     run_experiment,
     run_sweep,
+    run_trial,
 )
 
 __version__ = "0.1.0"

@@ -241,7 +241,8 @@ class Transcript:
     def log(self, kind: str, frm: PartyId, to: PartyId, payload: object) -> int:
         """Append an event; ``payload`` is a summary string or an object with ``summary()``."""
         step = len(self.events)
-        self.events.append(Event(step, kind, frm.name, to.name, payload))
+        # The same tuple as Event(...), without the NamedTuple's Python-level __new__.
+        self.events.append(tuple.__new__(Event, (step, kind, frm.name, to.name, payload)))
         return step
 
     def __iter__(self) -> Iterator[Event]:

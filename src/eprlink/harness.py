@@ -59,7 +59,7 @@ from .channels import (
 from .protocol import EstablishmentConfig, ghz_target_vector, run_establishment, run_multiparty
 from .qcore import BASIS_BY_BIT, LABEL_EXPECTATION, SINGLE_STATE_LABELS, QuantumRegister
 from .qsdc import run_qsdc
-from .seeding import MAX_TRIALS, sweep_seed, trial_rngs
+from .seeding import MAX_TRIALS, sweep_seed, trial_rng, trial_rngs
 
 SCENARIOS = ("establish", "qsdc", "multiparty", "game")
 RUN_SCENARIOS = SCENARIOS[:3]  # the scenarios that run the protocol: all but the game
@@ -330,15 +330,28 @@ def run_experiment(ec: ExperimentConfig) -> Union["AggregateReport", "GameResult
     """
     if ec.scenario == "game":
         return run_distinguishing_game(ec.game, ec.trials, ec.seed)
+    return _aggregate(ec, _trials(ec.seed, ec.trials, lambda rng, index: run_trial(ec, index, rng)))
+
+
+def run_trial(ec: ExperimentConfig, index: int, rng=None) -> TrialReport:
+    """Trial ``index`` of ``ec``'s batch on its own, as :func:`run_experiment` records it.
+
+    With ``rng`` None the trial draws from child ``index`` of
+    ``SeedSequence(ec.seed)``, so it replays that trial of the batch exactly.
+    A trial that raises is recorded as a failed trial.  The game scenario has
+    no trial reports and is not served here.
+    """
+    if ec.scenario == "game":
+        raise ValueError("run_trial serves the establish, qsdc and multiparty scenarios")
+    if rng is None:
+        rng = trial_rng(ec.seed, index)
+    # Read through the module globals at each call, so wrappers installed
+    # around the trial runners see every trial.
     trial_fn = _trial_qsdc if ec.scenario == "qsdc" else _trial_establish
-
-    def trial(rng, index: int) -> TrialReport:
-        try:
-            return trial_fn(ec, ec.cfg, rng, index)
-        except Exception as exc:  # noqa: BLE001 - a bad trial must not kill the batch
-            return TrialReport(index=index, error=f"{type(exc).__name__}: {exc}")
-
-    return _aggregate(ec, _trials(ec.seed, ec.trials, trial))
+    try:
+        return trial_fn(ec, ec.cfg, rng, index)
+    except Exception as exc:  # noqa: BLE001 - a bad trial must not kill the batch
+        return TrialReport(index=index, error=f"{type(exc).__name__}: {exc}")
 
 
 def _aggregate(ec: ExperimentConfig, reports: List[TrialReport]) -> AggregateReport:
@@ -389,6 +402,27 @@ def _aggregate(ec: ExperimentConfig, reports: List[TrialReport]) -> AggregateRep
         filters_enabled=ec.filters_enabled,
         trial_reports=reports,
         **{name: sum(getattr(r, name) for r in ok) for name in _SUMMED_COUNTS},
+    )
+
+
+def gate_false_fail(p: float, n: int) -> float:
+    """The chance that a correct program fails the 3-sigma gate of a report.
+
+    That is the exact Binomial(n, p) mass of the counts k whose rate fails the
+    report's own float comparison ``abs(k / n - p) <= 3 sigma`` (see
+    :func:`_aggregate`), summed with ``math.lgamma`` terms.  The normal
+    band's nominal level is 0.27 %; near p = 0 or 1 the exact level is not.
+    """
+    if not 0.0 <= p <= 1.0 or n < 1:
+        raise ValueError("gate_false_fail needs 0 <= p <= 1 and n >= 1")
+    if p in (0.0, 1.0):  # all the mass is on k = n * p, whose rate is exactly p
+        return 0.0
+    sigma3 = 3.0 * math.sqrt(p * (1.0 - p) / n)
+    log_p, log_q, log_n = math.log(p), math.log1p(-p), math.lgamma(n + 1)
+    return math.fsum(
+        math.exp(log_n - math.lgamma(k + 1) - math.lgamma(n - k + 1) + k * log_p + (n - k) * log_q)
+        for k in range(n + 1)
+        if not abs(k / n - p) <= sigma3
     )
 
 

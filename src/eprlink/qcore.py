@@ -27,7 +27,8 @@ Conventions:
     inline, since most measurements in a trial read lone decoys,
   * numpy holds the constants and serves the inspection calls
     (``reduced_density``, ``state_fidelity``, ``norm_error``), which reshape
-    the flat list to a tensor,
+    the flat list to a tensor; a fidelity read of one whole factor is cached
+    on the exact bytes of its inputs,
   * measurement bits: 0 means |0> (Z) or |+> (X), 1 means |1> or |->,
   * all randomness is drawn from an explicitly passed ``numpy.random.Generator``.
 """
@@ -278,6 +279,15 @@ def _shared_amps(k: int) -> List[complex]:
     return template.copy()
 
 
+# Whole-factor fidelity reads (QuantumRegister.state_fidelity), keyed by the
+# exact bytes of their inputs: the factor's amplitudes, the permutation from
+# factor order to request order, and the target.  Bytes, not values, so -0.0
+# and 0.0 stay apart.  The cache is emptied when it reaches
+# FIDELITY_CACHE_SIZE entries, so memory stays flat when every read differs
+# (attacked runs); a key for k qubits holds 2 * 16 * 2**k bytes.
+FIDELITY_CACHE_SIZE = 64
+_FIDELITY_CACHE: Dict[Tuple[bytes, Tuple[int, ...], bytes], float] = {}
+
 # Each Bell state's real amplitudes, in _BELL_ORDER, for rebuilding a collapsed pair.
 _BELL_ROWS = [_BELL_VECTORS[o].real.tolist() for o in _BELL_ORDER]
 _CNOT_ROWS = _CNOT.tolist()
@@ -308,7 +318,13 @@ def _check_unitary(u: np.ndarray, dim: int) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.shape != (dim, dim):
         raise NonUnitaryError(f"expected a {dim}x{dim} matrix, got {u.shape}")
-    # Written so that NaN, which fails every comparison, is rejected too.
+    # The entries are bounded before the product, which an infinite, NaN or
+    # huge entry would turn into a numpy warning.  A unitary's entries have
+    # modulus at most 1, so the bound rejects nothing the tolerance accepts.
+    if not np.abs(u).max() <= 2.0:
+        if not np.isfinite(u).all():
+            raise NonUnitaryError("matrix entries must be finite")
+        raise NonUnitaryError("matrix is not unitary within tolerance")
     if not np.max(np.abs(u.conj().T @ u - np.eye(dim))) <= UNITARY_ATOL:
         raise NonUnitaryError("matrix is not unitary within tolerance")
     return u
@@ -666,12 +682,42 @@ class QuantumRegister:
         return rho
 
     def state_fidelity(self, qubits: Sequence[QubitRef], target: np.ndarray) -> float:
-        """Overlap <target| rho |target> of the qubits' joint state."""
+        """Overlap <target| rho |target> of the qubits' joint state.
+
+        A read of exactly one whole factor is cached (see ``_FIDELITY_CACHE``),
+        so an honest batch, whose groups are all the same prepared state,
+        computes its fidelity once; a hit returns the float this computation
+        gave for bit-identical inputs.
+        """
         target = np.asarray(target, dtype=complex).reshape(-1)
         if target.shape != (2 ** len(qubits),):
             raise ValueError("target vector has the wrong dimension")
-        rho = self._density(qubits)
-        return float((target.conj() @ rho @ target).real)
+        whole = self._whole_factor(qubits)
+        if whole is None:
+            rho = self.reduced_density(qubits)
+            return float((target.conj() @ rho @ target).real)
+        amps, perm = whole
+        key = (amps.tobytes(), perm, target.tobytes())
+        fidelity = _FIDELITY_CACHE.get(key)
+        if fidelity is None:
+            if len(_FIDELITY_CACHE) >= FIDELITY_CACHE_SIZE:
+                _FIDELITY_CACHE.clear()
+            rho = _factor_density(amps, perm)
+            fidelity = _FIDELITY_CACHE[key] = float((target.conj() @ rho @ target).real)
+        return fidelity
+
+    def _whole_factor(
+        self, qubits: Sequence[QubitRef]
+    ) -> Optional[Tuple[np.ndarray, Tuple[int, ...]]]:
+        """The tensor of the factor that is exactly ``qubits``, with the axis
+        permutation that puts it in the requested order; None for any other set."""
+        if qubits and qubits[0] in self._where:
+            sv = self._locate(qubits[0])
+            order = sv.qubit_order
+            # The set test comes first: order.index fails on a foreign qubit.
+            if len(order) == len(qubits) and set(order) == set(qubits):
+                return sv.tensor(), tuple(order.index(q) for q in qubits)
+        return None
 
     def _density(self, qubits: Sequence[QubitRef]) -> np.ndarray:
         """:meth:`reduced_density`, built directly when the qubits are exactly one factor.
@@ -680,16 +726,16 @@ class QuantumRegister:
         in the same order, so the matrix is bit-identical; any other qubit set
         goes through :meth:`reduced_density`.
         """
-        if qubits and qubits[0] in self._where:
-            sv = self._locate(qubits[0])
-            order = sv.qubit_order
-            if len(order) == len(qubits) and set(order) == set(qubits):
-                amps = sv.tensor()
-                if order != list(qubits):
-                    amps = amps.transpose([order.index(q) for q in qubits])
-                arr = amps.reshape(-1, 1)
-                return arr @ arr.conj().T
-        return self.reduced_density(qubits)
+        whole = self._whole_factor(qubits)
+        if whole is None:
+            return self.reduced_density(qubits)
+        return _factor_density(*whole)
+
+
+def _factor_density(amps: np.ndarray, perm: Tuple[int, ...]) -> np.ndarray:
+    """The density matrix of a whole factor's tensor, its axes in ``perm`` order."""
+    arr = amps.transpose(perm).reshape(-1, 1)
+    return arr @ arr.conj().T
 
 
 def is_bell_product(register: QuantumRegister, q1: QubitRef, q2: QubitRef) -> BellPairCheck:

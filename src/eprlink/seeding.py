@@ -87,12 +87,12 @@ def _state_words(pool: list, n_words: int) -> list:
     return words
 
 
-def _child_states(seed: int, count: int) -> np.ndarray:
-    """PCG64 seed words of SeedSequence(seed).spawn(count), shape (count, 4)."""
+def _child_states(seed: int, count: int, start: int = 0) -> np.ndarray:
+    """PCG64 seed words of SeedSequence(seed).spawn(start + count)[start:], shape (count, 4)."""
     run = _words32(seed)
     # With a spawn key, SeedSequence zero-pads the run entropy to the pool size.
     run += [0] * (_POOL_SIZE - len(run))
-    keys = np.arange(count, dtype=np.uint64)
+    keys = np.arange(start, start + count, dtype=np.uint64)
     words = _state_words(_mixed_pool(run + [keys]), 8)
     states = np.empty((count, 4), dtype=np.uint64)
     for k in range(4):
@@ -127,6 +127,15 @@ def trial_rngs(seed: int, count: int) -> Iterator:
     child_words = _child_words_type()
     for row in _child_states(seed, count):
         yield Generator(PCG64(child_words(row)))
+
+
+def trial_rng(seed: int, index: int):
+    """The generator of trial ``index`` alone: the same as that item of ``trial_rngs``."""
+    from numpy.random import PCG64, Generator
+
+    if not 0 <= operator.index(index) < MAX_TRIALS:
+        raise ValueError(f"trial index must be between 0 and {MAX_TRIALS - 1}")
+    return Generator(PCG64(_child_words_type()(_child_states(seed, 1, index)[0])))
 
 
 def sweep_seed(seed: int, index: int) -> int:

@@ -2,6 +2,7 @@
 and empirical detection rates checked against the oracles at three standard errors."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -128,6 +129,16 @@ def test_trojan_default_kind():
 def test_spec_rejects_misdeclared_attacks(kwargs, match):
     with pytest.raises(ValueError, match=match):
         AttackSpec(**kwargs)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_probe_unitary_is_rejected_without_a_numpy_warning(value):
+    bad = np.eye(4, dtype=complex)
+    bad[3, 0] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="unitary must be a 4x4 unitary matrix: .*finite"):
+            AttackSpec(kind=AttackKind.ENTANGLE_MEASURE, unitary=tuple(map(tuple, bad)))
 
 
 @pytest.mark.parametrize(

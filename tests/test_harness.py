@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from eprlink.adversaries import (
     AttackSpec,
     NoAnalyticOracle,
     analytic_detection,
+    swap_per_position_pass_probability,
 )
 from eprlink.channels import ALICE, BOB, EVE, TP1, TP2, TrojanKind
 from eprlink.protocol import EstablishmentConfig
@@ -337,6 +339,197 @@ def test_a_trial_replays_from_its_batch_seed_and_index():
     child = np.random.SeedSequence(41).spawn(12)[9]
     replayed = harness._trial_establish(ec, ec.cfg, np.random.default_rng(child), 9)
     assert replayed == batch[9]
+
+
+def test_trial_rng_is_that_child_of_the_batch():
+    for seed in SEEDS:
+        batch = list(seeding.trial_rngs(seed, 40))
+        children = np.random.SeedSequence(seed).spawn(40)
+        for index in (0, 1, 17, 39):
+            state = seeding.trial_rng(seed, index).bit_generator.state
+            assert state == batch[index].bit_generator.state
+            assert state == np.random.default_rng(children[index]).bit_generator.state
+    last = seeding.MAX_TRIALS - 1
+    child = np.random.SeedSequence(9, spawn_key=(last,))
+    assert seeding.trial_rng(9, last).random() == np.random.default_rng(child).random()
+    for index in (-1, seeding.MAX_TRIALS):
+        with pytest.raises(ValueError, match="trial index"):
+            seeding.trial_rng(9, index)
+
+
+def _trial_seam_configs():
+    out = []
+    for scenario, parties in (("establish", 2), ("qsdc", 2), ("multiparty", 3)):
+        cfg = EstablishmentConfig(m_pairs=4, n_decoys=2, check_fraction=0.5, parties=parties)
+        for name in (None, *ATTACK_NAMES):
+            attack = None if name is None else attack_from_name(name)
+            try:
+                ec = ExperimentConfig(scenario=scenario, cfg=cfg, attack=attack, trials=9, seed=23)
+            except ValueError:
+                continue  # not an attack this scenario runs
+            out.append(pytest.param(ec, id=f"{scenario}-{name or 'honest'}"))
+    return out
+
+
+@pytest.mark.parametrize("ec", _trial_seam_configs())
+def test_run_trial_is_that_trial_of_the_batch(ec):
+    batch = run_experiment(ec).trial_reports
+    for index in (0, 4, 8):
+        assert harness.run_trial(ec, index) == batch[index]
+    child = np.random.default_rng(np.random.SeedSequence(ec.seed).spawn(9)[5])
+    assert harness.run_trial(ec, 5, child) == batch[5]
+
+
+def test_run_trial_records_an_error_as_the_batch_does(monkeypatch):
+    monkeypatch.setattr(harness, "build_adversary", lambda s: _JammedProbe(s.actor, s.edge))
+    spec = AttackSpec(kind=AttackKind.ENTANGLE_MEASURE)
+    ec = ExperimentConfig(scenario="establish", cfg=SMALL, attack=spec, trials=4, seed=11)
+    batch = run_experiment(ec).trial_reports
+    for index in range(4):
+        report = harness.run_trial(ec, index)
+        assert report == batch[index] and report.error == "RuntimeError: probe jammed"
+
+
+def test_run_trial_calls_the_trial_runner_through_the_module(monkeypatch):
+    calls = []
+    for name in ("_trial_establish", "_trial_qsdc"):
+        runner = getattr(harness, name)
+
+        def counted(*args, _runner=runner, _name=name):
+            calls.append(_name)
+            return _runner(*args)
+
+        monkeypatch.setattr(harness, name, counted)
+    for scenario in ("establish", "qsdc", "multiparty"):
+        parties = 3 if scenario == "multiparty" else 2
+        cfg = EstablishmentConfig(m_pairs=4, n_decoys=2, parties=parties)
+        ec = ExperimentConfig(scenario=scenario, cfg=cfg, trials=3, seed=2)
+        calls.clear()
+        harness.run_trial(ec, 1)
+        run_experiment(ec)
+        want = "_trial_qsdc" if scenario == "qsdc" else "_trial_establish"
+        assert calls == [want] * 4
+    with pytest.raises(ValueError, match="run_trial serves"):
+        harness.run_trial(ExperimentConfig(scenario="game"), 0)
+
+
+@pytest.mark.parametrize("scenario,parties", [("establish", 2), ("multiparty", 3)])
+def test_each_group_reads_its_fidelity_once_and_an_honest_batch_computes_it_once(
+    monkeypatch, scenario, parties
+):
+    from eprlink import qcore
+
+    calls = []
+    original = qcore.QuantumRegister.state_fidelity
+
+    def counted(self, qubits, target):
+        calls.append(len(qubits))
+        return original(self, qubits, target)
+
+    monkeypatch.setattr(qcore.QuantumRegister, "state_fidelity", counted)
+    qcore._FIDELITY_CACHE.clear()
+    cfg = EstablishmentConfig(m_pairs=10, n_decoys=10, check_fraction=0.3, parties=parties)
+    agg = run_experiment(ExperimentConfig(scenario=scenario, cfg=cfg, trials=20, seed=3))
+    assert agg.established == 20
+    assert calls == [parties] * (20 * (cfg.m_pairs - cfg.checked_count))
+    assert len(qcore._FIDELITY_CACHE) == 1
+    qcore._FIDELITY_CACHE.clear()
+
+
+# --- what each 3-sigma gate costs ---------------------------------------------------
+
+
+def _oracle(kind, m, n, fraction):
+    cfg = EstablishmentConfig(m_pairs=m, n_decoys=n, check_fraction=fraction)
+    return harness.detection_oracle(AttackSpec(kind=kind), cfg, True)[0]
+
+
+# (gate, p, trials, exact level, the level in percent as ROADMAP states it, if it does).
+# Report gates read the report's oracle; the acceptance tests' own gates read the
+# closed form those tests compare with.  Honest gates (p = 0) never fail by chance.
+GATES = [
+    *[
+        (f"intercept_sweep n={n}", _oracle(AttackKind.INTERCEPT_RESEND, 2, n, 0.5), 200, level, text)
+        for n, level, text in (
+            (1, 0.0024876523625264064, "0.249"),
+            (5, 0.0027295029011379724, "0.273"),
+            (10, 0.0023105788429325183, "0.231"),
+            (20, 0.003997566472979975, "0.400"),
+        )
+    ],
+    *[
+        (f"criterion 03 n={n}", _oracle(AttackKind.INTERCEPT_RESEND, 2, n, 0.5), 10_000, level,
+         "0.26-0.29")
+        for n, level in (
+            (1, 0.0027828465279655305),
+            (5, 0.002726610182202466),
+            (10, 0.0025872758861190614),
+            (20, 0.002930258090862034),
+        )
+    ],
+    ("criterion 04 per decoy", 0.25, 10_000, 0.0027828465279655305, None),
+    ("criterion 04 sequence", 1.0 - 0.75**10, 1000, 0.002574201646277316, None),
+    *[
+        (f"criterion 05 n={n}", 1.0 - 0.5**n, 4000, level, None)
+        for n, level in (
+            (1, 0.002800327819306062),
+            (5, 0.0023858286742505126),
+            (10, 0.006933513343570815),
+        )
+    ],
+    ("criterion 06 per position", swap_per_position_pass_probability(), 10_000,
+     0.002699352712164204, None),
+    *[
+        (f"criterion 06 c={c}", 1.0 - 0.5**c, 3000, level, None)
+        for c, level in (
+            (1, 0.002585506558726359),
+            (4, 0.002581460198404684),
+            (8, 0.0046859594336720965),
+        )
+    ],
+    ("dense_coding n=10", _oracle(AttackKind.DENSE_CODING, 10, 10, 0.3), 1000,
+     0.017526910909675984, "1.75"),
+    ("entanglement_swap c=3", _oracle(AttackKind.ENTANGLEMENT_SWAP, 10, 10, 0.3), 1500,
+     0.0030234472363709387, "0.30"),
+]
+
+
+def _exact_false_fail(p: float, n: int) -> Fraction:
+    """The same mass in exact rational arithmetic, p read as its exact binary value."""
+    p_exact, sigma3 = Fraction(p), 3.0 * math.sqrt(p * (1.0 - p) / n)
+    return sum(
+        math.comb(n, k) * p_exact**k * (1 - p_exact) ** (n - k)
+        for k in range(n + 1)
+        if not abs(k / n - p) <= sigma3
+    )
+
+
+@pytest.mark.parametrize("gate,p,trials,level,text", GATES, ids=[g[0] for g in GATES])
+def test_each_gate_has_its_pinned_false_fail_level(gate, p, trials, level, text):
+    got = harness.gate_false_fail(p, trials)
+    assert got == pytest.approx(level, rel=1e-9)
+    if text == "0.26-0.29":
+        assert 0.26 <= round(100 * got, 2) <= 0.29
+    elif text is not None:
+        assert f"{100 * got:.{len(text) - 2}f}" == text
+    if trials <= 200:
+        assert got == pytest.approx(float(_exact_false_fail(p, trials)), rel=1e-10)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.1, 0.75, 0.999])
+@pytest.mark.parametrize("n", [1, 2, 7, 30])
+def test_gate_false_fail_is_the_exact_mass_outside_the_band(p, n):
+    want = float(_exact_false_fail(p, n))
+    assert harness.gate_false_fail(p, n) == pytest.approx(want, rel=1e-10)
+
+
+def test_gate_false_fail_edges():
+    assert harness.gate_false_fail(0.0, 50) == 0.0 == harness.gate_false_fail(1.0, 50)
+    assert harness.gate_false_fail(0.5, 1) == 0.0  # either count is 0.5 from p, inside 1.5
+    assert harness.gate_false_fail(0.5, 100) == pytest.approx(float(_exact_false_fail(0.5, 100)))
+    for p, n in ((-0.1, 10), (1.5, 10), (0.5, 0), (math.nan, 10)):
+        with pytest.raises(ValueError, match="gate_false_fail needs"):
+            harness.gate_false_fail(p, n)
 
 
 def test_loading_a_config_leaves_numpy_random_unimported(tmp_path):

@@ -6,11 +6,14 @@ projectors, never touching the register implementation under test.
 
 import itertools
 import math
+import struct
+import warnings
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from eprlink import qcore
 from eprlink.qcore import (
     BASIS_BY_BIT,
     LABEL_EXPECTATION,
@@ -22,6 +25,7 @@ from eprlink.qcore import (
     NonUnitaryError,
     PauliCode,
     QuantumRegister,
+    QubitRef,
     StateVector,
     _check_unitary,
     _quarters,
@@ -439,6 +443,31 @@ def test_non_finite_matrices_are_not_unitary(value):
         with pytest.raises(NonUnitaryError):
             reg.apply_two_qubit_unitary(bad, qa, qb)
     np.testing.assert_array_equal(_check_unitary(np.eye(4), 4), np.eye(4))
+
+
+@pytest.mark.parametrize(
+    "value,match",
+    [
+        (np.inf, "finite"),
+        (-np.inf, "finite"),
+        (np.nan, "finite"),
+        (complex(0.0, np.inf), "finite"),
+        (1e200, "not unitary"),  # finite, but its square would overflow the product
+        (complex(1e308, -1e308), "not unitary"),
+    ],
+)
+def test_bad_entries_are_rejected_before_numpy_warns(value, match):
+    bad = np.eye(4, dtype=complex)
+    bad[1, 2] = value
+    reg = QuantumRegister()
+    qa, qb = reg.prepare_epr_pair()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonUnitaryError, match=match):
+            _check_unitary(bad, 4)
+        with pytest.raises(NonUnitaryError, match=match):
+            reg.apply_two_qubit_unitary(bad, qa, qb)
+    assert reg.state_fidelity([qa, qb], bell_vector(BellOutcome.PHI_PLUS)) > 1.0 - 1e-12
 
 
 def test_seeded_runs_reproduce_exactly():
@@ -1188,6 +1217,86 @@ def test_fidelity_of_part_of_a_factor_or_several_factors_uses_reduced_density():
         reg.state_fidelity([refs[0], refs[0], refs[1]], target3)
     with pytest.raises(ValueError, match="at least one qubit"):
         reg.state_fidelity([], np.ones(1))
+
+
+# --- the whole-factor fidelity cache ----------------------------------------------------
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@pytest.fixture
+def fidelity_cache():
+    qcore._FIDELITY_CACHE.clear()
+    yield qcore._FIDELITY_CACHE
+    qcore._FIDELITY_CACHE.clear()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cached_fidelity_equals_the_uncached_expression_in_every_order(n, fidelity_cache):
+    rng = np.random.default_rng(8300 + n)
+    for _ in range(4):
+        fidelity_cache.clear()
+        reg, refs = _loaded_register(_random_state(rng, n))
+        target = _random_state(rng, n).reshape(-1)
+        orders = [list(order) for order in itertools.permutations(refs)]
+        wants = [_fidelity_via_reduced_density(reg, order, target) for order in orders]
+        assert len(set(wants)) > 1  # a key that drops the order would return a wrong one
+        for _ in range(2):  # misses, then hits
+            for order, want in zip(orders, wants):
+                got = reg.state_fidelity(order, target)
+                assert got == want and _bits(got) == _bits(want)
+        assert len(fidelity_cache) == len(orders)
+
+
+def test_amplitudes_that_differ_only_in_a_zeros_sign_are_two_entries(fidelity_cache):
+    target = ghz_vector(2)
+    plain = [complex(RT2, 0.0), 0j, 0j, complex(RT2, 0.0)]
+    signed = [complex(RT2, 0.0), complex(-0.0, 0.0), 0j, complex(RT2, -0.0)]
+    assert plain == signed  # equal as values, so a key made of them would collide
+    for amps in (plain, signed):
+        reg, refs = _loaded_register(np.array(amps).reshape(2, 2))
+        want = _fidelity_via_reduced_density(reg, refs, target)
+        got = reg.state_fidelity(refs, target)
+        assert _bits(got) == _bits(want)
+    assert len(fidelity_cache) == 2
+
+
+def test_the_fidelity_cache_stays_within_its_bound(fidelity_cache):
+    rng = np.random.default_rng(8400)
+    target = ghz_vector(3)
+    sizes = []
+    for _ in range(qcore.FIDELITY_CACHE_SIZE * 2 + 5):
+        reg, refs = _loaded_register(_random_state(rng, 3))
+        want = _fidelity_via_reduced_density(reg, refs, target)
+        assert reg.state_fidelity(refs, target) == want
+        sizes.append(len(fidelity_cache))
+    assert max(sizes) == qcore.FIDELITY_CACHE_SIZE
+    assert sizes[qcore.FIDELITY_CACHE_SIZE] == 1  # emptied at the bound, then refilled
+
+
+def test_bad_fidelity_requests_raise_as_before_and_cache_nothing(fidelity_cache):
+    rng = np.random.default_rng(8500)
+    reg, refs = _loaded_register(_random_state(rng, 3))
+    lone = reg.prepare_single("0")
+    target3 = _random_state(rng, 3).reshape(-1)
+    with pytest.raises(ValueError, match="at least one qubit"):
+        reg.state_fidelity([], np.ones(1))
+    with pytest.raises(ValueError, match="wrong dimension"):
+        reg.state_fidelity(refs, ghz_vector(2))
+    with pytest.raises(ValueError, match="duplicate"):
+        reg.state_fidelity([refs[0], refs[1], refs[1]], target3)
+    for foreign in ([refs[0], refs[1], QubitRef(99)], [QubitRef(99), refs[0], refs[1]]):
+        with pytest.raises(DeadQubitError):
+            reg.state_fidelity(foreign, target3)
+    assert not fidelity_cache
+    # As many qubits as the factor, but one from another factor: read through
+    # reduced_density, not the whole-factor path.
+    mixed = [refs[2], refs[0], lone]
+    want = _fidelity_via_reduced_density(reg, mixed, target3)
+    assert reg.state_fidelity(mixed, target3) == want
+    assert not fidelity_cache
 
 
 # --- the qubit -> factor map and shared outcomes -----------------------------------------
