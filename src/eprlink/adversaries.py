@@ -40,6 +40,7 @@ from .channels import (
     TrojanTag,
 )
 from .qcore import (
+    BASIS_BY_BIT,
     Basis,
     BellOutcome,
     PauliCode,
@@ -50,6 +51,7 @@ from .qcore import (
     eigenstate_label,
     state_vector_for_label,
 )
+from .seeding import draw_below
 
 _PAULI_CHOICES = (PauliCode.I, PauliCode.Z, PauliCode.X, PauliCode.IY)
 
@@ -179,7 +181,7 @@ class InterceptResend(Adversary):
         reg, rng = net.register, net.rng
         fakes = []
         for q in msg.qubits:
-            basis = Basis.Z if int(rng.integers(2)) == 0 else Basis.X
+            basis = BASIS_BY_BIT[draw_below(rng, 2)]
             out = reg.measure(q, basis, rng)
             fakes.append(reg.prepare_single(eigenstate_label(basis, out.bit)))
         return QuantumMessage(msg.sender, msg.receiver, tuple(fakes))
@@ -194,12 +196,14 @@ class EntangleMeasure(Adversary):
 
     def __init__(self, spec: AttackSpec):
         super().__init__(spec.actor, spec.edge)
-        self.unitary = np.asarray(spec.unitary, dtype=complex)
+        # Checked once here; every in-flight qubit gets the same rows.
+        self.unitary = _check_unitary(spec.unitary, 4)
+        self._rows = self.unitary.tolist()
 
     def on_quantum_in_flight(self, net, edge, msg):
         reg = net.register
         for q in msg.qubits:
-            reg.apply_two_qubit_unitary(self.unitary, q, reg.prepare_single("0"))
+            reg.apply_two_qubit_rows(self._rows, q, reg.prepare_single("0"))
         return msg
 
 
@@ -305,7 +309,7 @@ class CorrelationElicitation(Adversary):
             bit = reg.measure(probe, Basis.Z, rng).bit
             reg.discard(probe)
             # The probe only ever learns flip-or-not; the phase bit is a coin toss.
-            self._guesses.append((bit, int(rng.integers(2))))
+            self._guesses.append((bit, draw_below(rng, 2)))
 
 
 class DenseCodingSubstitution(Adversary):
@@ -348,7 +352,7 @@ class Modification(Adversary):
         self.strategy = spec.strategy
 
     def _random_pauli(self, rng) -> PauliCode:
-        return _PAULI_CHOICES[int(rng.integers(4))]
+        return _PAULI_CHOICES[draw_below(rng, 4)]
 
     def on_quantum_in_flight(self, net, edge, msg):
         reg, rng = net.register, net.rng

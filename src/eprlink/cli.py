@@ -25,6 +25,7 @@ from .harness import (
     run_sweep,
 )
 from .protocol import EstablishmentConfig
+from .seeding import draw_below
 
 
 # The subcommands that run batches, in help order.
@@ -122,13 +123,13 @@ def _require(ok: bool, message: str) -> None:
 
 
 def _check_pair_correlations() -> None:
-    from .qcore import Basis, QuantumRegister
+    from .qcore import BASIS_BY_BIT, QuantumRegister
 
     rng = np.random.default_rng(7)
     reg = QuantumRegister()
     for _ in range(300):
         qa, qb = reg.prepare_epr_pair()
-        basis = Basis.Z if int(rng.integers(2)) == 0 else Basis.X
+        basis = BASIS_BY_BIT[draw_below(rng, 2)]
         a = reg.measure(qa, basis, rng).bit
         b = reg.measure(qb, basis, rng).bit
         _require(a == b, f"same-basis outcomes differ in {basis}")

@@ -59,7 +59,7 @@ from .channels import (
 from .protocol import EstablishmentConfig, ghz_target_vector, run_establishment, run_multiparty
 from .qcore import BASIS_BY_BIT, LABEL_EXPECTATION, SINGLE_STATE_LABELS, QuantumRegister
 from .qsdc import run_qsdc
-from .seeding import MAX_TRIALS, sweep_seed, trial_rng, trial_rngs
+from .seeding import MAX_TRIALS, draw_below, sweep_seed, trial_rng, trial_rngs
 
 SCENARIOS = ("establish", "qsdc", "multiparty", "game")
 RUN_SCENARIOS = SCENARIOS[:3]  # the scenarios that run the protocol: all but the game
@@ -499,7 +499,7 @@ class GameInstance:
         net = Network(Topology.two_party(), reg, rng)
         L = challenge_len
         if discussion == "decoy":
-            labels = tuple([SINGLE_STATE_LABELS[i] for i in rng.integers(4, size=L).tolist()])
+            labels = tuple([SINGLE_STATE_LABELS[i] for i in draw_below(rng, 4, L)])
             qubits = [reg.prepare_single(lab) for lab in labels]
             net.send_quantum(TP1, ALICE, qubits)
             net.send_classical(ALICE, TP1, ACK)
@@ -520,7 +520,7 @@ class GameInstance:
                 b_qubits.append(qb)
             net.send_quantum(TP1, ALICE, a_qubits)
             net.send_quantum(TP1, BOB, b_qubits)
-            bases = tuple([BASIS_BY_BIT[b] for b in rng.integers(2, size=L).tolist()])
+            bases = tuple([BASIS_BY_BIT[b] for b in draw_below(rng, 2, L)])
             announce = PositionsBases(STAGE_PAIR_CHECK, tuple(range(L)), bases)
             net.send_classical(TP2, ALICE, announce)
             net.send_classical(TP2, BOB, announce)
@@ -574,10 +574,10 @@ class GameInstance:
         if self._tested:
             raise GameError("the challenge for this instance was already issued")
         self._tested = True
-        self._b = int(self._rng.integers(2))
+        self._b = draw_below(self._rng, 2)
         if self._b == 0:
             return self._results
-        return tuple(self._rng.integers(0, 2, size=len(self._results)).tolist())
+        return tuple(draw_below(self._rng, 2, len(self._results)))
 
     def judge(self, guess: int) -> Optional[bool]:
         """Score a guess; None if the instance is stale or was never tested."""
@@ -589,7 +589,7 @@ class GameInstance:
 def strategy_passive(instance: GameInstance, challenge, rng) -> int:
     """Look at the public view, then flip a coin."""
     instance.execute()
-    return int(rng.integers(2))
+    return draw_below(rng, 2)
 
 
 def strategy_fiat_clone(instance: GameInstance, challenge, rng) -> int:

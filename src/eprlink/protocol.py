@@ -50,6 +50,7 @@ from .qcore import (
     QubitRef,
     ghz_vector,
 )
+from .seeding import draw_below
 
 
 class DecoyRecord(NamedTuple):
@@ -198,7 +199,7 @@ class Session:
             return list(payload), []
         rng = self.rng
         positions = sorted(rng.choice(len(payload) + n, size=n, replace=False).tolist())
-        labels = [SINGLE_STATE_LABELS[i] for i in rng.integers(4, size=n).tolist()]
+        labels = [SINGLE_STATE_LABELS[i] for i in draw_below(rng, 4, n)]
         prepare = self.register.prepare_single
         sequence = list(payload)
         # Ascending inserts: every decoy lands on its final slot.
@@ -308,7 +309,7 @@ def _pair_check(session: Session, payload: Dict[PartyId, List[QubitRef]]) -> Lis
     cfg, net, reg, rng = session.cfg, session.net, session.register, session.rng
     m, c = cfg.m_pairs, cfg.checked_count
     positions = sorted(rng.choice(m, size=c, replace=False).tolist())
-    bases = [BASIS_BY_BIT[b] for b in rng.integers(2, size=c).tolist()]
+    bases = [BASIS_BY_BIT[b] for b in draw_below(rng, 2, c)]
     announce = PositionsBases(STAGE_PAIR_CHECK, tuple(positions), tuple(bases))
     # Everyone hears the challenge before anyone answers.
     for p in session.parties:

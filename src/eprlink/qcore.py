@@ -479,7 +479,12 @@ class QuantumRegister:
         """Apply an arbitrary (validated) 4x4 unitary with qa as the first axis."""
         if qa == qb:
             raise ValueError("the two qubits must differ")
-        rows = _check_unitary(u, 4).tolist()
+        self.apply_two_qubit_rows(_check_unitary(u, 4).tolist(), qa, qb)
+
+    def apply_two_qubit_rows(self, rows: List[List[complex]], qa: QubitRef, qb: QubitRef) -> None:
+        """``apply_two_qubit_unitary`` for a unitary already checked, as its ``tolist()`` rows."""
+        if qa == qb:
+            raise ValueError("the two qubits must differ")
         sv = self._merge(qa, qb)
         self._apply_2q(sv, sv.axis_of(qa), sv.axis_of(qb), rows)
 

@@ -43,6 +43,7 @@ from .protocol import (
     strip_decoys,
 )
 from .qcore import PauliCode, QuantumRegister, QubitRef
+from .seeding import draw_below
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ class Message:
 
     @classmethod
     def random(cls, rng: np.random.Generator, length: int) -> "Message":
-        return cls(tuple(rng.integers(0, 2, size=length).tolist()))
+        return cls(tuple(draw_below(rng, 2, length)))
 
 
 def bits_to_hex(bits: Sequence[int]) -> str:

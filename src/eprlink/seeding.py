@@ -10,6 +10,10 @@ spawn key (its index) is mixed in and its state generated on one uint64 array
 over all indices.  The helpers work element-wise on Python ints and on such
 arrays, masked to 32 bits.
 
+``draw_below`` draws the power-of-two integers of a trial (decoy labels,
+bases, bits) from the generator's float32 stream: the same values and the same
+generator state as ``rng.integers``, without its Python front-end.
+
 ``numpy.random`` is imported only when generators are built: importing it
 costs about 14 ms, which loading a config never pays.
 """
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from typing import Iterator, List
+from typing import Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -30,6 +34,9 @@ _POOL_SIZE = 4
 
 # A spawn key past 32 bits would take two entropy words.
 MAX_TRIALS = 1 << 32
+
+# A float32 uniform carries 24 random bits.
+MAX_DRAW_BOUND = 1 << 24
 
 
 def _words32(n: int) -> List[int]:
@@ -141,3 +148,22 @@ def trial_rng(seed: int, index: int):
 def sweep_seed(seed: int, index: int) -> int:
     """The batch seed of sweep point ``index``: SeedSequence([seed, index]).generate_state(1)[0]."""
     return _state_words(_mixed_pool(_words32(seed) + _words32(index)), 1)[0]
+
+
+def draw_below(rng, k: int, size: Optional[int] = None) -> Union[int, List[int]]:
+    """``rng.integers(k, size=size)`` for a power of two ``k``: an int, or a list of ints.
+
+    Exact for any numpy bit generator.  numpy bounds an integer below 2**b by
+    Lemire's method: one 32-bit word times 2**b, which never rejects, so the
+    value is the word's top b bits.  A float32 uniform is the same word's top
+    24 bits times 2**-24, read through the same half-word buffer, so
+    ``int(x * k)`` is the same value and the generator ends in the same state.
+    A Python float holds a float32 exactly, the product by a power of two is
+    exact, and ``int`` floors a non-negative float.  ``k`` = 1 is refused, not
+    served: ``integers(1)`` draws nothing, and a float would consume a word.
+    """
+    if not 2 <= k <= MAX_DRAW_BOUND or k & (k - 1):
+        raise ValueError(f"k must be a power of two between 2 and {MAX_DRAW_BOUND}, got {k}")
+    if size is None:
+        return int(rng.random(dtype=np.float32) * k)
+    return [int(x * k) for x in rng.random(size, dtype=np.float32).tolist()]

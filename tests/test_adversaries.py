@@ -589,3 +589,27 @@ def test_double_coupling_reads_bit_flip_and_restores_the_pair(code):
         reg.apply_cnot(qa, probe)
         assert reg.measure(probe, Basis.Z, rng).bit == code.bits[0]
         assert reg.bell_measure(qa, qb, rng).bits == code.bits
+
+
+# --- probe coupling: the unitary is checked once per adversary ----------------------
+
+
+@pytest.mark.parametrize("m_pairs, n_decoys", [(1, 0), (10, 10), (20, 4)])
+def test_a_probe_adversary_checks_its_unitary_once(monkeypatch, m_pairs, n_decoys):
+    from eprlink import adversaries, qcore
+
+    unitary = tuple(map(tuple, partial_probe_unitary(0.7)))
+    spec = AttackSpec(kind=AttackKind.ENTANGLE_MEASURE, unitary=unitary)
+    cfg = EstablishmentConfig(m_pairs=m_pairs, n_decoys=n_decoys, check_fraction=0.3)
+    calls = []
+    original = qcore._check_unitary
+
+    def counted(u, dim):
+        calls.append(dim)
+        return original(u, dim)
+
+    monkeypatch.setattr(qcore, "_check_unitary", counted)
+    monkeypatch.setattr(adversaries, "_check_unitary", counted)
+    for child in np.random.SeedSequence(5).spawn(6):
+        run_establishment(cfg, attack=spec, rng=np.random.default_rng(child))
+    assert calls == [4] * 6

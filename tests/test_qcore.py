@@ -1369,3 +1369,20 @@ def test_factor_map_stays_consistent_through_merges_bell_measurements_and_discar
         reg.measure(q, Basis.Z, rng)
         reg.discard(q)
     assert reg._where == {} and reg.max_norm_error() == 0.0
+
+
+def test_checked_rows_apply_exactly_as_the_unitary():
+    rng = np.random.default_rng(2600)
+    for _ in range(10):
+        amps = _random_state(rng, 3)
+        u = _random_unitary(rng, 4)
+        for ka, kb in itertools.permutations(range(3), 2):
+            by_matrix, refs_m = _loaded_register(amps)
+            by_rows, refs_r = _loaded_register(amps)
+            by_matrix.apply_two_qubit_unitary(u, refs_m[ka], refs_m[kb])
+            by_rows.apply_two_qubit_rows(u.tolist(), refs_r[ka], refs_r[kb])
+            assert by_rows._locate(refs_r[0]).amps == by_matrix._locate(refs_m[0]).amps
+    reg = QuantumRegister()
+    qa, _ = reg.prepare_epr_pair()
+    with pytest.raises(ValueError, match="must differ"):
+        reg.apply_two_qubit_rows(np.eye(4).tolist(), qa, qa)
