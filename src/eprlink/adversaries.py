@@ -699,6 +699,25 @@ def probe_interaction_scores(unitary: np.ndarray) -> Tuple[float, float]:
     return max(disturbances), max_distance
 
 
+def probe_guessing(unitary: np.ndarray, basis: Basis) -> float:
+    """Helstrom success of guessing a ``basis`` decoy's bit from its probe alone.
+
+    The decoy is either of the basis's two states with equal odds and the probe
+    starts in |0>; the best measurement of the probe's reduced states succeeds
+    with probability 1/2 + 1/2 of their trace distance.  For four-state decoys
+    it is at most 1/2 + sqrt(D(1 - D)), D the disturbance of the other basis's
+    decoys (Fuchs et al., Phys. Rev. A 56, 1163 (1997)).
+    """
+    u = np.asarray(unitary, dtype=complex)
+    anc = state_vector_for_label("0")
+    probes = []
+    for bit in (0, 1):
+        vec = state_vector_for_label(eigenstate_label(basis, bit))
+        out = (u @ np.kron(vec, anc)).reshape(2, 2)
+        probes.append(out.T @ out.conj())
+    return 0.5 + 0.5 * _trace_distance(*probes)
+
+
 def random_probe_unitary(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
     """Haar-random unitary via QR of a complex Gaussian matrix."""
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))

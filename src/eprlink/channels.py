@@ -119,7 +119,8 @@ class RunStatus(Enum):
 
     The abort members are the table of checks.  Each names its stage label
     (None for the integrity tag), the quantum edges whose decoys it compares,
-    and whether it runs before establishment ends.
+    and whether it runs before establishment ends.  ``step`` names the failed
+    check, ``"step2"`` to ``"step7"`` or ``"mac"``, and is None on success.
     """
 
     def __new__(cls, value: str, stage=None, edges=(), before_establishment=False):
@@ -128,6 +129,7 @@ class RunStatus(Enum):
         member.stage = stage
         member.edges = edges
         member.before_establishment = before_establishment
+        member.step = "mac" if value == "mac_rejected" else value.partition("aborted_")[2] or None
         return member
 
     ESTABLISHED = ("established",)
@@ -137,13 +139,6 @@ class RunStatus(Enum):
     ABORTED_STEP5 = ("aborted_step5", STAGE_RELAY_IN, ((ALICE, TP2),))
     ABORTED_STEP7 = ("aborted_step7", STAGE_RELAY_OUT, ((TP2, BOB),))
     MAC_REJECTED = ("mac_rejected",)
-
-    @property
-    def step(self) -> Optional[str]:
-        """The failed check, ``"step2"`` to ``"step7"`` or ``"mac"``; None on success."""
-        if self is RunStatus.MAC_REJECTED:
-            return "mac"
-        return self.value.partition("aborted_")[2] or None
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,10 @@ Conventions:
     2**n Python complex numbers; the qubit at position k of ``qubit_order``
     owns bit n-1-k of the flat index, so the list is the C-order flattening of
     a (2,) * n tensor.  Every operation runs one kernel over cached index
-    tables (:func:`_halves`, :func:`_quarters`) and writes the list in place.
+    tables (:func:`_halves`, :func:`_quarters`) and writes the list in place;
+    on a two-qubit factor, most often a shared pair, ``measure``,
+    ``bell_measure``, ``discard`` and the one-qubit gates do the same float
+    operations unrolled and store a new list.
     A lone qubit has no factor object: its entry is a 2-tuple of Python
     complex numbers (its label's shared tuple when fresh), measured and gated
     inline, since most measurements in a trial read lone decoys,
@@ -447,6 +450,14 @@ class QuantumRegister:
             return
         amps = sv.amps
         order = sv.qubit_order
+        if len(order) == 2:
+            # The generic kernel's four products, unrolled; x is q's half with its bit clear.
+            first = order[0] == q
+            x0, x1, y0, y1 = amps if first else (amps[0], amps[2], amps[1], amps[3])
+            z0, z1 = u00 * x0 + u01 * y0, u00 * x1 + u01 * y1
+            o0, o1 = u10 * x0 + u11 * y0, u10 * x1 + u11 * y1
+            sv.amps = [z0, z1, o0, o1] if first else [z0, o0, z1, o1]
+            return
         for i, j in zip(*_halves(len(order), order.index(q))):
             x, y = amps[i], amps[j]
             amps[i] = u00 * x + u01 * y
@@ -528,6 +539,31 @@ class QuantumRegister:
             return _OUTCOMES[x_basis][bit]
         amps = sv.amps
         order = sv.qubit_order
+        if len(order) == 2:
+            # The kernel below, unrolled over q's two index pairs (x0, y0), (x1, y1).
+            first = order[0] == q
+            x0, x1, y0, y1 = amps if first else (amps[0], amps[2], amps[1], amps[3])
+            if x_basis:
+                x0, y0, x1, y1 = x0 + y0, x0 - y0, x1 + y1, x1 - y1
+            p1 = (y0.real * y0.real + y0.imag * y0.imag) + (y1.real * y1.real + y1.imag * y1.imag)
+            if x_basis:
+                p1 *= 0.5
+            if draw is None:
+                draw = rng.random()
+            bit = 1 if draw < p1 else 0
+            scale = 1.0 / math.sqrt(p1 if bit else 1.0 - p1)
+            if x_basis:
+                half = 0.5 * scale
+                z0, z1 = (y0 * half, y1 * half) if bit else (x0 * half, x1 * half)
+                o0, o1 = (-z0, -z1) if bit else (z0, z1)
+            elif bit:
+                z0 = z1 = 0j
+                o0, o1 = y0 * scale, y1 * scale
+            else:
+                z0, z1 = x0 * scale, x1 * scale
+                o0 = o1 = 0j
+            sv.amps = [z0, z1, o0, o1] if first else [z0, o0, z1, o1]
+            return _OUTCOMES[x_basis][bit]
         zeros, ones = _halves(len(order), order.index(q))
         if x_basis:
             # sqrt2 <+|psi> and sqrt2 <-|psi>; the 1/sqrt2 factors go into p1 and scale.
@@ -578,20 +614,58 @@ class QuantumRegister:
         draws = rng.random(len(qubits)).tolist()
         return [measure(q, b, rng, d).bit for q, b, d in zip(qubits, bases, draws)]
 
-    def bell_measure(self, q1: QubitRef, q2: QubitRef, rng: np.random.Generator) -> BellOutcome:
+    def bell_measure(
+        self,
+        q1: QubitRef,
+        q2: QubitRef,
+        rng: np.random.Generator,
+        draw: Optional[float] = None,
+    ) -> BellOutcome:
         """Joint projective measurement of (q1, q2) in the Bell basis.
 
         The pair collapses onto the reported Bell state; both qubits stay in
-        the register so callers may keep using or discard them.
+        the register so callers may keep using or discard them.  The outcome
+        is the first whose running probability sum exceeds ``draw``; without
+        a ``draw`` the uniform number is ``rng.random()``.
         """
         if q1 == q2:
             raise ValueError("bell_measure needs two distinct qubits")
         sv = self._merge(q1, q2)
         order = sv.qubit_order
-        quads = _quarters(len(order), order.index(q1), order.index(q2))
         amps = sv.amps
-        # <bell_i|psi> for each Bell state i, per setting of the other qubits.
         s = _SQRT_HALF
+        if draw is None:
+            draw = rng.random()
+        if len(order) == 2:
+            # The loop below for its one quad.  A sum of squares is never -0.0,
+            # so each running sum may start at its first term instead of 0.0.
+            first = order[0] == q1
+            a00, a01, a10, a11 = amps if first else (amps[0], amps[2], amps[1], amps[3])
+            c0, c1, c2, c3 = s * (a00 + a11), s * (a00 - a11), s * (a01 + a10), s * (a01 - a10)
+            p0 = c0.real * c0.real + c0.imag * c0.imag
+            p1 = c1.real * c1.real + c1.imag * c1.imag
+            p2 = c2.real * c2.real + c2.imag * c2.imag
+            p3 = c3.real * c3.real + c3.imag * c3.imag
+            acc1 = p0 + p1
+            acc2 = acc1 + p2
+            if draw < p0:
+                idx = 0
+            elif draw < acc1:
+                idx = 1
+            elif draw < acc2:
+                idx = 2
+            elif draw < acc2 + p3 or p3 > 0.0:
+                idx = 3
+            else:
+                # The rounding fall-through: the last outcome that can occur.
+                idx = 2 if p2 > 0.0 else 1 if p1 > 0.0 else 0
+            picked = (c0, c1, c2, c3)[idx] * (1.0 / math.sqrt((p0, p1, p2, p3)[idx]))
+            v00, v01, v10, v11 = _BELL_ROWS[idx]
+            b00, b01, b10, b11 = v00 * picked, v01 * picked, v10 * picked, v11 * picked
+            sv.amps = [b00, b01, b10, b11] if first else [b00, b10, b01, b11]
+            return _BELL_ORDER[idx]
+        quads = _quarters(len(order), order.index(q1), order.index(q2))
+        # <bell_i|psi> for each Bell state i, per setting of the other qubits.
         coeffs = []
         p0 = p1 = p2 = p3 = 0.0
         for i00, i01, i10, i11 in quads:
@@ -603,14 +677,13 @@ class QuantumRegister:
             p2 += c2.real * c2.real + c2.imag * c2.imag
             p3 += c3.real * c3.real + c3.imag * c3.imag
         probs = (p0, p1, p2, p3)
-        r = rng.random()
         acc = 0.0
         for idx, p in enumerate(probs):
             acc += p
-            if r < acc:
+            if draw < acc:
                 break
         else:
-            # Rounding left sum(probs) <= r: take the last outcome that can occur.
+            # Rounding left sum(probs) <= draw: take the last outcome that can occur.
             idx = max(i for i, p in enumerate(probs) if p > 0.0)
         scale = 1.0 / math.sqrt(probs[idx])
         v00, v01, v10, v11 = _BELL_ROWS[idx]
@@ -632,29 +705,42 @@ class QuantumRegister:
         if type(sv) is not tuple:
             order = sv.qubit_order
             amps = sv.amps
-            # The qubit's reduced state is the Gram matrix of its two halves.
-            zeros, ones = _halves(len(order), order.index(q))
-            g00 = g11 = 0.0
-            g01 = 0j
-            for i, j in zip(zeros, ones):
-                x, y = amps[i], amps[j]
-                g00 += x.real * x.real + x.imag * x.imag
-                g11 += y.real * y.real + y.imag * y.imag
-                g01 += x.conjugate() * y
+            pair = len(order) == 2
+            if pair:
+                # The kernel below, unrolled over q's two index pairs; the
+                # survivor is stored as a bare pair.
+                first = order[0] == q
+                x0, x1, y0, y1 = amps if first else (amps[0], amps[2], amps[1], amps[3])
+                g00 = (x0.real * x0.real + x0.imag * x0.imag) + (
+                    x1.real * x1.real + x1.imag * x1.imag
+                )
+                g11 = (y0.real * y0.real + y0.imag * y0.imag) + (
+                    y1.real * y1.real + y1.imag * y1.imag
+                )
+                g01 = 0j + x0.conjugate() * y0 + x1.conjugate() * y1
+            else:
+                # The qubit's reduced state is the Gram matrix of its two halves.
+                zeros, ones = _halves(len(order), order.index(q))
+                g00 = g11 = 0.0
+                g01 = 0j
+                for i, j in zip(zeros, ones):
+                    x, y = amps[i], amps[j]
+                    g00 += x.real * x.real + x.imag * x.imag
+                    g11 += y.real * y.real + y.imag * y.imag
+                    g01 += x.conjugate() * y
             purity = g00 * g00 + g11 * g11 + 2.0 * (g01.real**2 + g01.imag**2)
             if purity < 1.0 - PURITY_ATOL:
                 raise EntangledDiscardError(f"{q} is still entangled (purity {purity:.6f})")
             # In a product state both halves are multiples of the remainder;
             # the larger one, normalised, is it up to a global phase.
-            kept, g = (zeros, g00) if g00 >= g11 else (ones, g11)
-            norm = math.sqrt(g)
-            rest = [r for r in order if r != q]
-            if len(rest) == 1:
-                i, j = kept
-                self._where[rest[0]] = (amps[i] / norm, amps[j] / norm)
+            lower = g00 >= g11
+            norm = math.sqrt(g00 if lower else g11)
+            if pair:
+                x, y = (x0, x1) if lower else (y0, y1)
+                self._where[order[first]] = (x / norm, y / norm)
             else:
-                sv.amps = [amps[i] / norm for i in kept]
-                sv.qubit_order = rest
+                sv.amps = [amps[i] / norm for i in (zeros if lower else ones)]
+                sv.qubit_order = [r for r in order if r != q]
         del self._where[q]
         self._consumed.add(q)
 

@@ -140,11 +140,18 @@ def decode_pairs(
     held: Sequence[QubitRef],
     rng: np.random.Generator,
 ) -> Tuple[int, ...]:
-    """Joint Bell-basis readout of each (relayed, held) pair, two bits apiece."""
+    """Joint Bell-basis readout of each (relayed, held) pair, two bits apiece.
+
+    Draws ``rng.random(k)`` once for the k pairs, which yields exactly the
+    values and generator state of one ``rng.random()`` per pair.
+    """
+    if len(relayed) != len(held):
+        raise ValueError(f"{len(relayed)} relayed qubits cannot pair with {len(held)} held ones")
+    bell_measure = register.bell_measure
+    draws = rng.random(len(held)).tolist()
     bits: List[int] = []
-    for qa, qb in zip(relayed, held):
-        outcome = register.bell_measure(qa, qb, rng)
-        bits.extend(outcome.bits)
+    for qa, qb, draw in zip(relayed, held, draws):
+        bits.extend(bell_measure(qa, qb, rng, draw).bits)
     return tuple(bits)
 
 

@@ -41,6 +41,7 @@ from eprlink.adversaries import (
     pauli_disturbance_table,
     probe_decoy_detection,
     probe_disturbance,
+    probe_guessing,
     probe_interaction_scores,
     random_probe_unitary,
     swap_check_pass_table,
@@ -329,6 +330,47 @@ def test_partial_probe_endpoints_and_monotone_tradeoff():
     for weaker, stronger in zip(scores, scores[1:]):
         assert weaker[0] < stronger[0] + 1e-12
         assert weaker[1] < stronger[1] + 1e-12
+
+
+def _guessing_bound(unitary, labels):
+    """1/2 + sqrt(D(1 - D)), D the mean disturbance of the decoys ``labels``."""
+    d = float(np.mean([probe_disturbance(unitary, label) for label in labels]))
+    return 0.5 + math.sqrt(d * (1.0 - d))
+
+
+def _near_identity_unitary(rng):
+    h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    w, v = np.linalg.eigh((h + h.conj().T) / 2)
+    return (v * np.exp(1j * rng.uniform(0.0, 0.5) * w)) @ v.conj().T
+
+
+def test_probe_guessing_obeys_the_information_disturbance_bound():
+    """P_Z <= 1/2 + sqrt(D_X(1 - D_X)), and P_X likewise against D_Z, for any coupling."""
+    assert probe_guessing(np.eye(4), Basis.Z) == pytest.approx(0.5, abs=1e-12)
+    assert probe_guessing(cnot_matrix(), Basis.Z) == pytest.approx(1.0, abs=1e-12)
+    assert probe_guessing(cnot_matrix(), Basis.X) == pytest.approx(0.5, abs=1e-12)
+    rng = np.random.default_rng(4100)
+    for _ in range(150):
+        for u in (
+            random_probe_unitary(rng),
+            np.kron(random_probe_unitary(rng, 2), random_probe_unitary(rng, 2)),
+            _near_identity_unitary(rng),
+        ):
+            p_z, p_x = probe_guessing(u, Basis.Z), probe_guessing(u, Basis.X)
+            assert p_z <= _guessing_bound(u, "+-") + 1e-12
+            assert p_x <= _guessing_bound(u, "01") + 1e-12
+            # Averaged over the bases, against the disturbance averaged over all four decoys.
+            assert (p_z + p_x) / 2 <= _guessing_bound(u, "01+-") + 1e-12
+
+
+def test_the_partial_probe_meets_the_bound():
+    for theta in np.linspace(0.0, math.pi, 61):
+        u = partial_probe_unitary(theta)
+        assert max(probe_disturbance(u, label) for label in "01") < 1e-15
+        # Helstrom success 1/2 + sin(theta/2)/2; the X decoys are disturbed sin^2(theta/4).
+        p_z = probe_guessing(u, Basis.Z)
+        assert p_z == pytest.approx(0.5 + 0.5 * math.sin(theta / 2), abs=1e-12)
+        assert abs(p_z - _guessing_bound(u, "+-")) < 1e-7
 
 
 def test_random_probe_unitary_is_unitary_and_seeded():

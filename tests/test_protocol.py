@@ -328,6 +328,18 @@ def test_run_status_names_the_failed_check():
         assert [status for status in RunStatus if edge in status.edges] == [
             status for status in checks if status.step == _EDGE_STEP[edge]
         ]
+
+
+def test_run_status_step_is_a_member_attribute_following_the_value_rule():
+    """Each member stores its step once; it equals the rule that reads it off the value."""
+    assert not isinstance(vars(RunStatus).get("step"), property)
+    for status in RunStatus:
+        assert vars(status)["step"] == status.step
+        if status is RunStatus.MAC_REJECTED:
+            want = "mac"
+        else:
+            want = status.value.partition("aborted_")[2] or None
+        assert status.step == want
     # Steps 2 and 3 end before establishment does; the relay legs are the edges of the others.
     assert [s for s in RunStatus if s.before_establishment] == [
         RunStatus.ABORTED_STEP2,

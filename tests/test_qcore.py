@@ -6,6 +6,7 @@ projectors, never touching the register implementation under test.
 
 import itertools
 import math
+import re
 import struct
 import warnings
 
@@ -802,6 +803,18 @@ def _loop_bell_measure(amps, quads, r):
     return idx, out
 
 
+def _amp_bits(amps):
+    """The bit patterns of a list of complex amplitudes; unlike ``==``, tells -0.0 from 0.0."""
+    return b"".join(struct.pack("<dd", z.real, z.imag) for z in amps)
+
+
+class _NoDraws:
+    """A generator stand-in for calls given their draw: drawing from it fails."""
+
+    def random(self, *args, **kwargs):
+        raise AssertionError("drew from the generator although a draw was given")
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_bell_measure_equals_the_coefficient_loop_bit_for_bit(n):
     rng = np.random.default_rng(7000 + n)
@@ -815,11 +828,13 @@ def test_bell_measure_equals_the_coefficient_loop_bit_for_bit(n):
             quads = _quarters(n, ka, kb)
             for r in [float(rng.random()), 0.0, 0.25, 0.5, 0.75, 1.0 - 2**-53]:
                 want_idx, want = _loop_bell_measure(flat, quads, r)
-                reg, refs = _loaded_register(amps)
-                got = reg.bell_measure(refs[ka], refs[kb], _RecordingRng(r))
-                assert got is list(BellOutcome)[want_idx]
-                assert reg._locate(refs[0]).amps == want
-                assert reg._locate(refs[0]).qubit_order == refs
+                # The draw comes from the generator, or is passed and the generator left alone.
+                for rng_arg, draw in ((_RecordingRng(r), None), (_NoDraws(), r)):
+                    reg, refs = _loaded_register(amps)
+                    got = reg.bell_measure(refs[ka], refs[kb], rng_arg, draw)
+                    assert got is list(BellOutcome)[want_idx]
+                    assert _amp_bits(reg._locate(refs[0]).amps) == _amp_bits(want)
+                    assert reg._locate(refs[0]).qubit_order == refs
 
 
 def test_bell_measure_rounding_fall_through_picks_a_possible_outcome():
@@ -1079,9 +1094,115 @@ def test_bare_pair_measure_equals_the_flat_kernel_bit_for_bit(basis):
             assert got.bit == (1 if draw < p1 else 0)
             # q owns the high bit of the flat index; the fresh |0> stays zero.
             assert type(reg._where[q]) is tuple
-            assert reg._where[q] == (sv.amps[0], sv.amps[2])
+            assert _amp_bits(reg._where[q]) == _amp_bits([sv.amps[0], sv.amps[2]])
             assert sv.amps[1] == sv.amps[3] == 0
             assert rng_lone.random() == rng_flat.random()
+
+
+# --- two-qubit factors: the unrolled branches against the generic kernel ---------------
+#
+# The generic kernel serves factors of three or more qubits.  Each pair state is
+# also loaded with a third qubit in |0> behind it, so the generic kernel runs on
+# the same values at the even flat indices; the zero terms it adds leave every
+# running sum bit-identical.  Amplitudes are compared as bit patterns.
+
+
+def _pair_states():
+    """Labelled products, Bell states, random products and entangled states, as complex lists.
+
+    The labelled products and Bell states come a second time with every zero part
+    negated, so signed zeros reach each kernel.
+    """
+    rng = np.random.default_rng(6200)
+    labelled = [
+        np.kron(state_vector_for_label(a), state_vector_for_label(b))
+        for a, b in itertools.product("01+-", repeat=2)
+    ] + [bell_vector(o) for o in BellOutcome]
+    states = [[complex(z) for z in v] for v in labelled]
+    states += [[complex(z.real or -0.0, z.imag or -0.0) for z in v] for v in states]
+    states += [np.kron(_random_state(rng, 1), _random_state(rng, 1)).tolist() for _ in range(10)]
+    return states + [_random_state(rng, 2).ravel().tolist() for _ in range(10)]
+
+
+def _pair_and_generic(vec):
+    """``vec`` loaded as a two-qubit factor, and as the first two qubits of a three-qubit one."""
+    wide = np.zeros(8, dtype=complex)
+    wide[0::2] = vec
+    return _loaded_register(np.array(vec).reshape(2, 2)), _loaded_register(wide.reshape(2, 2, 2))
+
+
+def _assert_pair_matches_generic(pair, refs, wide, wide_refs):
+    got, sv = pair._locate(refs[0]), wide._locate(wide_refs[0])
+    assert got.qubit_order == refs and sv.qubit_order == wide_refs
+    assert _amp_bits(got.amps) == _amp_bits(sv.amps[0::2])
+    assert all(z == 0 for z in sv.amps[1::2])
+
+
+@pytest.mark.parametrize("basis", [Basis.Z, Basis.X])
+@pytest.mark.parametrize("k", [0, 1])
+def test_pair_measure_equals_the_generic_kernel_bit_for_bit(k, basis):
+    outcomes = set()
+    for vec in _pair_states():
+        (pair, refs), (wide, wide_refs) = _pair_and_generic(vec)
+        p1 = _threshold(pair, refs[k], basis)
+        assert _bits(p1) == _bits(_threshold(wide, wide_refs[k], basis))
+        # At 0 and just below p1 the outcome is 1, at p1 it is 0.
+        for draw in (0.0, p1, math.nextafter(p1, -math.inf)):
+            if not 0.0 <= draw < 1.0:
+                continue
+            (pair, refs), (wide, wide_refs) = _pair_and_generic(vec)
+            got = pair.measure(refs[k], basis, _NoDraws(), draw)
+            assert got is wide.measure(wide_refs[k], basis, _NoDraws(), draw)
+            assert got.bit == (1 if draw < p1 else 0)
+            outcomes.add(got.bit)
+            _assert_pair_matches_generic(pair, refs, wide, wide_refs)
+    assert outcomes == {0, 1}
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_pair_discard_equals_the_generic_kernel_bit_for_bit(k):
+    kept = 0
+    for vec in _pair_states():
+        (pair, refs), (wide, wide_refs) = _pair_and_generic(vec)
+        try:
+            wide.discard(wide_refs[k])
+        except EntangledDiscardError as err:
+            with pytest.raises(EntangledDiscardError, match=re.escape(str(err))):
+                pair.discard(refs[k])
+            continue
+        pair.discard(refs[k])
+        kept += 1
+        survivor = refs[1 - k]
+        assert pair.live_qubits() == [survivor] and type(pair._where[survivor]) is tuple
+        assert wide._locate(wide_refs[1 - k]).qubit_order == [wide_refs[1 - k], wide_refs[2]]
+        assert _amp_bits(pair._where[survivor]) == _amp_bits(wide._locate(wide_refs[2]).amps[0::2])
+    assert kept == 42  # the 16 labelled products twice and the 10 random ones
+
+
+@pytest.mark.parametrize("gate", ["I", "Z", "X", "iY", "H"])
+@pytest.mark.parametrize("k", [0, 1])
+def test_pair_gate_equals_the_generic_kernel_bit_for_bit(k, gate):
+    rows = qcore._HADAMARD_ROWS if gate == "H" else PauliCode(gate).rows
+    for vec in _pair_states():
+        (pair, refs), (wide, wide_refs) = _pair_and_generic(vec)
+        pair._apply_1q(refs[k], rows)
+        wide._apply_1q(wide_refs[k], rows)
+        _assert_pair_matches_generic(pair, refs, wide, wide_refs)
+
+
+@pytest.mark.parametrize("ka,kb", [(0, 1), (1, 0)])
+def test_pair_bell_measure_equals_the_generic_kernel_bit_for_bit(ka, kb):
+    for vec in _pair_states():
+        (pair, refs), _ = _pair_and_generic(vec)
+        stub = _RecordingRng(1.0)
+        pair.bell_measure(refs[ka], refs[kb], stub)
+        # Each running sum and the float below it; 1.0 takes the rounding fall-through.
+        draws = {0.0, 1.0} | {d for s in stub.seen for d in (s, math.nextafter(s, -math.inf))}
+        for draw in sorted(d for d in draws if 0.0 <= d <= 1.0):
+            (pair, refs), (wide, wide_refs) = _pair_and_generic(vec)
+            got = pair.bell_measure(refs[ka], refs[kb], _NoDraws(), draw)
+            assert got is wide.bell_measure(wide_refs[ka], wide_refs[kb], _NoDraws(), draw)
+            _assert_pair_matches_generic(pair, refs, wide, wide_refs)
 
 
 @pytest.mark.parametrize("basis", [Basis.Z, Basis.X])

@@ -9,7 +9,7 @@ import pytest
 from eprlink.adversaries import Adversary, AttackKind, AttackSpec
 from eprlink.channels import ALICE, BOB, EVE, TP1, TP2
 from eprlink.protocol import EstablishmentConfig, RunStatus
-from eprlink.qcore import PauliCode, QuantumRegister
+from eprlink.qcore import BellOutcome, PauliCode, QuantumRegister
 from eprlink.qsdc import (
     HONEST_CLASSICAL_KINDS,
     Message,
@@ -17,6 +17,7 @@ from eprlink.qsdc import (
     audit_whole_block_transmission,
     bits_to_hex,
     classical_event_kinds,
+    decode_pairs,
     expected_message_length,
     mac_protect,
     mac_verify,
@@ -148,6 +149,46 @@ def test_an_honest_trial_makes_one_register_call_per_qubit(monkeypatch):
         assert counts == {
             "prepare_single": 40, "prepare_ghz": 10, "measure": 46, "discard": 46, "bell_measure": 7,
         }
+
+
+def _encoded_pairs(codes):
+    """A register holding one phi+ pair per code, its first half encoded with that code."""
+    reg = QuantumRegister()
+    pairs = [reg.prepare_epr_pair() for _ in codes]
+    for (qa, _), code in zip(pairs, codes):
+        reg.apply_pauli(qa, code)
+    return reg, [qa for qa, _ in pairs], [qb for _, qb in pairs]
+
+
+@pytest.mark.parametrize("k", [0, 1, 5])
+def test_decode_pairs_draws_once_as_a_loop_of_bell_reads(k):
+    codes = [list(PauliCode)[i % 4] for i in range(k)]
+    reg, relayed, held = _encoded_pairs(codes)
+    rng = np.random.default_rng(40 + k)
+    bits = decode_pairs(reg, relayed, held, rng)
+    assert bits == tuple(b for code in codes for b in code.bits)
+    loop_reg, loop_relayed, loop_held = _encoded_pairs(codes)
+    loop_rng = np.random.default_rng(40 + k)
+    for qa, qb in zip(loop_relayed, loop_held):
+        loop_reg.bell_measure(qa, qb, loop_rng)
+    assert rng.bit_generator.state == loop_rng.bit_generator.state
+    for q, loop_q in zip(relayed + held, loop_relayed + loop_held):
+        assert reg._locate(q).amps == loop_reg._locate(loop_q).amps
+
+
+@pytest.mark.parametrize("extra", ["relayed", "held"])
+def test_decode_pairs_refuses_unequal_lengths_before_drawing(extra):
+    reg, relayed, held = _encoded_pairs([PauliCode.X, PauliCode.Z, PauliCode.I])
+    if extra == "relayed":
+        held = held[:-1]
+    else:
+        relayed = relayed[:-1]
+    rng = np.random.default_rng(50)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="cannot pair"):
+        decode_pairs(reg, relayed, held, rng)
+    assert rng.bit_generator.state == state
+    assert reg.bell_measure(relayed[0], held[0], rng) is BellOutcome.PSI_PLUS
 
 
 # --- transcript audits ----------------------------------------------------------------
