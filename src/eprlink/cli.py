@@ -203,18 +203,19 @@ def _check_oracle_values() -> None:
         _require(math.isclose(got, want, abs_tol=1e-15), f"{name} = {got}, expected {want}")
 
 
-def _check_honest_establishment() -> None:
-    rng = np.random.default_rng(17)
-    from .protocol import ghz_target_vector, run_establishment
+def _check_honest_establishment(parties: int = 2, seed: int = 17) -> None:
+    rng = np.random.default_rng(seed)
+    from .protocol import ghz_target_vector, run_multiparty
 
-    cfg = EstablishmentConfig(m_pairs=6, n_decoys=4)
-    out = run_establishment(cfg, rng=rng)
+    cfg = EstablishmentConfig(m_pairs=6, n_decoys=4, parties=parties)
+    out = run_multiparty(cfg, rng=rng)
     _require(out.established, f"honest run aborted: {out.detail}")
-    target = ghz_target_vector(2)
+    _require(out.pairs_established > 0, "honest run kept no group")
+    target = ghz_target_vector(parties)
     reg = out.session.register
     for i in range(out.pairs_established):
         fid = reg.state_fidelity(out.pair_group(i), target)
-        _require(fid >= 1 - 1e-10, f"pair {i} fidelity {fid}")
+        _require(fid >= 1 - 1e-10, f"group {i} fidelity {fid}")
 
 
 def _check_honest_messaging() -> None:
@@ -245,6 +246,7 @@ def selftest() -> int:
         ("copier unitary fidelities", _check_clone_table),
         ("detection oracle values", _check_oracle_values),
         ("honest establishment", _check_honest_establishment),
+        ("honest three-party establishment", lambda: _check_honest_establishment(3, 31)),
         ("honest messaging roundtrip", _check_honest_messaging),
         ("distinguishing game extremes", _check_game_extremes),
     )

@@ -83,6 +83,12 @@ class Aborted(Exception):
         self.detected_by = detected_by
 
 
+# Each k-party group is a dense list of 2**k amplitudes, and a fidelity read of
+# one builds its 2**k x 2**k density matrix: 16 MB at k = 10, four times that
+# per further party.
+MAX_PARTIES = 10
+
+
 @dataclass(frozen=True)
 class EstablishmentConfig:
     """Knobs of one establishment run; immutable, so derived counts are worked out once."""
@@ -99,8 +105,8 @@ class EstablishmentConfig:
             raise ValueError("n_decoys must be >= 0")
         if not 0.0 < self.check_fraction < 1.0:
             raise ValueError("check_fraction must lie strictly between 0 and 1")
-        if self.parties < 2:
-            raise ValueError("parties must be >= 2")
+        if not 2 <= self.parties <= MAX_PARTIES:
+            raise ValueError(f"parties must be between 2 and {MAX_PARTIES}")
 
     @cached_property
     def checked_count(self) -> int:

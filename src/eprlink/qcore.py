@@ -27,11 +27,14 @@ Conventions:
     operations unrolled and store a new list.
     A lone qubit has no factor object: its entry is a 2-tuple of Python
     complex numbers (its label's shared tuple when fresh), measured and gated
-    inline, since most measurements in a trial read lone decoys,
+    inline, since most measurements in a trial read lone decoys; a fresh
+    qubit's read is looked up in a table keyed by the identity of its label's
+    tuple (``_FRESH_READS``),
   * numpy holds the constants and serves the inspection calls
     (``reduced_density``, ``state_fidelity``, ``norm_error``), which reshape
     the flat list to a tensor; a fidelity read of one whole factor is cached
-    on the exact bytes of its inputs,
+    on the exact bytes of its inputs, the factor's taken from its flat list
+    so the tensor is built only on a miss,
   * measurement bits: 0 means |0> (Z) or |+> (X), 1 means |1> or |->,
   * all randomness is drawn from an explicitly passed ``numpy.random.Generator``.
 """
@@ -282,6 +285,49 @@ def _shared_amps(k: int) -> List[complex]:
     return template.copy()
 
 
+def _lone_read(
+    pair: Tuple[complex, complex], x_basis: bool, draw: float
+) -> Tuple[float, int, Tuple[complex, complex]]:
+    """``measure`` on a lone qubit's pair: (p1, bit, post-measurement pair).
+
+    The bit is 1 exactly when ``draw < p1``; a probability-0 outcome raises
+    (a division by zero, or the square root of a negative rounding residue).
+    """
+    b0, b1 = pair
+    if x_basis:
+        b0, b1 = b0 + b1, b0 - b1
+    p1 = b1.real * b1.real + b1.imag * b1.imag
+    if x_basis:
+        p1 *= 0.5
+    bit = 1 if draw < p1 else 0
+    scale = 1.0 / math.sqrt(p1 if bit else 1.0 - p1)
+    if x_basis:
+        kept = (b1 if bit else b0) * (0.5 * scale)
+        return p1, bit, (kept, -kept) if bit else (kept, kept)
+    return p1, bit, (0j, b1 * scale) if bit else (b0 * scale, 0j)
+
+
+def _fresh_reads(pair: Tuple[complex, complex]) -> tuple:
+    """Per basis (Z, X): ``_lone_read``'s p1 on ``pair`` and the post pair of
+    each bit, None for a bit of probability 0."""
+    rows = []
+    for x_basis in (False, True):
+        posts = [None, None]
+        for draw in (math.inf, -math.inf):  # picks bit 0, then bit 1
+            try:
+                p1, bit, post = _lone_read(pair, x_basis, draw)
+            except (ZeroDivisionError, ValueError):
+                continue
+            posts[bit] = post
+        rows.append((p1, tuple(posts)))
+    return tuple(rows)
+
+
+# Every read of a fresh qubit, keyed by id() of its label's shared tuple; those
+# tuples live as long as the module, so no other object can take their ids.
+_FRESH_READS = {id(pair): _fresh_reads(pair) for pair in _SINGLE_STATES.values()}
+
+
 # Whole-factor fidelity reads (QuantumRegister.state_fidelity), keyed by the
 # exact bytes of their inputs: the factor's amplitudes, the permutation from
 # factor order to request order, and the target.  Bytes, not values, so -0.0
@@ -520,22 +566,21 @@ class QuantumRegister:
             raise self._dead(q)
         x_basis = basis is Basis.X
         if type(sv) is tuple:
-            # A lone qubit: the same projection, draw and comparison on its pair.
-            b0, b1 = sv
-            if x_basis:
-                b0, b1 = b0 + b1, b0 - b1
-            p1 = b1.real * b1.real + b1.imag * b1.imag
-            if x_basis:
-                p1 *= 0.5
+            # A lone qubit.  A fresh one still holds its label's shared tuple and
+            # is read from _FRESH_READS, by identity: tuple equality would also
+            # match a pair that has -0.0 where the label has 0.0.
             if draw is None:
                 draw = rng.random()
+            fresh = _FRESH_READS.get(id(sv))
+            if fresh is None:
+                _, bit, self._where[q] = _lone_read(sv, x_basis, draw)
+                return _OUTCOMES[x_basis][bit]
+            p1, posts = fresh[x_basis]
             bit = 1 if draw < p1 else 0
-            scale = 1.0 / math.sqrt(p1 if bit else 1.0 - p1)
-            if x_basis:
-                kept = (b1 if bit else b0) * (0.5 * scale)
-                self._where[q] = (kept, -kept) if bit else (kept, kept)
-            else:
-                self._where[q] = (0j, b1 * scale) if bit else (b0 * scale, 0j)
+            post = posts[bit]
+            if post is None:
+                _lone_read(sv, x_basis, draw)  # a probability-0 outcome raises as it always has
+            self._where[q] = post
             return _OUTCOMES[x_basis][bit]
         amps = sv.amps
         order = sv.qubit_order
@@ -787,27 +832,33 @@ class QuantumRegister:
         if whole is None:
             rho = self.reduced_density(qubits)
             return float((target.conj() @ rho @ target).real)
-        amps, perm = whole
-        key = (amps.tobytes(), perm, target.tobytes())
+        sv, perm = whole
+        # The same bytes as sv.tensor().tobytes(); the tensor is built only on a miss.
+        key = (np.array(sv.amps, dtype=complex).tobytes(), perm, target.tobytes())
         fidelity = _FIDELITY_CACHE.get(key)
         if fidelity is None:
             if len(_FIDELITY_CACHE) >= FIDELITY_CACHE_SIZE:
                 _FIDELITY_CACHE.clear()
-            rho = _factor_density(amps, perm)
+            rho = _factor_density(sv, perm)
             fidelity = _FIDELITY_CACHE[key] = float((target.conj() @ rho @ target).real)
         return fidelity
 
     def _whole_factor(
         self, qubits: Sequence[QubitRef]
-    ) -> Optional[Tuple[np.ndarray, Tuple[int, ...]]]:
-        """The tensor of the factor that is exactly ``qubits``, with the axis
-        permutation that puts it in the requested order; None for any other set."""
-        if qubits and qubits[0] in self._where:
-            sv = self._locate(qubits[0])
-            order = sv.qubit_order
-            # The set test comes first: order.index fails on a foreign qubit.
-            if len(order) == len(qubits) and set(order) == set(qubits):
-                return sv.tensor(), tuple(order.index(q) for q in qubits)
+    ) -> Optional[Tuple[StateVector, Tuple[int, ...]]]:
+        """The factor that is exactly ``qubits``, with the axis permutation that
+        puts it in the requested order; None for any other set."""
+        if not qubits or qubits[0] not in self._where:
+            return None
+        sv = self._locate(qubits[0])
+        order = sv.qubit_order
+        if len(order) != len(qubits):
+            return None
+        if list(qubits) == order:
+            return sv, tuple(range(len(order)))
+        # The set test comes first: order.index fails on a foreign qubit.
+        if set(order) == set(qubits):
+            return sv, tuple(order.index(q) for q in qubits)
         return None
 
     def _density(self, qubits: Sequence[QubitRef]) -> np.ndarray:
@@ -823,9 +874,9 @@ class QuantumRegister:
         return _factor_density(*whole)
 
 
-def _factor_density(amps: np.ndarray, perm: Tuple[int, ...]) -> np.ndarray:
-    """The density matrix of a whole factor's tensor, its axes in ``perm`` order."""
-    arr = amps.transpose(perm).reshape(-1, 1)
+def _factor_density(sv: StateVector, perm: Tuple[int, ...]) -> np.ndarray:
+    """The density matrix of a whole factor, its axes in ``perm`` order."""
+    arr = sv.tensor().transpose(perm).reshape(-1, 1)
     return arr @ arr.conj().T
 
 

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from eprlink.cli import main
+from eprlink.protocol import MAX_PARTIES
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -34,7 +35,7 @@ def _run_optimised(args) -> subprocess.CompletedProcess:
 def test_selftest_passes_under_optimised_python():
     proc = _run_optimised(["-m", "eprlink.cli", "selftest"])
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "8/8 selftest checks passed" in proc.stdout
+    assert "9/9 selftest checks passed" in proc.stdout
 
 
 def test_selftest_fails_under_optimised_python_when_an_oracle_is_wrong():
@@ -48,7 +49,7 @@ def test_selftest_fails_under_optimised_python_when_an_oracle_is_wrong():
     proc = _run_optimised(["-c", sabotage])
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "FAIL - detection oracle values" in proc.stdout
-    assert "7/8 selftest checks passed" in proc.stdout
+    assert "8/9 selftest checks passed" in proc.stdout
 
 
 @pytest.mark.parametrize(
@@ -314,6 +315,15 @@ def test_an_unwritable_output_path_is_rejected_before_any_trial(args, message, c
     out, err = capsys.readouterr()
     assert out == ""
     assert err.strip() == message
+
+
+@pytest.mark.parametrize("parties", [1, MAX_PARTIES + 1])
+def test_a_party_count_out_of_bounds_is_a_config_error(capsys, parties):
+    """A group holds 2**k amplitudes, so too many parties exits 2 instead of exhausting memory."""
+    assert main(["multiparty", "--parties", str(parties), "--trials", "1", "--pairs", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: parties must be between 2 and {MAX_PARTIES}\n"
 
 
 

@@ -1023,6 +1023,8 @@ def test_prepare_single_shares_its_label_tuple():
         q = reg.prepare_single(lab)
         _assert_lone_amps(reg, q, state_vector_for_label(lab))
         assert reg._locate(q).amps is reg._locate(reg.prepare_single(lab)).amps
+        # measure looks fresh reads up by the identity of this tuple.
+        assert id(reg._where[q]) in qcore._FRESH_READS
     with pytest.raises(ValueError, match="unknown state label"):
         reg.prepare_single("y")
 
@@ -1097,6 +1099,85 @@ def test_bare_pair_measure_equals_the_flat_kernel_bit_for_bit(basis):
             assert _amp_bits(reg._where[q]) == _amp_bits([sv.amps[0], sv.amps[2]])
             assert sv.amps[1] == sv.amps[3] == 0
             assert rng_lone.random() == rng_flat.random()
+
+
+# --- fresh qubits: the read table against the arithmetic --------------------------------
+#
+# A fresh qubit holds its label's shared tuple, and ``measure`` reads it from a
+# table keyed by that tuple's identity.  A bit-equal copy, a different object,
+# takes the arithmetic, so the two must agree bit for bit.
+
+
+def _read(reg, q, basis, rng, draw):
+    """``measure``'s outcome and the bits of q's pair after it, or the error it raised."""
+    try:
+        out = reg.measure(q, basis, rng, draw)
+    except (ZeroDivisionError, ValueError) as exc:
+        return type(exc), str(exc), reg._where[q]
+    return out, _amp_bits(reg._where[q])
+
+
+def _fresh_register(label):
+    reg = QuantumRegister()
+    return reg, reg.prepare_single(label)
+
+
+@pytest.mark.parametrize("basis", [Basis.Z, Basis.X])
+@pytest.mark.parametrize("label", list(LABEL_EXPECTATION))
+def test_a_fresh_read_equals_the_arithmetic_on_a_copy(label, basis):
+    shared = state_vector_for_label(label).tolist()
+    p1 = _threshold(*_fresh_register(label), basis)
+    assert _bits(p1) == _bits(_threshold(*_lone_register(shared), basis))
+    raised = 0
+    # At 0 the bit is 1 unless p1 is 0, one ulp below p1 it is 1 and at p1 it is
+    # 0, so a deterministic read meets a draw outside [0, 1) that picks its
+    # probability-0 bit, which must raise.  None draws one number from the generator.
+    for draw in (0.0, p1, math.nextafter(p1, -math.inf), None):
+        results = []
+        for reg, q in (_fresh_register(label), _lone_register(shared)):
+            rng = np.random.default_rng(4100)
+            results.append((_read(reg, q, basis, rng, draw), rng.bit_generator.state))
+        (table, table_state), (arithmetic, arithmetic_state) = results
+        assert table == arithmetic and table[0] is arithmetic[0]
+        assert table_state == arithmetic_state
+        if type(table[0]) is type:
+            raised += 1
+            assert table[2] == tuple(shared)  # the qubit keeps its state
+            with pytest.raises(table[0], match=re.escape(table[1])):
+                _ref_lone_measure(shared, basis, None, draw)
+    # Only a deterministic read (p1 = 0 or p1 >= 1) has a probability-0 bit in reach.
+    assert raised == (p1 == 0.0 or p1 >= 1.0)
+
+
+def _signed_zero_variants(pair):
+    """Every pair equal to ``pair`` that differs from it only in the signs of its zeros."""
+    parts = [pair[0].real, pair[0].imag, pair[1].real, pair[1].imag]
+    zeros = [i for i, x in enumerate(parts) if x == 0.0]
+    for signs in itertools.product((0.0, -0.0), repeat=len(zeros)):
+        v = list(parts)
+        for i, zero in zip(zeros, signs):
+            v[i] = zero
+        variant = (complex(v[0], v[1]), complex(v[2], v[3]))
+        if _amp_bits(variant) != _amp_bits(pair):
+            yield variant
+
+
+def test_a_pair_equal_to_a_label_tuple_is_not_read_from_the_table():
+    """Equal by value is not enough: some signed-zero variants read to other bits."""
+    differs = 0
+    for label in LABEL_EXPECTATION:
+        shared = state_vector_for_label(label).tolist()
+        for variant in _signed_zero_variants(shared):
+            assert variant == tuple(shared)
+            for basis in (Basis.Z, Basis.X):
+                for draw in (0.0, 0.75):
+                    fresh, q_fresh = _fresh_register(label)
+                    reg, q = _lone_register(variant)
+                    want = qcore._lone_read(variant, basis is Basis.X, draw)
+                    got = _read(reg, q, basis, _NoDraws(), draw)
+                    assert got == (MeasurementOutcome(basis, want[1]), _amp_bits(want[2]))
+                    differs += got != _read(fresh, q_fresh, basis, _NoDraws(), draw)
+    assert differs > 0
 
 
 # --- two-qubit factors: the unrolled branches against the generic kernel ---------------
@@ -1366,9 +1447,15 @@ def test_cached_fidelity_equals_the_uncached_expression_in_every_order(n, fideli
         assert len(set(wants)) > 1  # a key that drops the order would return a wrong one
         for _ in range(2):  # misses, then hits
             for order, want in zip(orders, wants):
-                got = reg.state_fidelity(order, target)
-                assert got == want and _bits(got) == _bits(want)
+                # A list and a tuple in one order share one entry.
+                for request in (order, tuple(order)):
+                    got = reg.state_fidelity(request, target)
+                    assert got == want and _bits(got) == _bits(want)
         assert len(fidelity_cache) == len(orders)
+        # Each order keeps its own permutation; the factor's own order is the identity.
+        perms = sorted(perm for _, perm, _ in fidelity_cache)
+        assert perms == sorted(itertools.permutations(range(n)))
+        assert orders[0] == refs and perms[0] == tuple(range(n))
 
 
 def test_amplitudes_that_differ_only_in_a_zeros_sign_are_two_entries(fidelity_cache):
@@ -1408,15 +1495,33 @@ def test_bad_fidelity_requests_raise_as_before_and_cache_nothing(fidelity_cache)
         reg.state_fidelity(refs, ghz_vector(2))
     with pytest.raises(ValueError, match="duplicate"):
         reg.state_fidelity([refs[0], refs[1], refs[1]], target3)
-    for foreign in ([refs[0], refs[1], QubitRef(99)], [QubitRef(99), refs[0], refs[1]]):
+    with pytest.raises(ValueError, match="duplicate"):  # the factor's set, one qubit twice
+        reg.state_fidelity([*refs, refs[2]], _random_state(rng, 4).reshape(-1))
+    foreign = [refs[0], refs[1], QubitRef(99)]
+    for request in (foreign, tuple(foreign), foreign[::-1]):
         with pytest.raises(DeadQubitError):
-            reg.state_fidelity(foreign, target3)
+            reg.state_fidelity(request, target3)
     assert not fidelity_cache
-    # As many qubits as the factor, but one from another factor: read through
-    # reduced_density, not the whole-factor path.
-    mixed = [refs[2], refs[0], lone]
-    want = _fidelity_via_reduced_density(reg, mixed, target3)
-    assert reg.state_fidelity(mixed, target3) == want
+    calls = []
+
+    def counting(qubits):
+        calls.append(list(qubits))
+        return QuantumRegister.reduced_density(reg, qubits)
+
+    reg.reduced_density = counting
+    # Part of the factor in its own order, and as many qubits as the factor but
+    # one from another factor: read through reduced_density, not the whole-factor path.
+    target2 = _random_state(rng, 2).reshape(-1)
+    requests = [
+        ([refs[0], refs[1]], target2),
+        ((refs[0], refs[1]), target2),
+        ([refs[2], refs[0], lone], target3),
+        ((refs[0], refs[1], lone), target3),
+    ]
+    for qubits, target in requests:
+        want = _fidelity_via_reduced_density(reg, qubits, target)
+        assert _bits(reg.state_fidelity(qubits, target)) == _bits(want)
+    assert calls == [list(qubits) for qubits, _ in requests]
     assert not fidelity_cache
 
 
