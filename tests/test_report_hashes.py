@@ -17,6 +17,11 @@ every draw, so a change that consumes randomness in another order changes
 their hashes.  Update a pinned value only for a change that is meant to alter
 the random stream, and say so where it lands.
 
+The ``establish_entangle_measure`` case pins an enumerated oracle's bits
+(``oracle_rate`` 0.5781250000000002, from the probe coupling's scores), and
+``establish_dense_coding`` the pair-substitution attack, whose substituted
+halves meet the decoy and pair checks.
+
 ``CSV_CASES`` hash the CSV of a sweep and of a game, so a change to how a cell
 is formatted shows.  The ``qsdc_intercept_resend_tp2_bob`` case pins the decoy
 counts of the relay-out leg, TP2 to Bob.
@@ -136,6 +141,28 @@ CASES = {
             seed=24,
         ),
         "4a235ccc38afe71f580d3397ab60f917bdfb64f9a504cef928e84e11b0912bf9",
+    ),
+    "establish_entangle_measure": (
+        lambda: ExperimentConfig(
+            scenario="establish",
+            attack=attack_from_name("entangle_measure"),
+            cfg=EstablishmentConfig(m_pairs=10, n_decoys=3),
+            measure_fidelity=False,
+            trials=120,
+            seed=27,
+        ),
+        "322849144654b8d88a3f6e26f472861ed65d5c5a3affbd9ecfb99bb8bd0c8212",
+    ),
+    "establish_dense_coding": (
+        lambda: ExperimentConfig(
+            scenario="establish",
+            attack=attack_from_name("dense_coding"),
+            cfg=EstablishmentConfig(m_pairs=10, n_decoys=3),
+            measure_fidelity=False,
+            trials=120,
+            seed=28,
+        ),
+        "7ab6e4ef42e37488e5171d9e9fe05a72d6dc676adb465b7229dd984a296ba24f",
     ),
     "game_decoy": (
         lambda: ExperimentConfig(scenario="game", game=GameSpec(), trials=300, seed=14),
