@@ -15,6 +15,7 @@ can never grant one adversary both relay nodes at once.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -45,15 +46,16 @@ from .qcore import (
     BellOutcome,
     PauliCode,
     SINGLE_STATE_LABELS,
+    _HADAMARD,
+    _PAULI_BY_CODE,
     _check_unitary,
     bell_vector,
     cnot_matrix,
+    couple_probe,
     eigenstate_label,
     state_vector_for_label,
 )
 from .seeding import draw_below
-
-_PAULI_CHOICES = (PauliCode.I, PauliCode.Z, PauliCode.X, PauliCode.IY)
 
 
 class AttackKind(Enum):
@@ -352,7 +354,7 @@ class Modification(Adversary):
         self.strategy = spec.strategy
 
     def _random_pauli(self, rng) -> PauliCode:
-        return _PAULI_CHOICES[draw_below(rng, 4)]
+        return _PAULI_BY_CODE[draw_below(rng, 4)]
 
     def on_quantum_in_flight(self, net, edge, msg):
         reg, rng = net.register, net.rng
@@ -440,14 +442,13 @@ def swap_check_pass_table() -> Dict[BellOutcome, Dict[Basis, float]]:
     maximally entangled state, the spot check passes when both holders report
     equal bits in the announced basis.
     """
-    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
     table: Dict[BellOutcome, Dict[Basis, float]] = {}
     for outcome in BellOutcome:
         vec = bell_vector(outcome)
         row: Dict[Basis, float] = {}
         for basis in (Basis.Z, Basis.X):
             if basis is Basis.X:
-                v = (np.kron(hadamard, hadamard) @ vec).reshape(2, 2)
+                v = (np.kron(_HADAMARD, _HADAMARD) @ vec).reshape(2, 2)
             else:
                 v = vec.reshape(2, 2)
             equal = abs(v[0, 0]) ** 2 + abs(v[1, 1]) ** 2
@@ -469,7 +470,7 @@ def swap_per_position_pass_probability() -> float:
 def pauli_disturbance_table() -> Dict[Tuple[PauliCode, str], float]:
     """Probability that each encoding operation breaks each decoy state."""
     out: Dict[Tuple[PauliCode, str], float] = {}
-    for code in _PAULI_CHOICES:
+    for code in PauliCode:
         for label in SINGLE_STATE_LABELS:
             vec = state_vector_for_label(label)
             amp = np.vdot(vec, code.matrix @ vec)
@@ -662,11 +663,14 @@ def attack_label(spec: Optional[AttackSpec]) -> str:
 
 def probe_disturbance(unitary: np.ndarray, label: str) -> float:
     """Probability the holder's check fails on one decoy after coupling a |0> probe."""
-    vec = state_vector_for_label(label)
-    anc = state_vector_for_label("0")
-    out = (np.asarray(unitary, dtype=complex) @ np.kron(vec, anc)).reshape(2, 2)
-    kept = vec.conj() @ out
+    kept = state_vector_for_label(label).conj() @ couple_probe(unitary, label)
     return 1.0 - float(np.sum(np.abs(kept) ** 2))
+
+
+def _probe_state(unitary: np.ndarray, label: str) -> np.ndarray:
+    """The probe's reduced density matrix after coupling to one decoy."""
+    out = couple_probe(unitary, label)
+    return out.T @ out.conj()
 
 
 def _trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -682,21 +686,10 @@ def probe_interaction_scores(unitary: np.ndarray) -> Tuple[float, float]:
     bounds anything the adversary can later learn from the probe.  A coupling
     that never disturbs any decoy leaves all probe states identical.
     """
-    u = np.asarray(unitary, dtype=complex)
-    anc = state_vector_for_label("0")
-    disturbances = []
-    probe_states = []
-    for label in SINGLE_STATE_LABELS:
-        vec = state_vector_for_label(label)
-        out = (u @ np.kron(vec, anc)).reshape(2, 2)
-        kept = vec.conj() @ out
-        disturbances.append(1.0 - float(np.sum(np.abs(kept) ** 2)))
-        probe_states.append(out.T @ out.conj())
-    max_distance = 0.0
-    for i in range(len(probe_states)):
-        for j in range(i + 1, len(probe_states)):
-            max_distance = max(max_distance, _trace_distance(probe_states[i], probe_states[j]))
-    return max(disturbances), max_distance
+    disturbances = [probe_disturbance(unitary, label) for label in SINGLE_STATE_LABELS]
+    probe_states = [_probe_state(unitary, label) for label in SINGLE_STATE_LABELS]
+    pairs = itertools.combinations(probe_states, 2)
+    return max(disturbances), max(_trace_distance(a, b) for a, b in pairs)
 
 
 def probe_guessing(unitary: np.ndarray, basis: Basis) -> float:
@@ -708,13 +701,7 @@ def probe_guessing(unitary: np.ndarray, basis: Basis) -> float:
     it is at most 1/2 + sqrt(D(1 - D)), D the disturbance of the other basis's
     decoys (Fuchs et al., Phys. Rev. A 56, 1163 (1997)).
     """
-    u = np.asarray(unitary, dtype=complex)
-    anc = state_vector_for_label("0")
-    probes = []
-    for bit in (0, 1):
-        vec = state_vector_for_label(eigenstate_label(basis, bit))
-        out = (u @ np.kron(vec, anc)).reshape(2, 2)
-        probes.append(out.T @ out.conj())
+    probes = [_probe_state(unitary, eigenstate_label(basis, bit)) for bit in (0, 1)]
     return 0.5 + 0.5 * _trace_distance(*probes)
 
 

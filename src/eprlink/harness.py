@@ -499,11 +499,12 @@ class GameInstance:
         net = Network(Topology.two_party(), reg, rng)
         L = challenge_len
         if discussion == "decoy":
-            labels = tuple([SINGLE_STATE_LABELS[i] for i in draw_below(rng, 4, L)])
+            codes = draw_below(rng, 4, L)
+            labels = tuple([SINGLE_STATE_LABELS[c] for c in codes])
             qubits = [reg.prepare_single(lab) for lab in labels]
             net.send_quantum(TP1, ALICE, qubits)
             net.send_classical(ALICE, TP1, ACK)
-            bases = tuple([LABEL_EXPECTATION[lab][0] for lab in labels])
+            bases = tuple([BASIS_BY_BIT[c >> 1] for c in codes])
             net.send_classical(
                 TP1, ALICE, PositionsBases(STAGE_DECOY, tuple(range(L)), bases)
             )
@@ -1006,13 +1007,19 @@ class ExperimentConfig:
                 "sweep values were given without a sweep param; a sweep needs "
                 "--param and --values (or a config whose sweep block has both)"
             )
+        points = [self.cfg]
         if self.sweep_param is not None:
             _key("sweep", "param").check(self.sweep_param)
             if not self.sweep_values:
                 raise ValueError("sweep_values must be a non-empty list")
             # Reject a bad point before any point of the sweep runs.
-            for value in self.sweep_values:
-                _sweep_point_cfg(self, value)
+            points += [_sweep_point_cfg(self, value) for value in self.sweep_values]
+        if self.scenario == "qsdc":
+            # Checked pairs are consumed, so the message needs an unchecked one.
+            for point in points:
+                c, m = point.checked_count, point.m_pairs
+                if c >= m:
+                    raise ValueError(f"cannot spot-check {c} of {m} positions in a qsdc run")
 
 
 def _check_output_path(path) -> None:

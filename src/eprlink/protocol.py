@@ -43,7 +43,6 @@ from .channels import (
 )
 from .qcore import (
     BASIS_BY_BIT,
-    LABEL_EXPECTATION,
     SINGLE_STATE_LABELS,
     Basis,
     QuantumRegister,
@@ -54,23 +53,12 @@ from .seeding import draw_below
 
 
 class DecoyRecord(NamedTuple):
-    """Sender-side note of one hidden decoy: where it is and what it must read."""
+    """Sender-side note of one sequence's hidden decoys, in ascending position:
+    where each is, the basis it is read in and the bit it must read."""
 
-    position: int
-    basis: Basis
-    expected_bit: int
-
-
-# Records are immutable and a run reuses the same few, so each (position,
-# label) pair is built once.
-_RECORDS: Dict[Tuple[int, str], DecoyRecord] = {}
-
-
-def _decoy_record(position: int, label: str) -> DecoyRecord:
-    record = _RECORDS.get((position, label))
-    if record is None:
-        record = _RECORDS[position, label] = DecoyRecord(position, *LABEL_EXPECTATION[label])
-    return record
+    positions: Tuple[int, ...]
+    bases: Tuple[Basis, ...]
+    expected: Tuple[int, ...]
 
 
 class Aborted(Exception):
@@ -198,21 +186,19 @@ class Session:
 
     def build_decoyed_sequence(
         self, payload: Sequence[QubitRef]
-    ) -> Tuple[List[QubitRef], List[DecoyRecord]]:
+    ) -> Tuple[List[QubitRef], DecoyRecord]:
         """Insert fresh random decoys at secret positions, payload order kept."""
         n = self.cfg.n_decoys
-        if not n:
-            return list(payload), []
         rng = self.rng
         positions = sorted(rng.choice(len(payload) + n, size=n, replace=False).tolist())
-        labels = [SINGLE_STATE_LABELS[i] for i in draw_below(rng, 4, n)]
+        codes = draw_below(rng, 4, n)
         prepare = self.register.prepare_single
         sequence = list(payload)
         # Ascending inserts: every decoy lands on its final slot.
-        for pos, lab in zip(positions, labels):
-            sequence.insert(pos, prepare(lab))
-        shared = _RECORDS.get
-        return sequence, [shared(key) or _decoy_record(*key) for key in zip(positions, labels)]
+        for pos, c in zip(positions, codes):
+            sequence.insert(pos, prepare(SINGLE_STATE_LABELS[c]))
+        bases = tuple([BASIS_BY_BIT[c >> 1] for c in codes])
+        return sequence, DecoyRecord(tuple(positions), bases, tuple([c & 1 for c in codes]))
 
     def run_decoy_discussion(
         self,
@@ -220,7 +206,7 @@ class Session:
         holder: PartyId,
         stage: str,
         holder_sequence: Sequence[QubitRef],
-        records: Sequence[DecoyRecord],
+        record: DecoyRecord,
     ) -> Optional[int]:
         """Publicly compare decoy outcomes; returns the first bad slot or None.
 
@@ -229,7 +215,7 @@ class Session:
         Measured decoys are consumed afterwards.
         """
         net, reg = self.net, self.register
-        positions, bases, expected = zip(*records) if records else ((), (), ())
+        positions, bases, expected = record
         net.send_classical(holder, checker, ACK)
         net.send_classical(checker, holder, PositionsBases(stage, positions, bases))
         measured = [holder_sequence[pos] for pos in positions]
@@ -237,7 +223,7 @@ class Session:
         net.send_classical(holder, checker, MeasurementResults(stage, tuple(bits)))
         bad = [pos for pos, want, bit in zip(positions, expected, bits) if bit != want]
         counts = self.decoy_counts.setdefault((checker, holder), [0, 0])
-        counts[0] += len(records)
+        counts[0] += len(positions)
         counts[1] += len(bad)
         for q in measured:
             reg.discard(q)
@@ -257,7 +243,7 @@ def _abort(session: Session, status: RunStatus, detected_by: PartyId, reason: st
 
 def _distribute(
     session: Session,
-) -> Tuple[Dict[PartyId, Sequence[QubitRef]], Dict[PartyId, List[DecoyRecord]]]:
+) -> Tuple[Dict[PartyId, Sequence[QubitRef]], Dict[PartyId, DecoyRecord]]:
     """Step 1: make payload states, hide decoys, ship one sequence per party."""
     cfg, reg = session.cfg, session.register
     k = len(session.parties)
@@ -269,22 +255,22 @@ def _distribute(
         else:
             groups.append(reg.prepare_ghz(k))
     holder_seqs: Dict[PartyId, Sequence[QubitRef]] = {}
-    records: Dict[PartyId, List[DecoyRecord]] = {}
+    records: Dict[PartyId, DecoyRecord] = {}
     for j, p in enumerate(session.parties):
         halves = [g[j] for g in groups]
-        sequence, recs = session.build_decoyed_sequence(halves)
+        sequence, record = session.build_decoyed_sequence(halves)
         msg = session.net.send_quantum(TP1, p, sequence)
         if session.net.scan_trojan(p, msg):
             _abort(session, RunStatus.ABORTED_STEP2, p, "probe photons found in incoming sequence")
         holder_seqs[p] = msg.qubits
-        records[p] = recs
+        records[p] = record
     return holder_seqs, records
 
 
 def _decoy_discussions(
     session: Session,
     holder_seqs: Dict[PartyId, Sequence[QubitRef]],
-    records: Dict[PartyId, List[DecoyRecord]],
+    records: Dict[PartyId, DecoyRecord],
 ) -> None:
     """Step 2: per-channel public decoy comparison, TP1 checking."""
     status = RunStatus.ABORTED_STEP2
@@ -294,16 +280,16 @@ def _decoy_discussions(
             _abort(session, status, TP1, f"decoy mismatch on the {p} channel at slot {bad}")
 
 
-def strip_decoys(sequence: Sequence[QubitRef], records: Sequence[DecoyRecord]) -> List[QubitRef]:
+def strip_decoys(sequence: Sequence[QubitRef], record: DecoyRecord) -> List[QubitRef]:
     """The payload a decoyed sequence carries: every slot but the decoys', in order.
 
-    ``records`` ascend by position, as :meth:`Session.build_decoyed_sequence`
+    ``record.positions`` ascend, as :meth:`Session.build_decoyed_sequence`
     builds them, so deleting the highest position first leaves every lower
     position where it was.
     """
     payload = list(sequence)
-    for record in reversed(records):
-        del payload[record.position]
+    for position in reversed(record.positions):
+        del payload[position]
     return payload
 
 

@@ -91,19 +91,17 @@ class Basis(Enum):
 # Index 0 selects Z and 1 selects X, for bases drawn as random bits.
 BASIS_BY_BIT = (Basis.Z, Basis.X)
 
-# The four single-qubit preparation labels, in the order random draws index
-# them, each with its basis and the bit a measurement in that basis reads.
+# The four single-qubit preparation labels, indexed by their two-bit code c,
+# which random draws pick: label c is read in basis BASIS_BY_BIT[c >> 1] and
+# reads bit c & 1 there.
+SINGLE_STATE_LABELS = ("0", "1", "+", "-")
 LABEL_EXPECTATION = {
-    "0": (Basis.Z, 0),
-    "1": (Basis.Z, 1),
-    "+": (Basis.X, 0),
-    "-": (Basis.X, 1),
+    label: (BASIS_BY_BIT[c >> 1], c & 1) for c, label in enumerate(SINGLE_STATE_LABELS)
 }
-SINGLE_STATE_LABELS = tuple(LABEL_EXPECTATION)
 
 
 class PauliCode(Enum):
-    """The four encoding operations and their two-bit codes.
+    """The four encoding operations and their two-bit codes, declared in code order.
 
     Each member carries its matrix, the same entries as nested lists of Python
     complex numbers (as ``_apply_1q`` reads them), and its code: 00 is the
@@ -129,53 +127,38 @@ class PauliCode(Enum):
 
 
 # Indexed by the two-bit code read as a number, first bit high.
-_PAULI_BY_CODE = tuple(sorted(PauliCode, key=lambda code: code.bits))
+_PAULI_BY_CODE = tuple(PauliCode)
 
 
 class BellOutcome(Enum):
     """Result of a joint measurement in the maximally entangled basis.
 
-    Each member carries the encoding operation that lands a phi+ pair on it
-    (applied to the first half) and that operation's two-bit code, which is
-    what makes dense coding decodable.
+    Each member carries its four real amplitudes (as Python floats, which
+    ``bell_measure`` reads to rebuild a collapsed pair), the encoding operation
+    that lands a phi+ pair on it (applied to the first half) and that
+    operation's two-bit code, which is what makes dense coding decodable.
+    Members are declared in code order, so ``tuple(BellOutcome)[c]`` has code c.
     """
 
-    def __new__(cls, value: str, pauli: PauliCode):
+    def __new__(cls, value: str, pauli: PauliCode, amplitudes: Tuple[float, ...]):
         member = object.__new__(cls)
         member._value_ = value
         member.pauli = pauli
         member.bits = pauli.bits
+        member.amplitudes = amplitudes
         return member
 
-    PHI_PLUS = ("phi+", PauliCode.I)
-    PHI_MINUS = ("phi-", PauliCode.Z)
-    PSI_PLUS = ("psi+", PauliCode.X)
-    PSI_MINUS = ("psi-", PauliCode.IY)
-
-    @property
-    def vector(self) -> np.ndarray:
-        return _BELL_VECTORS[self].copy()
+    PHI_PLUS = ("phi+", PauliCode.I, (_SQRT_HALF, 0.0, 0.0, _SQRT_HALF))
+    PHI_MINUS = ("phi-", PauliCode.Z, (_SQRT_HALF, 0.0, 0.0, -_SQRT_HALF))
+    PSI_PLUS = ("psi+", PauliCode.X, (0.0, _SQRT_HALF, _SQRT_HALF, 0.0))
+    PSI_MINUS = ("psi-", PauliCode.IY, (0.0, _SQRT_HALF, -_SQRT_HALF, 0.0))
 
     @classmethod
     def from_pauli(cls, code: PauliCode) -> "BellOutcome":
-        return _PAULI_TO_BELL[code]
+        return _BELL_BY_CODE[_PAULI_BY_CODE.index(code)]
 
 
-_BELL_ORDER = (
-    BellOutcome.PHI_PLUS,
-    BellOutcome.PHI_MINUS,
-    BellOutcome.PSI_PLUS,
-    BellOutcome.PSI_MINUS,
-)
-
-_BELL_VECTORS = {
-    BellOutcome.PHI_PLUS: np.array([_SQRT_HALF, 0, 0, _SQRT_HALF], dtype=complex),
-    BellOutcome.PHI_MINUS: np.array([_SQRT_HALF, 0, 0, -_SQRT_HALF], dtype=complex),
-    BellOutcome.PSI_PLUS: np.array([0, _SQRT_HALF, _SQRT_HALF, 0], dtype=complex),
-    BellOutcome.PSI_MINUS: np.array([0, _SQRT_HALF, -_SQRT_HALF, 0], dtype=complex),
-}
-
-_PAULI_TO_BELL = {outcome.pauli: outcome for outcome in BellOutcome}
+_BELL_BY_CODE = tuple(BellOutcome)
 
 
 class QubitRef(int):
@@ -240,23 +223,13 @@ def _single_state(label: str) -> Tuple[complex, complex]:
         raise ValueError(f"unknown state label {label!r}") from None
 
 
-# Each (basis, bit)'s preparation label, indexed [basis is Basis.X][bit] like _OUTCOMES.
-_EIGENSTATE_LABELS = tuple(
-    tuple(
-        next(label for label, expect in LABEL_EXPECTATION.items() if expect == (basis, bit))
-        for bit in (0, 1)
-    )
-    for basis in BASIS_BY_BIT
-)
-
-
 def eigenstate_label(basis: Basis, bit: int) -> str:
     """Preparation label of the post-measurement state for (basis, bit)."""
-    return _EIGENSTATE_LABELS[basis is Basis.X][bit & 1]
+    return SINGLE_STATE_LABELS[(basis is Basis.X) << 1 | (bit & 1)]
 
 
 def bell_vector(outcome: BellOutcome) -> np.ndarray:
-    return _BELL_VECTORS[outcome].copy()
+    return np.array(outcome.amplitudes, dtype=complex)
 
 
 def cnot_matrix() -> np.ndarray:
@@ -336,9 +309,6 @@ _FRESH_READS = {id(pair): _fresh_reads(pair) for pair in _SINGLE_STATES.values()
 # (attacked runs); a key for k qubits holds 2 * 16 * 2**k bytes.
 FIDELITY_CACHE_SIZE = 64
 _FIDELITY_CACHE: Dict[Tuple[bytes, Tuple[int, ...], bytes], float] = {}
-
-# Each Bell state's real amplitudes, in _BELL_ORDER, for rebuilding a collapsed pair.
-_BELL_ROWS = [_BELL_VECTORS[o].real.tolist() for o in _BELL_ORDER]
 _CNOT_ROWS = _CNOT.tolist()
 
 
@@ -412,7 +382,6 @@ class QuantumRegister:
         # Each live qubit's factor (qubits that share a factor share its
         # object), or a lone qubit's bare amplitude pair.
         self._where: Dict[QubitRef, Union[StateVector, Tuple[complex, complex]]] = {}
-        self._consumed: set = set()
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -427,7 +396,8 @@ class QuantumRegister:
             self._where[r] = sv
 
     def _dead(self, q: QubitRef) -> DeadQubitError:
-        if q in self._consumed:
+        # Every uid below _next_uid was issued here, and only discard drops one.
+        if 0 <= q < self._next_uid:
             return DeadQubitError(f"{q} was already discarded")
         return DeadQubitError(f"{q} does not belong to this register")
 
@@ -705,10 +675,11 @@ class QuantumRegister:
                 # The rounding fall-through: the last outcome that can occur.
                 idx = 2 if p2 > 0.0 else 1 if p1 > 0.0 else 0
             picked = (c0, c1, c2, c3)[idx] * (1.0 / math.sqrt((p0, p1, p2, p3)[idx]))
-            v00, v01, v10, v11 = _BELL_ROWS[idx]
+            outcome = _BELL_BY_CODE[idx]
+            v00, v01, v10, v11 = outcome.amplitudes
             b00, b01, b10, b11 = v00 * picked, v01 * picked, v10 * picked, v11 * picked
             sv.amps = [b00, b01, b10, b11] if first else [b00, b10, b01, b11]
-            return _BELL_ORDER[idx]
+            return outcome
         quads = _quarters(len(order), order.index(q1), order.index(q2))
         # <bell_i|psi> for each Bell state i, per setting of the other qubits.
         coeffs = []
@@ -731,14 +702,15 @@ class QuantumRegister:
             # Rounding left sum(probs) <= draw: take the last outcome that can occur.
             idx = max(i for i, p in enumerate(probs) if p > 0.0)
         scale = 1.0 / math.sqrt(probs[idx])
-        v00, v01, v10, v11 = _BELL_ROWS[idx]
+        outcome = _BELL_BY_CODE[idx]
+        v00, v01, v10, v11 = outcome.amplitudes
         for (i00, i01, i10, i11), c in zip(quads, coeffs):
             picked = c[idx] * scale
             amps[i00] = v00 * picked
             amps[i01] = v01 * picked
             amps[i10] = v10 * picked
             amps[i11] = v11 * picked
-        return _BELL_ORDER[idx]
+        return outcome
 
     # -- disposal ----------------------------------------------------------
 
@@ -787,7 +759,6 @@ class QuantumRegister:
                 sv.amps = [amps[i] / norm for i in (zeros if lower else ones)]
                 sv.qubit_order = [r for r in order if r != q]
         del self._where[q]
-        self._consumed.add(q)
 
     # -- inspection --------------------------------------------------------
 
@@ -889,10 +860,18 @@ def is_bell_product(register: QuantumRegister, q1: QubitRef, q2: QubitRef) -> Be
     """
     rho = register._density([q1, q2])
     purity = float(np.trace(rho @ rho).real)
-    target = _BELL_VECTORS[BellOutcome.PHI_PLUS]
+    target = bell_vector(BellOutcome.PHI_PLUS)
     fidelity = float((target.conj() @ rho @ target).real)
     passed = purity >= 1.0 - PURITY_ATOL and fidelity >= 1.0 - PURITY_ATOL
     return BellPairCheck(passed, purity, fidelity)
+
+
+def couple_probe(u: np.ndarray, label: str) -> np.ndarray:
+    """The 4x4 unitary ``u`` applied to the label's state (x) a |0> probe, as a
+    2x2 array: row b holds the probe's amplitudes beside the carried qubit's |b>."""
+    vec = state_vector_for_label(label)
+    out = np.asarray(u, dtype=complex) @ np.kron(vec, state_vector_for_label("0"))
+    return out.reshape(2, 2)
 
 
 def attempt_clone_unitary(
@@ -907,11 +886,10 @@ def attempt_clone_unitary(
     the harness uses this as a falsification search.
     """
     u = _check_unitary(u, 4)
-    anc = state_vector_for_label("0")
     scores: Dict[str, float] = {}
     for label in test_states:
         vec = state_vector_for_label(label)
-        out = u @ np.kron(vec, anc)
+        out = couple_probe(u, label)
         target = np.kron(vec, vec)
         amp = np.vdot(target, out)
         scores[label] = float((amp * amp.conjugate()).real)

@@ -230,17 +230,17 @@ def _relay_leg(
     sender tells ``mismatch_to``).
     """
     net, stage = session.net, status.stage
-    sequence, records = session.build_decoyed_sequence(payload)
+    sequence, record = session.build_decoyed_sequence(payload)
     msg = net.send_quantum(sender, receiver, sequence)
     if net.scan_trojan(receiver, msg):
         net.send_classical(receiver, sender, AbortNotice(stage, "probe photons found"))
         raise Aborted(status, f"probe photons found at {receiver}", receiver)
-    bad = session.run_decoy_discussion(sender, receiver, stage, msg.qubits, records)
+    bad = session.run_decoy_discussion(sender, receiver, stage, msg.qubits, record)
     if bad is not None:
         detail = f"decoy mismatch at slot {bad}"
         net.send_classical(sender, mismatch_to, AbortNotice(stage, detail))
         raise Aborted(status, detail, sender)
-    return strip_decoys(msg.qubits, records)
+    return strip_decoys(msg.qubits, record)
 
 
 def _finish_leak(

@@ -66,6 +66,23 @@ def test_sweep_rejects_a_bad_point_before_running_any(args, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "args,checked,pairs",
+    [
+        (["qsdc", "--pairs", "1"], 1, 1),
+        (["sweep", "--scenario", "qsdc", "--param", "n_decoys", "--values", "1,2", "--pairs", "1"], 1, 1),
+        (["sweep", "--scenario", "qsdc", "--param", "check_fraction", "--values", "0.3,0.9", "--pairs", "4"], 4, 4),
+    ],
+)
+def test_a_qsdc_run_that_checks_every_pair_is_a_config_error(capsys, args, checked, pairs):
+    """Every checked pair is consumed, so such a run would send an empty message."""
+    assert main([*args, "--trials", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    message = f"cannot spot-check {checked} of {pairs} positions in a qsdc run"
+    assert err == f"error: {message}\n"
+
+
 def test_config_rejects_a_seed_inside_cfg(tmp_path, capsys):
     """The batch seed is a top-level key; a seed under "cfg" would be ignored."""
     path = tmp_path / "config.json"

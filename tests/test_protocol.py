@@ -155,10 +155,10 @@ def test_decoy_states_drawn_uniformly():
     payload = [session.register.prepare_single("0") for _ in range(draws)]
     # one giant sequence exercises the same sampler the protocol uses
     session.cfg = EstablishmentConfig(m_pairs=draws, n_decoys=draws)
-    seq, records = session.build_decoyed_sequence(payload)
+    seq, record = session.build_decoyed_sequence(payload)
     assert len(seq) == 2 * draws
-    for r in records:
-        counts[(r.basis, r.expected_bit)] += 1
+    for key in zip(record.bases, record.expected):
+        counts[key] += 1
     _, p_value = chisquare(list(counts.values()))
     assert p_value > 1e-4
 
@@ -172,8 +172,8 @@ def test_decoy_positions_cover_all_slots_uniformly():
     for _ in range(trials):
         session = Session(EstablishmentConfig(m_pairs=m, n_decoys=n), rng=rng)
         payload = [session.register.prepare_single("0") for _ in range(m)]
-        _seq, records = session.build_decoyed_sequence(payload)
-        positions = [r.position for r in records]
+        _seq, record = session.build_decoyed_sequence(payload)
+        positions = list(record.positions)
         assert positions == sorted(positions)
         slot_hits[positions] += 1
     rate = slot_hits / trials
@@ -185,8 +185,8 @@ def test_decoy_positions_cover_all_slots_uniformly():
 def test_decoys_preserve_payload_order():
     session = Session(EstablishmentConfig(m_pairs=5, n_decoys=7), rng=np.random.default_rng(8))
     payload = [session.register.prepare_single("0") for _ in range(5)]
-    seq, records = session.build_decoyed_sequence(payload)
-    decoy_positions = {r.position for r in records}
+    seq, record = session.build_decoyed_sequence(payload)
+    decoy_positions = set(record.positions)
     kept = [q for i, q in enumerate(seq) if i not in decoy_positions]
     assert kept == payload
 
@@ -205,18 +205,20 @@ def _ref_build_decoyed_sequence(session, payload):
         positions = sorted(int(p) for p in session.rng.choice(total, size=n, replace=False))
     else:
         positions = []
-    records, sequence = [], []
+    slots, bases, bits, sequence = [], [], [], []
     decoy_at = set(positions)
     it = iter(payload)
     for slot in range(total):
         if slot in decoy_at:
             label = SINGLE_STATE_LABELS[int(session.rng.integers(4))]
             basis, bit = LABEL_EXPECTATION[label]
-            records.append(DecoyRecord(slot, basis, bit))
+            slots.append(slot)
+            bases.append(basis)
+            bits.append(bit)
             sequence.append(session.register.prepare_single(label))
         else:
             sequence.append(next(it))
-    return sequence, records
+    return sequence, DecoyRecord(tuple(slots), tuple(bases), tuple(bits))
 
 
 @pytest.mark.parametrize("m,n", [(1, 0), (3, 1), (10, 10), (4, 9), (12, 3)])
@@ -231,10 +233,10 @@ def test_build_decoyed_sequence_matches_the_slot_loop(m, n):
         # buffered in the generator, the state the label draws must respect.
         for s in sessions:
             s.rng.integers(2, size=seed % 3)
-        want_seq, want_records = _ref_build_decoyed_sequence(sessions[0], payloads[0])
-        got_seq, got_records = sessions[1].build_decoyed_sequence(payloads[1])
+        want_seq, want_record = _ref_build_decoyed_sequence(sessions[0], payloads[0])
+        got_seq, got_record = sessions[1].build_decoyed_sequence(payloads[1])
         assert got_seq == want_seq
-        assert got_records == want_records
+        assert got_record == want_record
         for q in got_seq:
             np.testing.assert_array_equal(
                 sessions[1].register._locate(q).amps, sessions[0].register._locate(q).amps
@@ -243,8 +245,8 @@ def test_build_decoyed_sequence_matches_the_slot_loop(m, n):
         assert sessions[1].rng.random() == sessions[0].rng.random()
 
 
-def test_decoy_records_are_shared_and_equal_the_reference_records():
-    """Equal (position, label) gives the same record object, in any session."""
+def test_decoy_records_equal_the_reference_records():
+    """One record per sequence, its three fields tuples, equal in every session."""
     cfg = EstablishmentConfig(m_pairs=6, n_decoys=6)
     for seed in range(10):
         sessions = [Session(cfg, rng=np.random.default_rng(seed)) for _ in range(3)]
@@ -252,14 +254,14 @@ def test_decoy_records_are_shared_and_equal_the_reference_records():
         _, want = _ref_build_decoyed_sequence(sessions[0], payloads[0])
         _, got = sessions[1].build_decoyed_sequence(payloads[1])
         _, again = sessions[2].build_decoyed_sequence(payloads[2])
-        assert got == want
-        assert all(type(r) is DecoyRecord for r in got)
-        assert all(a is b for a, b in zip(got, again))
+        assert got == want == again
+        assert type(got) is DecoyRecord
+        assert all(type(column) is tuple and len(column) == 6 for column in got)
 
 
-def _ref_strip_decoys(sequence, records):
-    """The set-and-walk version: keep every slot whose index no record names."""
-    drop = {r.position for r in records}
+def _ref_strip_decoys(sequence, record):
+    """The set-and-walk version: keep every slot whose index the record does not name."""
+    drop = set(record.positions)
     return [q for i, q in enumerate(sequence) if i not in drop]
 
 
@@ -269,11 +271,11 @@ def test_strip_decoys_equals_the_set_walk_on_built_sequences(m, n):
     for seed in range(10):
         session = Session(EstablishmentConfig(m_pairs=m, n_decoys=n), rng=np.random.default_rng(seed))
         payload = [session.register.prepare_epr_pair()[0] for _ in range(m)]
-        sequence, records = session.build_decoyed_sequence(payload)
-        assert [r.position for r in records] == sorted({r.position for r in records})
+        sequence, record = session.build_decoyed_sequence(payload)
+        assert list(record.positions) == sorted(set(record.positions))
         for seq in (sequence, tuple(sequence)):
-            got = strip_decoys(seq, records)
-            assert got == _ref_strip_decoys(seq, records) == payload
+            got = strip_decoys(seq, record)
+            assert got == _ref_strip_decoys(seq, record) == payload
             assert type(got) is list and got is not seq
         assert len(sequence) == m + n  # the input is left as it was
 

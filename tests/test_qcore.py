@@ -27,6 +27,7 @@ from eprlink.qcore import (
     PauliCode,
     QuantumRegister,
     QubitRef,
+    SINGLE_STATE_LABELS,
     StateVector,
     _check_unitary,
     _quarters,
@@ -168,6 +169,26 @@ def test_eigenstate_labels_equal_the_inverted_label_table():
     for basis in Basis:
         for bit in (0, 1, 2, 3):
             assert eigenstate_label(basis, bit) == old[(basis, bit & 1)]
+
+
+@pytest.mark.parametrize("code", range(4))
+def test_a_decoy_code_names_its_label_basis_and_bit(code):
+    """Code c is label c, whose state reads bit c & 1 in basis BASIS_BY_BIT[c >> 1]."""
+    label, basis, bit = SINGLE_STATE_LABELS[code], BASIS_BY_BIT[code >> 1], code & 1
+    assert label == "01+-"[code]
+    assert LABEL_EXPECTATION[label] == (basis, bit)
+    assert eigenstate_label(basis, bit) == label
+    reg = QuantumRegister()
+    for draw in (0.0, 0.5, 0.999):
+        assert reg.measure(reg.prepare_single(label), basis, None, draw).bit == bit
+
+
+@pytest.mark.parametrize("bits", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_a_bell_outcome_carries_the_code_it_was_found_by(bits):
+    outcome = BellOutcome.from_pauli(PauliCode.from_bits(*bits))
+    assert outcome.bits == bits
+    assert tuple(BellOutcome)[bits[0] << 1 | bits[1]] is outcome
+    assert all(type(x) is float for x in outcome.amplitudes)
 
 
 @pytest.mark.parametrize("code", list(PauliCode))
@@ -408,6 +429,23 @@ def test_dead_qubit_rejected():
         reg.measure(q, Basis.Z, rng)
     with pytest.raises(DeadQubitError):
         reg.apply_hadamard(q)
+
+
+def test_a_dead_qubit_error_tells_a_discarded_qubit_from_a_foreign_one():
+    reg = QuantumRegister()
+    lone = reg.prepare_single("+")
+    qa, qb = reg.prepare_epr_pair()
+    reg.measure(qa, Basis.Z, None, 0.5)
+    reg.discard(lone)
+    reg.discard(qa)
+    for q in (lone, qa):
+        for op in (reg.apply_hadamard, reg.discard, lambda r: reg.measure(r, Basis.X, None, 0.5)):
+            with pytest.raises(DeadQubitError, match=f"^{q!r} was already discarded$"):
+                op(q)
+    for q in (QubitRef(3), QubitRef(99), QubitRef(-1)):
+        with pytest.raises(DeadQubitError, match=f"^{re.escape(repr(q))} does not belong to this register$"):
+            reg.apply_hadamard(q)
+    assert reg.live_qubits() == [qb]
 
 
 def test_entangled_discard_rejected():
