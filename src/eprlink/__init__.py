@@ -45,8 +45,6 @@ from .qsdc import Message, QsdcOutcome, mac_protect, mac_verify, run_qsdc
 from .adversaries import (
     AttackKind,
     AttackSpec,
-    NoAnalyticOracle,
-    analytic_detection,
     build_adversary,
 )
 from .harness import (

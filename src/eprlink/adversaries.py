@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -427,10 +427,8 @@ def dense_coding_detection(n_decoys: int) -> float:
     return 1.0 - 0.5**n_decoys
 
 
-def entanglement_swap_detection(checked_positions: Optional[int]) -> float:
+def entanglement_swap_detection(checked_positions: int) -> float:
     """Detection probability of the corrupted source across c checked positions."""
-    if checked_positions is None:
-        raise ValueError("the corrupted-source rate needs the number of spot-checked positions")
     p_pass = swap_per_position_pass_probability()
     return 1.0 - p_pass**checked_positions
 
@@ -596,40 +594,6 @@ def detection_oracle(spec: Optional[AttackSpec], cfg, filters_enabled: bool) -> 
     row = _row(spec)
     c = cfg.checked_count
     return row.rate(spec, cfg.n_decoys, c, cfg.m_pairs - c, filters_enabled), row.source
-
-
-class NoAnalyticOracle(ValueError):
-    """The requested attack has no closed-form detection rate.
-
-    Probe couplings with an arbitrary unitary are scored by brute-force
-    enumeration over the four decoy states (``probe_decoy_detection``), and
-    slot scrambling by composing the enumerated single-code table
-    (``modification_detection``).  Probe photons hidden in transmission slots
-    are flagged deterministically by ideal filters, so sampling statistics do
-    not apply.
-    """
-
-
-def analytic_detection(
-    attack: Union[AttackSpec, AttackKind, str],
-    n_decoys: int,
-    checked_positions: Optional[int] = None,
-) -> float:
-    """Closed-form detection probability for the standard attacks.
-
-    ``n_decoys`` feeds the per-channel decoy discussions; the corrupted-source
-    attack is instead caught by the correlation spot check and needs
-    ``checked_positions``.  Raises :class:`NoAnalyticOracle` for attacks whose
-    rate is enumerated, deterministic, or depends on an option field.
-    """
-    spec = attack if isinstance(attack, AttackSpec) else AttackSpec(attack)
-    row = _row(spec)
-    if row.source != "closed_form" or row.option is not None:
-        raise NoAnalyticOracle(
-            f"no closed-form detection rate for {spec.kind.value}; "
-            "use probe_decoy_detection / modification_detection instead"
-        )
-    return row.rate(spec, n_decoys, checked_positions, None, True)
 
 
 # Command-line short names, each with default roles: a kind's own name, or

@@ -11,11 +11,10 @@ a replayable transcript.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import permutations
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -75,11 +74,6 @@ def end_party_tuple(k: int) -> Tuple[PartyId, ...]:
     if k < 2:
         raise ValueError("a run needs at least two end parties")
     return tuple(participant(i + 1) for i in range(k))
-
-
-def end_parties(k: int) -> List[PartyId]:
-    """The k end parties of a run, in fixed order, as a fresh list."""
-    return list(end_party_tuple(k))
 
 
 class TrojanKind(Enum):
@@ -266,84 +260,45 @@ class Transcript:
 # --- topology ----------------------------------------------------------------
 
 
-def _ordered_pairs(edges: frozenset) -> frozenset:
-    """Both orientations of every edge, so an edge lookup builds no set."""
-    if any(len(e) != 2 for e in edges):
-        raise ValueError("every link joins two distinct parties")
-    return frozenset(pair for e in edges for pair in permutations(e, 2))
-
-
-@dataclass(frozen=True)
 class Topology:
-    """Which undirected quantum/classical links exist."""
+    """The star: each relay node linked to every end party, and no other link.
 
-    quantum_edges: frozenset
-    classical_edges: frozenset
-    _quantum_pairs: frozenset = field(init=False, repr=False, compare=False)
-    _classical_pairs: frozenset = field(init=False, repr=False, compare=False)
-    # Every party at the end of a quantum link.
-    quantum_parties: frozenset = field(init=False, repr=False, compare=False)
-    # flood_route's answers, keyed by (origin, everyone).
-    _flood_routes: dict = field(init=False, repr=False, compare=False)
+    One set of ordered (a, b) links serves both media, since every link of
+    the deployment carries a quantum channel and a classical one.  The route
+    of an abort flood from each participant is fixed when the star is built.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_quantum_pairs", _ordered_pairs(self.quantum_edges))
-        object.__setattr__(self, "_classical_pairs", _ordered_pairs(self.classical_edges))
-        object.__setattr__(
-            self, "quantum_parties", frozenset(p for edge in self.quantum_edges for p in edge)
+    def __init__(self, parties: Tuple[PartyId, ...]) -> None:
+        self.parties = parties
+        self.links = frozenset(
+            link for tp in (TP1, TP2) for p in parties for link in ((tp, p), (p, tp))
         )
-        object.__setattr__(self, "_flood_routes", {})
+        # A relay node tells every end party, and the first of them tells the
+        # other relay node; an end party tells both relay nodes, and TP1 tells
+        # every other end party.
+        first = parties[0]
+        self._routes: Dict[PartyId, Tuple[Tuple[PartyId, PartyId], ...]] = {
+            TP1: (*((TP1, p) for p in parties), (first, TP2)),
+            TP2: (*((TP2, p) for p in parties), (first, TP1)),
+        }
+        for p in parties:
+            self._routes[p] = ((p, TP1), (p, TP2), *((TP1, q) for q in parties if q != p))
 
-    def has_quantum(self, a: PartyId, b: PartyId) -> bool:
-        return (a, b) in self._quantum_pairs
+    def linked(self, a: PartyId, b: PartyId) -> bool:
+        return (a, b) in self.links
 
-    def has_classical(self, a: PartyId, b: PartyId) -> bool:
-        return (a, b) in self._classical_pairs
-
-    def flood_route(
-        self, origin: PartyId, everyone: Tuple[PartyId, ...]
-    ) -> Tuple[Tuple[PartyId, PartyId], ...]:
-        """The classical sends, in order, that flood a notice from ``origin``.
-
-        Hop by hop: each party told in the last round passes the notice on to
-        every party of ``everyone`` not yet told, in that order, with which it
-        shares a classical link.  A topology is immutable, so each (origin,
-        everyone) route is worked out once.
-        """
-        key = (origin, everyone)
-        route = self._flood_routes.get(key)
-        if route is None:
-            sends = []
-            reached = {origin}
-            frontier = [origin]
-            while frontier:
-                next_frontier = []
-                for sender in frontier:
-                    for p in everyone:
-                        if p not in reached and self.has_classical(sender, p):
-                            sends.append((sender, p))
-                            reached.add(p)
-                            next_frontier.append(p)
-                frontier = next_frontier
-            route = self._flood_routes[key] = tuple(sends)
-        return route
+    def flood_route(self, origin: PartyId) -> Tuple[Tuple[PartyId, PartyId], ...]:
+        """The classical sends, in order, that pass a notice from ``origin`` to everyone else."""
+        return self._routes[origin]
 
     @classmethod
     def for_parties(cls, parties: Sequence[PartyId]) -> "Topology":
-        """Star topology: each relay node linked to every end party, both media.
-
-        Built once per party tuple and then shared, since a topology is immutable.
-        """
+        """The star over these end parties, built once per party tuple and then shared."""
         key = tuple(parties)
         topology = _STAR_TOPOLOGIES.get(key)
         if topology is None:
-            edges = frozenset(frozenset((tp, p)) for tp in (TP1, TP2) for p in key)
-            topology = _STAR_TOPOLOGIES[key] = cls(quantum_edges=edges, classical_edges=edges)
+            topology = _STAR_TOPOLOGIES[key] = cls(key)
         return topology
-
-    @classmethod
-    def two_party(cls) -> "Topology":
-        return cls.for_parties((ALICE, BOB))
 
 
 _STAR_TOPOLOGIES: Dict[Tuple[PartyId, ...], Topology] = {}
@@ -362,14 +317,11 @@ class Network:
     """Message fabric for one run: channels, transcript, interceptors, tags."""
 
     def __init__(
-        self,
-        topology: Topology,
-        register: Optional[QuantumRegister] = None,
-        rng: Optional[np.random.Generator] = None,
+        self, topology: Topology, register: QuantumRegister, rng: np.random.Generator
     ) -> None:
         self.topology = topology
-        self.register = register if register is not None else QuantumRegister()
-        self.rng = rng if rng is not None else np.random.default_rng()
+        self.register = register
+        self.rng = rng
         self.transcript = Transcript()
         self.interceptors: List[object] = []
         # The interceptors that override the classical hook, the only ones it is called on.
@@ -377,7 +329,7 @@ class Network:
         # Parties equipped with ideal probe filters (photon-number split and
         # wavelength); scanning without a filter sees nothing.  A fresh set per
         # network, since a run may switch its filters off.
-        self.filtered_parties: set = set(topology.quantum_parties)
+        self.filtered_parties: set = {TP1, TP2, *topology.parties}
         self._tags: Dict[QubitRef, TrojanTag] = {}
 
     def add_interceptor(self, adversary: object) -> None:
@@ -413,7 +365,7 @@ class Network:
         Registered interceptors see (and may transform) the in-flight message
         in registration order; whatever comes out the far end is delivered.
         """
-        if not self.topology.has_quantum(sender, receiver):
+        if not self.topology.linked(sender, receiver):
             raise TopologyError(f"no quantum channel between {sender} and {receiver}")
         msg = QuantumMessage(sender, receiver, tuple(qubits))
         self.transcript.log("quantum_send", sender, receiver, _qubits_summary(len(msg.qubits)))
@@ -434,7 +386,7 @@ class Network:
         are immutable values).  The send is one transcript event; a
         ``ClassicalMessage`` is built only for such observers.
         """
-        if not self.topology.has_classical(sender, receiver):
+        if not self.topology.linked(sender, receiver):
             raise TopologyError(f"no classical channel between {sender} and {receiver}")
         kind = getattr(payload, "KIND", None)
         if kind is None:

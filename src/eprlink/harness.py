@@ -496,7 +496,7 @@ class GameInstance:
         self._tested = False
         self._b: Optional[int] = None
         reg = QuantumRegister()
-        net = Network(Topology.two_party(), reg, rng)
+        net = Network(Topology.for_parties((ALICE, BOB)), reg, rng)
         L = challenge_len
         if discussion == "decoy":
             codes = draw_below(rng, 4, L)
@@ -1014,12 +1014,14 @@ class ExperimentConfig:
                 raise ValueError("sweep_values must be a non-empty list")
             # Reject a bad point before any point of the sweep runs.
             points += [_sweep_point_cfg(self, value) for value in self.sweep_values]
-        if self.scenario == "qsdc":
-            # Checked pairs are consumed, so the message needs an unchecked one.
+        if self.scenario in RUN_SCENARIOS:
+            # Checked pairs are consumed, so a run must keep at least one unchecked pair.
             for point in points:
                 c, m = point.checked_count, point.m_pairs
                 if c >= m:
-                    raise ValueError(f"cannot spot-check {c} of {m} positions in a qsdc run")
+                    raise ValueError(
+                        f"cannot spot-check {c} of {m} positions in a {self.scenario} run"
+                    )
 
 
 def _check_output_path(path) -> None:

@@ -236,7 +236,7 @@ def _abort(session: Session, status: RunStatus, detected_by: PartyId, reason: st
     # it on until every participant has been told.
     notice = AbortNotice(status.stage, reason)
     net = session.net
-    for sender, receiver in net.topology.flood_route(detected_by, (TP1, TP2, *session.parties)):
+    for sender, receiver in net.topology.flood_route(detected_by):
         net.send_classical(sender, receiver, notice)
     raise Aborted(status, reason, detected_by)
 

@@ -280,25 +280,32 @@ def _lone_read(
     return p1, bit, (0j, b1 * scale) if bit else (b0 * scale, 0j)
 
 
-def _fresh_reads(pair: Tuple[complex, complex]) -> tuple:
-    """Per basis (Z, X): ``_lone_read``'s p1 on ``pair`` and the post pair of
-    each bit, None for a bit of probability 0."""
+def _fresh_reads(code: int) -> tuple:
+    """Per basis (Z, X): the p1 a fresh qubit of label ``code`` is read against,
+    and the post pair of each bit, None for a bit of probability 0.
+
+    In its own basis the label reads its bit for certain: p1 is exactly 0.0 or
+    1.0 and the qubit keeps the label's tuple, where ``_lone_read`` can round
+    p1 an ulp short of 1.  In the other basis both bits are possible, and the
+    read is ``_lone_read``'s.
+    """
+    pair = _SINGLE_STATES[SINGLE_STATE_LABELS[code]]
+    own_x, own_bit = code >> 1, code & 1
     rows = []
     for x_basis in (False, True):
-        posts = [None, None]
-        for draw in (math.inf, -math.inf):  # picks bit 0, then bit 1
-            try:
-                p1, bit, post = _lone_read(pair, x_basis, draw)
-            except (ZeroDivisionError, ValueError):
-                continue
-            posts[bit] = post
-        rows.append((p1, tuple(posts)))
+        if x_basis == own_x:
+            rows.append((float(own_bit), (None, pair) if own_bit else (pair, None)))
+        else:
+            p1, _, post0 = _lone_read(pair, x_basis, math.inf)  # an infinite draw picks bit 0
+            rows.append((p1, (post0, _lone_read(pair, x_basis, -math.inf)[2])))
     return tuple(rows)
 
 
 # Every read of a fresh qubit, keyed by id() of its label's shared tuple; those
 # tuples live as long as the module, so no other object can take their ids.
-_FRESH_READS = {id(pair): _fresh_reads(pair) for pair in _SINGLE_STATES.values()}
+_FRESH_READS = {
+    id(_SINGLE_STATES[label]): _fresh_reads(c) for c, label in enumerate(SINGLE_STATE_LABELS)
+}
 
 
 # Whole-factor fidelity reads (QuantumRegister.state_fidelity), keyed by the
@@ -549,7 +556,7 @@ class QuantumRegister:
             bit = 1 if draw < p1 else 0
             post = posts[bit]
             if post is None:
-                _lone_read(sv, x_basis, draw)  # a probability-0 outcome raises as it always has
+                raise ValueError(f"bit {bit} has probability 0 in the {basis.value} basis")
             self._where[q] = post
             return _OUTCOMES[x_basis][bit]
         amps = sv.amps

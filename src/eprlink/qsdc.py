@@ -166,6 +166,9 @@ def run_qsdc(
     if cfg.parties != 2:
         raise ValueError("direct messaging runs between exactly two end parties")
     length = expected_message_length(cfg)
+    if length == 0:
+        c, m = cfg.checked_count, cfg.m_pairs
+        raise ValueError(f"cannot spot-check {c} of {m} positions in a qsdc run")
     if message is not None and len(message) != length:
         raise ValueError(f"this configuration carries {length} bits, got {len(message)}")
     session = Session(cfg, _coerce_adversary(attack), rng, filters_enabled=filters_enabled)

@@ -29,7 +29,6 @@ from eprlink.channels import (
     TopologyError,
     TrojanKind,
     TrojanTag,
-    end_parties,
     end_party_tuple,
     participant,
 )
@@ -39,7 +38,7 @@ from eprlink.qsdc import run_qsdc
 
 
 def _net(seed=0):
-    return Network(Topology.two_party(), QuantumRegister(), np.random.default_rng(seed))
+    return Network(Topology.for_parties((ALICE, BOB)), QuantumRegister(), np.random.default_rng(seed))
 
 
 # --- parties and topology ------------------------------------------------------
@@ -49,16 +48,11 @@ def test_participants_are_stable():
     assert participant(1) == ALICE
     assert participant(2) == BOB
     assert str(participant(3)) == "P3"
-    assert end_parties(3) == [ALICE, BOB, participant(3)]
+    assert end_party_tuple(3) == (ALICE, BOB, participant(3))
 
 
-def test_end_parties_is_a_fresh_list_of_the_shared_tuple():
+def test_end_party_tuple_is_shared_per_party_count():
     for k in (2, 3, 5):
-        first, second = end_parties(k), end_parties(k)
-        assert first == second == list(end_party_tuple(k))
-        assert type(first) is list and first is not second
-        first.append(EVE)
-        assert end_parties(k) == second
         assert end_party_tuple(k) is end_party_tuple(k)
         assert end_party_tuple(k) == tuple(participant(i + 1) for i in range(k))
     for k in (1, 0, -1):
@@ -73,7 +67,7 @@ def _ref_flood(topo, origin, everyone):
         next_frontier = []
         for sender in frontier:
             for p in everyone:
-                if p not in reached and topo.has_classical(sender, p):
+                if p not in reached and topo.linked(sender, p):
                     sends.append((sender, p))
                     reached.add(p)
                     next_frontier.append(p)
@@ -81,41 +75,37 @@ def _ref_flood(topo, origin, everyone):
     return sends
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", range(2, 11))
 def test_each_cached_flood_route_equals_the_breadth_first_search(k):
     parties = end_party_tuple(k)
     topo = Topology.for_parties(parties)
     everyone = (TP1, TP2, *parties)
     for origin in everyone:
-        route = topo.flood_route(origin, everyone)
+        route = topo.flood_route(origin)
         assert list(route) == _ref_flood(topo, origin, everyone)
-        assert topo.flood_route(origin, everyone) is route
+        assert topo.flood_route(origin) is route
         # Every other participant is told exactly once.
         assert sorted(receiver for _, receiver in route) == sorted(set(everyone) - {origin})
-    # A topology with links missing reaches only who it can, in the same order.
-    sparse = Topology(frozenset(), frozenset({frozenset((TP1, ALICE)), frozenset((ALICE, TP2))}))
-    for origin in (TP1, TP2, ALICE, BOB):
-        assert list(sparse.flood_route(origin, everyone)) == _ref_flood(sparse, origin, everyone)
 
 
 def test_star_topology_edges():
-    topo = Topology.two_party()
+    topo = Topology.for_parties((ALICE, BOB))
     for tp in (TP1, TP2):
         for p in (ALICE, BOB):
-            assert topo.has_quantum(tp, p)
-            assert topo.has_classical(p, tp)  # symmetric
+            assert topo.linked(tp, p)
+            assert topo.linked(p, tp)  # symmetric
     # deliberately missing links
-    assert not topo.has_quantum(ALICE, BOB)
-    assert not topo.has_classical(ALICE, BOB)
-    assert not topo.has_quantum(TP1, TP2)
-    assert not topo.has_classical(TP1, TP2)
+    assert not topo.linked(ALICE, BOB)
+    assert not topo.linked(TP1, TP2)
 
 
 def test_star_topologies_are_shared_per_party_list():
-    assert Topology.for_parties([ALICE, BOB]) is Topology.for_parties((ALICE, BOB))
-    assert Topology.two_party() is Topology.for_parties(end_parties(2))
-    assert Topology.for_parties(end_parties(3)) is Topology.for_parties(end_parties(3))
-    assert Topology.for_parties(end_parties(3)) is not Topology.two_party()
+    two = Topology.for_parties((ALICE, BOB))
+    assert Topology.for_parties([ALICE, BOB]) is two
+    assert Topology.for_parties(end_party_tuple(2)) is two
+    assert Topology.for_parties(end_party_tuple(3)) is Topology.for_parties(list(end_party_tuple(3)))
+    assert Topology.for_parties(end_party_tuple(3)) is not two
+    assert two.parties == (ALICE, BOB)
 
 
 def test_party_ids_compare_order_and_print_like_their_names():
@@ -130,28 +120,27 @@ def test_party_ids_compare_order_and_print_like_their_names():
 
 
 def test_edge_checks_agree_with_the_edge_sets():
-    parties = end_parties(3)
-    topo = Topology(
-        quantum_edges=frozenset(frozenset((TP1, p)) for p in parties),
-        classical_edges=frozenset(frozenset((tp, p)) for tp in (TP1, TP2) for p in parties),
-    )
+    parties = end_party_tuple(3)
+    topo = Topology.for_parties(parties)
+    star = {(tp, p) for tp in (TP1, TP2) for p in parties}
+    assert topo.links == star | {(p, tp) for tp, p in star}
     everyone = [TP1, TP2, EVE, *parties]
     for a in everyone:
         for b in everyone:
-            assert topo.has_quantum(a, b) == (frozenset((a, b)) in topo.quantum_edges)
-            assert topo.has_classical(a, b) == (frozenset((a, b)) in topo.classical_edges)
-    assert topo == Topology(topo.quantum_edges, topo.classical_edges)
-    with pytest.raises(ValueError):
-        Topology(frozenset({frozenset({ALICE})}), frozenset())
+            assert topo.linked(a, b) == ((a, b) in topo.links)
 
 
 def test_send_rejects_missing_edges():
-    net = _net()
-    q = net.register.prepare_single("0")
-    with pytest.raises(TopologyError):
-        net.send_quantum(ALICE, BOB, [q])
-    with pytest.raises(TopologyError):
-        net.send_classical(TP1, TP2, Ack())
+    """Only a relay node and an end party share a link; the error names the medium."""
+    unlinked = [(TP1, TP2), (TP2, TP1), (ALICE, BOB), (BOB, ALICE), (EVE, ALICE), (TP2, EVE), (EVE, EVE)]
+    for sender, receiver in unlinked:
+        net = _net()
+        q = net.register.prepare_single("0")
+        with pytest.raises(TopologyError, match=f"^no quantum channel between {sender} and {receiver}$"):
+            net.send_quantum(sender, receiver, [q])
+        with pytest.raises(TopologyError, match=f"^no classical channel between {sender} and {receiver}$"):
+            net.send_classical(sender, receiver, Ack())
+        assert len(net.transcript) == 0
 
 
 def test_unknown_payload_rejected():
@@ -434,13 +423,13 @@ def test_trojan_scan_clean_when_nothing_planted():
 
 def test_filtered_parties_is_a_fresh_set_per_network():
     """Networks share one cached topology; changing one network's filters touches no other."""
-    topo = Topology.two_party()
+    topo = Topology.for_parties((ALICE, BOB))
     first, second = _net(), _net()
     assert first.topology is topo and second.topology is topo
     assert first.filtered_parties == {ALICE, BOB, TP1, TP2}
     first.filtered_parties.clear()
     second.filtered_parties.discard(ALICE)
-    assert topo.quantum_parties == frozenset({ALICE, BOB, TP1, TP2})
+    assert topo.parties == (ALICE, BOB)
     assert second.filtered_parties == {BOB, TP1, TP2}
     assert _net().filtered_parties == {ALICE, BOB, TP1, TP2}
 

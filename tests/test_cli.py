@@ -83,6 +83,15 @@ def test_a_qsdc_run_that_checks_every_pair_is_a_config_error(capsys, args, check
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["establish", "multiparty"])
+def test_a_run_that_checks_every_pair_is_a_config_error(capsys, command):
+    """A run whose spot check takes its only pair would report it established with none kept."""
+    assert main([command, "--pairs", "1", "--trials", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cannot spot-check 1 of 1 positions in a {command} run\n"
+
+
 def test_config_rejects_a_seed_inside_cfg(tmp_path, capsys):
     """The batch seed is a top-level key; a seed under "cfg" would be ignored."""
     path = tmp_path / "config.json"

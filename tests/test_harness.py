@@ -20,8 +20,6 @@ from eprlink.adversaries import (
     Adversary,
     AttackKind,
     AttackSpec,
-    NoAnalyticOracle,
-    analytic_detection,
     swap_per_position_pass_probability,
 )
 from eprlink.channels import ALICE, BOB, EVE, TP1, TP2, TrojanKind
@@ -55,27 +53,17 @@ SMALL = EstablishmentConfig(m_pairs=4, n_decoys=3, check_fraction=0.5)
 
 
 def test_analytic_detection_closed_forms():
-    assert analytic_detection("intercept_resend", 5) == pytest.approx(1 - 0.75**5)
-    assert analytic_detection(AttackKind.CORRELATION_ELICITATION, 4) == pytest.approx(
-        1 - 0.75**4
-    )
-    assert analytic_detection("dense_coding", 3) == pytest.approx(1 - 0.5**3)
-    spec = AttackSpec(kind=AttackKind.ENTANGLEMENT_SWAP)
-    assert analytic_detection(spec, 0, checked_positions=4) == pytest.approx(1 - 0.5**4)
+    def oracle(kind, n_decoys, m_pairs=4, check_fraction=0.5):
+        cfg = EstablishmentConfig(m_pairs=m_pairs, n_decoys=n_decoys, check_fraction=check_fraction)
+        rate, source = harness.detection_oracle(AttackSpec(kind), cfg, True)
+        assert source == "closed_form"
+        return rate
 
-
-def test_analytic_detection_swap_needs_checked_positions():
-    with pytest.raises(ValueError, match="spot-checked positions"):
-        analytic_detection("entanglement_swap", 5)
-
-
-@pytest.mark.parametrize("name", ["entangle_measure", "modification", "trojan_horse"])
-def test_analytic_detection_refuses_enumerated_attacks(name):
-    with pytest.raises(NoAnalyticOracle):
-        analytic_detection(name, 5)
-    # Callers that only catch ValueError still work.
-    with pytest.raises(ValueError):
-        analytic_detection(name, 5)
+    assert oracle(AttackKind.INTERCEPT_RESEND, 5) == pytest.approx(1 - 0.75**5)
+    assert oracle(AttackKind.CORRELATION_ELICITATION, 4) == pytest.approx(1 - 0.75**4)
+    assert oracle(AttackKind.DENSE_CODING, 3) == pytest.approx(1 - 0.5**3)
+    # The corrupted source is caught by the spot check: 4 of 10 positions here.
+    assert oracle(AttackKind.ENTANGLEMENT_SWAP, 0, 10, 0.4) == pytest.approx(1 - 0.5**4)
 
 
 @pytest.mark.parametrize("name", ATTACK_NAMES)

@@ -1143,7 +1143,8 @@ def test_bare_pair_measure_equals_the_flat_kernel_bit_for_bit(basis):
 #
 # A fresh qubit holds its label's shared tuple, and ``measure`` reads it from a
 # table keyed by that tuple's identity.  A bit-equal copy, a different object,
-# takes the arithmetic, so the two must agree bit for bit.
+# takes the arithmetic.  In the label's other basis the two must agree bit for
+# bit; in its own basis the table reads the label's bit for certain.
 
 
 def _read(reg, q, basis, rng, draw):
@@ -1164,27 +1165,51 @@ def _fresh_register(label):
 @pytest.mark.parametrize("label", list(LABEL_EXPECTATION))
 def test_a_fresh_read_equals_the_arithmetic_on_a_copy(label, basis):
     shared = state_vector_for_label(label).tolist()
+    own_basis, own_bit = LABEL_EXPECTATION[label]
     p1 = _threshold(*_fresh_register(label), basis)
-    assert _bits(p1) == _bits(_threshold(*_lone_register(shared), basis))
-    raised = 0
-    # At 0 the bit is 1 unless p1 is 0, one ulp below p1 it is 1 and at p1 it is
-    # 0, so a deterministic read meets a draw outside [0, 1) that picks its
-    # probability-0 bit, which must raise.  None draws one number from the generator.
-    for draw in (0.0, p1, math.nextafter(p1, -math.inf), None):
+    if own_basis is basis:
+        # A certain read (the test below): the copy's arithmetic agrees on the
+        # bit of these draws, and the qubit keeps the label's state.
+        assert p1 == own_bit
+        draws = (0.0, 0.5, None)
+    else:
+        assert _bits(p1) == _bits(_threshold(*_lone_register(shared), basis))
+        # At 0 the bit is 1, one ulp below p1 it is 1 and at p1 it is 0.  None
+        # draws one number from the generator.
+        draws = (0.0, p1, math.nextafter(p1, -math.inf), None)
+    for draw in draws:
         results = []
         for reg, q in (_fresh_register(label), _lone_register(shared)):
             rng = np.random.default_rng(4100)
             results.append((_read(reg, q, basis, rng, draw), rng.bit_generator.state))
         (table, table_state), (arithmetic, arithmetic_state) = results
-        assert table == arithmetic and table[0] is arithmetic[0]
+        assert table[0] is arithmetic[0]
         assert table_state == arithmetic_state
-        if type(table[0]) is type:
-            raised += 1
-            assert table[2] == tuple(shared)  # the qubit keeps its state
-            with pytest.raises(table[0], match=re.escape(table[1])):
-                _ref_lone_measure(shared, basis, None, draw)
-    # Only a deterministic read (p1 = 0 or p1 >= 1) has a probability-0 bit in reach.
-    assert raised == (p1 == 0.0 or p1 >= 1.0)
+        if own_basis is basis:
+            assert table[0].bit == own_bit and table[1] == _amp_bits(shared)
+        else:
+            assert table == arithmetic
+
+
+@pytest.mark.parametrize("code", range(4))
+def test_a_label_read_in_its_own_basis_reads_its_bit_for_certain(code):
+    """p1 is exactly 0.0 or 1.0, so each draw ``rng.random()`` can give reads the
+    label's bit, the top two, 1 - 2**-53 and 1 - 2**-52, included, and the qubit
+    keeps its label's tuple.  A draw outside [0, 1) that picks the other bit raises."""
+    label, basis, bit = SINGLE_STATE_LABELS[code], BASIS_BY_BIT[code >> 1], code & 1
+    shared = qcore._SINGLE_STATES[label]
+    p1, posts = qcore._FRESH_READS[id(shared)][code >> 1]
+    assert type(p1) is float and p1 == bit
+    assert posts[bit] is shared and posts[1 - bit] is None
+    for draw in (0.0, 1.0 - 2.0**-53, 1.0 - 2.0**-52):
+        reg, q = _fresh_register(label)
+        assert reg.measure(q, basis, _NoDraws(), draw) == (basis, bit)
+        assert reg._where[q] is shared
+    impossible = 1.0 if bit else -(2.0**-1074)
+    reg, q = _fresh_register(label)
+    with pytest.raises(ValueError, match=f"^bit {1 - bit} has probability 0 in the {basis.value} basis$"):
+        reg.measure(q, basis, _NoDraws(), impossible)
+    assert reg._where[q] is shared
 
 
 def _signed_zero_variants(pair):

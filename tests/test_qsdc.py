@@ -101,6 +101,17 @@ def test_wrong_length_message_rejected_upfront():
         run_qsdc(CFG, message=Message((0, 1)), rng=np.random.default_rng(23))
 
 
+def test_a_configuration_that_carries_no_bit_is_rejected_before_drawing():
+    """Every checked pair is consumed, so checking all of them leaves no message."""
+    rng = np.random.default_rng(25)
+    state = rng.bit_generator.state
+    for cfg, c, m in ((EstablishmentConfig(m_pairs=1, n_decoys=2), 1, 1),
+                      (EstablishmentConfig(m_pairs=4, n_decoys=2, check_fraction=0.9), 4, 4)):
+        with pytest.raises(ValueError, match=f"^cannot spot-check {c} of {m} positions in a qsdc run$"):
+            run_qsdc(cfg, rng=rng)
+    assert rng.bit_generator.state == state
+
+
 def test_outcome_json_schema():
     out = run_qsdc(CFG, rng=np.random.default_rng(24))
     doc = json.loads(out.to_json())
