@@ -222,23 +222,39 @@ class Event(NamedTuple):
 
 
 class Transcript:
-    """Append-only event log; replaying a seed reproduces it exactly."""
+    """Append-only log of sends; replaying a seed reproduces it exactly.
+
+    Each send is kept as the ``(kind, sender, receiver, payload)`` tuple that
+    :meth:`log` was given.  Its :class:`Event`, with the step index and the
+    party names, is built only when ``events``, iteration or :meth:`to_jsonl`
+    reads it, since most runs never read their transcript.
+    """
 
     def __init__(self) -> None:
-        self.events: List[Event] = []
+        self._sends: List[Tuple[str, PartyId, PartyId, object]] = []
 
     def log(self, kind: str, frm: PartyId, to: PartyId, payload: object) -> int:
-        """Append an event; ``payload`` is a summary string or an object with ``summary()``."""
-        step = len(self.events)
-        # The same tuple as Event(...), without the NamedTuple's Python-level __new__.
-        self.events.append(tuple.__new__(Event, (step, kind, frm.name, to.name, payload)))
-        return step
+        """Append a send and return its step; ``payload`` is a summary string or
+        an object with ``summary()``."""
+        sends = self._sends
+        sends.append((kind, frm, to, payload))
+        return len(sends) - 1
+
+    @property
+    def events(self) -> List[Event]:
+        """Every send as an :class:`Event`, in order; a fresh list on each read."""
+        # The same tuples as Event(...), without the NamedTuple's Python-level __new__.
+        new = tuple.__new__
+        return [
+            new(Event, (step, kind, frm.name, to.name, payload))
+            for step, (kind, frm, to, payload) in enumerate(self._sends)
+        ]
 
     def __iter__(self) -> Iterator[Event]:
         return iter(self.events)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._sends)
 
     def to_jsonl(self) -> str:
         lines = []

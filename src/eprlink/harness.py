@@ -121,11 +121,14 @@ class TrialReport:
 _SUMMED_COUNTS = tuple(f.name for f in fields(TrialReport) if f.type == "int" and f.name != "index")
 # The adversary's message-guess counters, named alike on QsdcOutcome.
 _LEAK_COUNTS = tuple(name for name in _SUMMED_COUNTS if name.startswith("leak_"))
+# The status values of runs that ended before establishment, read per report.
+_BEFORE_ESTABLISHMENT = frozenset(s.value for s in RunStatus if s.before_establishment)
 
 
 @dataclass
 class AggregateReport:
-    """Batch statistics plus the oracle comparison that gates `passed`."""
+    """Batch statistics plus what gates `passed`: no failed trial, the rate within
+    3 sigma of the oracle, and no delivered message with wrong bits."""
 
     scenario: str
     attack: str
@@ -368,7 +371,9 @@ def _aggregate(ec: ExperimentConfig, reports: List[TrialReport]) -> AggregateRep
 
     oracle, source = detection_oracle(ec.attack, ec.cfg, ec.filters_enabled)
     sigma3: Optional[float] = None
-    passed = errors == 0 and completed > 0
+    # A delivered message with wrong bits fails the batch, whatever the rate.
+    delivered_wrong = sum(1 for r in ok if r.delivered and (r.bit_errors or 0) > 0)
+    passed = errors == 0 and completed > 0 and delivered_wrong == 0
     if completed:
         sigma3 = 3.0 * math.sqrt(oracle * (1.0 - oracle) / completed)
         passed = passed and abs(detection_rate - oracle) <= sigma3
@@ -395,9 +400,9 @@ def _aggregate(ec: ExperimentConfig, reports: List[TrialReport]) -> AggregateRep
         passed=passed,
         status_counts=dict(Counter(r.status for r in ok)),
         site_counts=dict(Counter(r.detected_at for r in ok if r.detected_at is not None)),
-        established=sum(1 for r in ok if not RunStatus(r.status).before_establishment),
+        established=sum(1 for r in ok if r.status not in _BEFORE_ESTABLISHMENT),
         delivered=sum(1 for r in ok if r.delivered),
-        delivered_wrong=sum(1 for r in ok if r.delivered and (r.bit_errors or 0) > 0),
+        delivered_wrong=delivered_wrong,
         min_pair_fidelity=float(min(fids)) if fids else None,
         filters_enabled=ec.filters_enabled,
         trial_reports=reports,
@@ -473,13 +478,14 @@ class GameError(RuntimeError):
 class GameInstance:
     """One challenge: a real discussion ran; can you spot its outcome string?
 
-    The adversary's `execute` view contains every public message *except* the
-    holder's result string.  `test` issues the challenge once: the true result
-    string or a uniformly random one, with equal probability.  `reveal` and
-    `corrupt` hand over session respectively source secrets but mark the
-    instance stale, excluding it from the advantage tally — the standard
-    freshness bookkeeping.  ``allowed`` holds the granted query names in lower
-    case, as ``GameSpec.queries`` does.
+    The adversary's `execute` view is every event logged before the result
+    strings are sent, the discussion's last sends: all public traffic except
+    the holder's result string.  `test` issues the challenge once: the true
+    result string or a uniformly random one, with equal probability.
+    `reveal` and `corrupt` hand over session respectively source secrets but
+    mark the instance stale, excluding it from the advantage tally — the
+    standard freshness bookkeeping.  ``allowed`` holds the granted query names
+    in lower case, as ``GameSpec.queries`` does.
     """
 
     def __init__(
@@ -509,6 +515,7 @@ class GameInstance:
                 TP1, ALICE, PositionsBases(STAGE_DECOY, tuple(range(L)), bases)
             )
             bits = tuple(reg.measure_all(qubits, bases, rng))
+            self._view = tuple(net.transcript.events)
             net.send_classical(ALICE, TP1, MeasurementResults(STAGE_DECOY, bits))
             self._secret = labels
             self._results = bits
@@ -527,6 +534,7 @@ class GameInstance:
             net.send_classical(TP2, BOB, announce)
             a_bits = tuple(reg.measure_all(a_qubits, bases, rng))
             b_bits = tuple(reg.measure_all(b_qubits, bases, rng))
+            self._view = tuple(net.transcript.events)
             net.send_classical(ALICE, TP2, MeasurementResults(STAGE_PAIR_CHECK, a_bits))
             net.send_classical(BOB, TP2, MeasurementResults(STAGE_PAIR_CHECK, b_bits))
             # Honest halves always agree in both bases; the challenge string is
@@ -537,9 +545,6 @@ class GameInstance:
             self.announced_bases = bases
         else:
             _key("game", "discussion").check(discussion)  # raises: no such discussion
-        self._view = tuple(
-            [e for e in net.transcript.events if e.kind != "measurement_results"]
-        )
 
     # -- queries ---------------------------------------------------------------
 

@@ -51,6 +51,13 @@ from .qcore import (
 )
 from .seeding import draw_below
 
+# The members a trial compares against, bound once: on Python 3.11 a load from
+# the enum class costs about ten times a global's.
+_BASIS_Z = Basis.Z
+_ESTABLISHED = RunStatus.ESTABLISHED
+_ABORTED_STEP2 = RunStatus.ABORTED_STEP2
+_ABORTED_STEP3 = RunStatus.ABORTED_STEP3
+
 
 class DecoyRecord(NamedTuple):
     """Sender-side note of one sequence's hidden decoys, in ascending position:
@@ -134,7 +141,7 @@ class EstablishmentOutcome:
 
     @property
     def established(self) -> bool:
-        return self.status is RunStatus.ESTABLISHED
+        return self.status is _ESTABLISHED
 
     @property
     def pairs_established(self) -> int:
@@ -157,7 +164,11 @@ class EstablishmentOutcome:
 
 
 class Session:
-    """Wiring of one run: config, parties, network, register, rng, adversary."""
+    """Wiring of one run: config, parties, network, register, rng, adversary.
+
+    All randomness comes from ``rng``, which must be passed explicitly: a run
+    without a generator raises ``TypeError`` before it draws anything.
+    """
 
     def __init__(
         self,
@@ -166,9 +177,11 @@ class Session:
         rng: Optional[np.random.Generator] = None,
         filters_enabled: bool = True,
     ) -> None:
+        if rng is None:
+            raise TypeError("a run needs an explicit numpy Generator as rng")
         self.cfg = cfg
         self.parties = end_party_tuple(cfg.parties)
-        self.rng = rng if rng is not None else np.random.default_rng()
+        self.rng = rng
         self.register = QuantumRegister()
         self.net = Network(Topology.for_parties(self.parties), self.register, self.rng)
         if not filters_enabled:
@@ -261,7 +274,7 @@ def _distribute(
         sequence, record = session.build_decoyed_sequence(halves)
         msg = session.net.send_quantum(TP1, p, sequence)
         if session.net.scan_trojan(p, msg):
-            _abort(session, RunStatus.ABORTED_STEP2, p, "probe photons found in incoming sequence")
+            _abort(session, _ABORTED_STEP2, p, "probe photons found in incoming sequence")
         holder_seqs[p] = msg.qubits
         records[p] = record
     return holder_seqs, records
@@ -273,7 +286,7 @@ def _decoy_discussions(
     records: Dict[PartyId, DecoyRecord],
 ) -> None:
     """Step 2: per-channel public decoy comparison, TP1 checking."""
-    status = RunStatus.ABORTED_STEP2
+    status = _ABORTED_STEP2
     for p in session.parties:
         bad = session.run_decoy_discussion(TP1, p, status.stage, holder_seqs[p], records[p])
         if bad is not None:
@@ -315,7 +328,7 @@ def _pair_check(session: Session, payload: Dict[PartyId, List[QubitRef]]) -> Lis
     check_log = session.check_log
     first_bad: Optional[int] = None
     for pos, b, outcomes in zip(positions, bases, zip(*reported)):
-        if b is Basis.Z:
+        if b is _BASIS_Z:
             ok = len(set(outcomes)) == 1
         else:
             # A shared all-zero/all-one superposition only ever shows an even
@@ -329,7 +342,7 @@ def _pair_check(session: Session, payload: Dict[PartyId, List[QubitRef]]) -> Lis
             reg.discard(payload[p][pos])
     if first_bad is not None:
         reason = f"uncorrelated outcomes at payload position {first_bad}"
-        _abort(session, RunStatus.ABORTED_STEP3, TP2, reason)
+        _abort(session, _ABORTED_STEP3, TP2, reason)
     return positions
 
 
@@ -351,7 +364,7 @@ def _run(session: Session) -> EstablishmentOutcome:
     surviving = [i for i in range(session.cfg.m_pairs) if i not in checked]
     shared = {p: [payload[p][i] for i in surviving] for p in session.parties}
     return EstablishmentOutcome(
-        status=RunStatus.ESTABLISHED,
+        status=_ESTABLISHED,
         detected_by=None,
         shared_pairs=shared,
         check_log=session.check_log,

@@ -90,6 +90,9 @@ class Basis(Enum):
 
 # Index 0 selects Z and 1 selects X, for bases drawn as random bits.
 BASIS_BY_BIT = (Basis.Z, Basis.X)
+# The per-qubit paths compare against module-level members: on Python 3.11 a
+# load from the enum class costs about ten times a global's.
+_BASIS_X = Basis.X
 
 # The four single-qubit preparation labels, indexed by their two-bit code c,
 # which random draws pick: label c is read in basis BASIS_BY_BIT[c >> 1] and
@@ -128,6 +131,7 @@ class PauliCode(Enum):
 
 # Indexed by the two-bit code read as a number, first bit high.
 _PAULI_BY_CODE = tuple(PauliCode)
+_PAULI_I = PauliCode.I
 
 
 class BellOutcome(Enum):
@@ -225,7 +229,7 @@ def _single_state(label: str) -> Tuple[complex, complex]:
 
 def eigenstate_label(basis: Basis, bit: int) -> str:
     """Preparation label of the post-measurement state for (basis, bit)."""
-    return SINGLE_STATE_LABELS[(basis is Basis.X) << 1 | (bit & 1)]
+    return SINGLE_STATE_LABELS[(basis is _BASIS_X) << 1 | (bit & 1)]
 
 
 def bell_vector(outcome: BellOutcome) -> np.ndarray:
@@ -496,7 +500,7 @@ class QuantumRegister:
                 amps[i] = u0 * a0 + u1 * a1 + u2 * a2 + u3 * a3
 
     def apply_pauli(self, q: QubitRef, code: PauliCode) -> None:
-        if code is PauliCode.I:
+        if code is _PAULI_I:
             return
         self._apply_1q(q, code.rows)
 
@@ -541,7 +545,7 @@ class QuantumRegister:
         sv = self._where.get(q)
         if sv is None:
             raise self._dead(q)
-        x_basis = basis is Basis.X
+        x_basis = basis is _BASIS_X
         if type(sv) is tuple:
             # A lone qubit.  A fresh one still holds its label's shared tuple and
             # is read from _FRESH_READS, by identity: tuple equality would also

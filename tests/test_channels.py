@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from eprlink import channels
-from eprlink.adversaries import Adversary, attack_from_name, build_adversary
+from eprlink.adversaries import Adversary, AttackKind, AttackSpec, attack_from_name, build_adversary
 from eprlink.channels import (
+    ACK,
     ALICE,
     BOB,
     EVE,
@@ -18,6 +19,7 @@ from eprlink.channels import (
     Ack,
     ChannelContractError,
     ClassicalMessage,
+    Event,
     MacTag,
     MeasurementResults,
     Network,
@@ -27,11 +29,13 @@ from eprlink.channels import (
     STAGE_PAIR_CHECK,
     Topology,
     TopologyError,
+    Transcript,
     TrojanKind,
     TrojanTag,
     end_party_tuple,
     participant,
 )
+from eprlink.harness import DISCUSSIONS, GameInstance
 from eprlink.protocol import EstablishmentConfig, run_establishment
 from eprlink.qcore import Basis, QuantumRegister
 from eprlink.qsdc import run_qsdc
@@ -246,6 +250,88 @@ def test_send_classical_defers_the_summary_until_it_is_read():
     (event,) = net.transcript
     assert event.payload is payload and event.payload_summary == "counted"
     assert len(payload.calls) == 1
+
+
+def test_log_returns_each_step_and_len_counts_the_sends():
+    transcript = Transcript()
+    assert len(transcript) == 0 and transcript.events == []
+    for step, party in enumerate((ALICE, BOB, TP1, TP2, EVE)):
+        assert transcript.log("ack", party, TP1, ACK) == step
+        assert len(transcript) == step + 1
+    assert [e.step for e in transcript] == [0, 1, 2, 3, 4]
+    assert [e.frm for e in transcript] == ["Alice", "Bob", "TP1", "TP2", "Eve"]
+
+
+def _record_sent_events(monkeypatch):
+    """Each transcript's events as built when they were sent, keyed by transcript.
+
+    The reference wraps ``Transcript.log``: it builds
+    ``Event(step, kind, frm.name, to.name, payload)`` at every send, and checks
+    that ``log`` returns that step.
+    """
+    reference = {}
+    log = Transcript.log
+
+    def recording_log(self, kind, frm, to, payload):
+        sent = reference.setdefault(self, [])
+        sent.append(Event(len(sent), kind, frm.name, to.name, payload))
+        step = log(self, kind, frm, to, payload)
+        assert step == sent[-1].step
+        return step
+
+    monkeypatch.setattr(Transcript, "log", recording_log)
+    return reference
+
+
+_QSDC_CFG = EstablishmentConfig(m_pairs=6, n_decoys=4, check_fraction=0.5)
+
+
+@pytest.mark.parametrize(
+    "attack, ending",
+    [
+        (None, "delivered"),
+        (AttackSpec(AttackKind.INTERCEPT_RESEND), "aborted_step2"),
+        (AttackSpec(AttackKind.TROJAN_HORSE, edge=(ALICE, TP2)), "aborted_step5"),
+    ],
+    ids=["honest", "intercept_resend", "trojan"],
+)
+def test_events_equal_the_events_built_at_each_send(monkeypatch, attack, ending):
+    reference = _record_sent_events(monkeypatch)
+    out = run_qsdc(_QSDC_CFG, attack=attack, rng=np.random.default_rng(3))
+    assert out.status.value == ending
+    transcript = out.session.net.transcript
+    sent = reference[transcript]
+    assert any(e.kind == "trojan_detected" for e in sent) == (ending == "aborted_step5")
+    assert len(transcript) == len(sent)
+    assert transcript.events == sent
+    assert list(transcript) == sent
+    rows = [(e.kind, e.frm, e.to, e.payload_summary) for e in sent]
+    assert transcript.to_jsonl() == _eager_jsonl(rows)
+
+
+def test_each_read_of_the_events_is_a_fresh_equal_list():
+    out = run_qsdc(_QSDC_CFG, rng=np.random.default_rng(4))
+    transcript = out.session.net.transcript
+    first, second = transcript.events, transcript.events
+    assert first == second and first is not second
+    count, text = len(transcript), transcript.to_jsonl()
+    first.append(first[0])
+    del second[:3]
+    iterated = list(transcript)
+    iterated.clear()
+    assert transcript.events == list(transcript) and len(transcript.events) == count
+    assert len(transcript) == count and transcript.to_jsonl() == text
+
+
+@pytest.mark.parametrize("discussion", DISCUSSIONS)
+def test_the_game_view_is_every_event_but_the_result_strings(monkeypatch, discussion):
+    reference = _record_sent_events(monkeypatch)
+    for seed in range(6):
+        reference.clear()
+        instance = GameInstance(discussion, 5, np.random.default_rng(seed))
+        (sent,) = reference.values()
+        assert instance.execute() == tuple(e for e in sent if e.kind != "measurement_results")
+        assert sent[-1].kind == "measurement_results"
 
 
 # --- interceptors ----------------------------------------------------------------

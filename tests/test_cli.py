@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from eprlink import harness
 from eprlink.cli import main
 from eprlink.protocol import MAX_PARTIES
 
@@ -582,3 +583,18 @@ def test_a_failing_trial_is_named_in_the_summary_line(monkeypatch, capsys):
     summary = out.splitlines()[0]
     assert summary.endswith(" pass=false first_error=#3 RuntimeError: stub failure")
     assert json.loads(out.split("\n", 1)[1])["errors"] == 1
+
+
+@pytest.mark.parametrize("bit_errors, code", [(0, 0), (1, 1)])
+def test_a_qsdc_run_that_delivered_wrong_bits_exits_1(monkeypatch, capsys, bit_errors, code):
+    def delivered(ec, index, rng=None):
+        return harness.TrialReport(
+            index=index, status="delivered", delivered=True, bit_errors=bit_errors
+        )
+
+    monkeypatch.setattr(harness, "run_trial", delivered)
+    assert main(["qsdc", "--trials", "2"]) == code
+    out, err = capsys.readouterr()
+    report = json.loads(out.split("\n", 1)[1])
+    assert report["delivered"] == 2 and report["delivered_wrong"] == 2 * bit_errors
+    assert report["pass"] is (code == 0) and err == ""

@@ -34,6 +34,7 @@ from eprlink.harness import (
     GameError,
     GameInstance,
     GameSpec,
+    TrialReport,
     attack_from_name,
     attack_label,
     emit_report,
@@ -221,6 +222,20 @@ def test_honest_qsdc_aggregate():
     agg = run_experiment(ec)
     assert agg.delivered == 40 and agg.delivered_wrong == 0
     assert agg.passed and agg.detection_rate == 0.0
+
+
+def test_a_qsdc_batch_that_delivered_wrong_bits_fails():
+    ec = ExperimentConfig(scenario="qsdc", cfg=SMALL, trials=3, seed=6)
+
+    def delivered(index, bit_errors):
+        return TrialReport(index=index, status="delivered", delivered=True, bit_errors=bit_errors)
+
+    right = harness._aggregate(ec, [delivered(i, 0) for i in range(3)])
+    assert right.passed and right.delivered == 3 and right.delivered_wrong == 0
+    wrong = harness._aggregate(ec, [delivered(0, 0), delivered(1, 2), delivered(2, 0)])
+    assert wrong.delivered == 3 and wrong.delivered_wrong == 1
+    assert wrong.detection_rate == wrong.oracle_rate == 0.0 and wrong.errors == 0
+    assert not wrong.passed
 
 
 def test_attacked_qsdc_counts_at_the_right_site():

@@ -40,6 +40,7 @@ from eprlink.protocol import (
     strip_decoys,
 )
 from eprlink.qcore import LABEL_EXPECTATION, SINGLE_STATE_LABELS, Basis, PauliCode
+from eprlink.qsdc import run_qsdc
 
 
 # --- configuration ---------------------------------------------------------------
@@ -404,6 +405,17 @@ def test_attack_must_be_a_spec_or_an_adversary():
 
     with pytest.raises(TypeError):
         run_establishment(EstablishmentConfig(m_pairs=3, n_decoys=2), _DuckTyped())
+
+
+@pytest.mark.parametrize(
+    "entry", [Session, run_establishment, run_multiparty, run_qsdc], ids=lambda f: f.__name__
+)
+def test_a_run_without_an_explicit_generator_is_refused(entry):
+    cfg = EstablishmentConfig(m_pairs=4, n_decoys=2)
+    for call in (lambda: entry(cfg), lambda: entry(cfg, rng=None)):
+        with pytest.raises(TypeError) as refused:
+            call()
+        assert str(refused.value) == "a run needs an explicit numpy Generator as rng"
 
 
 def test_corrupted_source_aborts_at_step3_with_log():
