@@ -140,3 +140,24 @@ def test_game_view_repr_is_pinned(discussion):
         repr(GameInstance(discussion, 5, rng).execute()) for rng in trial_rngs(37, RUNS)
     ]
     assert _sha("\n".join(views)) == GAME_CASES[discussion]
+
+
+def test_unfiltered_trojan_probes_ride_out_unseen_and_leak():
+    """With the probe filters off, tags planted on the TP1 -> Alice leg ride back
+    out on the step-5 leg: no scan logs them, so the transcript and the outcome
+    are the honest run's bytes, and only the adversary's leak flag sees them."""
+    spec = attack_from_name("trojan_invisible_photon")
+    transcripts, outcomes = [], []
+    for rng in trial_rngs(31, RUNS):
+        adversary = build_adversary(spec)
+        out = run_qsdc(CFG, None, adversary, rng, filters_enabled=False)
+        assert adversary.trojan_leak()
+        est = out.establishment
+        transcripts.append(out.session.net.transcript.to_jsonl())
+        outcomes.append(
+            "\n".join(
+                [out.status.value, out.detail, out.to_json(), est.to_json(), str(est.detected_by)]
+            )
+        )
+    assert _sha("\n\n".join(transcripts)) == QSDC_CASES["honest"]
+    assert _sha("\n\n".join(outcomes)) == OUTCOME_CASES["honest"]
