@@ -25,13 +25,10 @@ from .channels import (
     EVE,
     TP1,
     TP2,
-    ClassicalMessage,
     Network,
     PartyId,
-    QuantumMessage,
     Topology,
     Transcript,
-    TrojanTag,
     participant,
 )
 from .protocol import (

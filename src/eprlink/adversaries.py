@@ -29,16 +29,13 @@ from .channels import (
     EVE,
     STAGE_DECOY,
     STAGE_PAIR_CHECK,
-    ClassicalMessage,
     Network,
     PartyId,
     PositionsBases,
-    QuantumMessage,
     RunStatus,
     TP1,
     TP2,
     TrojanKind,
-    TrojanTag,
 )
 from .qcore import (
     BASIS_BY_BIT,
@@ -73,6 +70,12 @@ MODIFICATION_STRATEGIES = ("all_slots", "single_slot", "tp2_decoy_aware")
 # The check that compares the decoys on each attacked edge; the keys are every
 # quantum channel an attack can tap.
 _EDGE_CHECK = {edge: status for status in RunStatus for edge in status.edges}
+
+# Alice -> TP2, the leg that carries the encoded sequence out (step 5).
+_STEP5_LEG = RunStatus.ABORTED_STEP5.edges[0]
+
+# The probe readout basis, bound once: a load from its enum class costs ten times a global's.
+_BASIS_Z = Basis.Z
 
 
 @dataclass(frozen=True)
@@ -132,8 +135,9 @@ class Adversary:
 
     Every interceptor subclasses it; the network and the protocol call each
     hook directly, so an attack overrides only the hooks it acts through.  The
-    network hands public traffic only to an adversary whose class overrides
-    :meth:`on_classical_observed`.
+    network hands the qubits on an edge in ``taps`` to
+    :meth:`on_quantum_in_flight`, and public traffic only to an adversary
+    whose class overrides :meth:`on_classical_observed`.
     """
 
     # True when the adversary, not TP1, makes every payload group.
@@ -142,18 +146,20 @@ class Adversary:
     def __init__(self, actor: PartyId, edge: Optional[Tuple[PartyId, PartyId]] = None):
         self.actor = actor
         self.edge = edge
+        # The quantum edges whose traffic this adversary sees in flight.
+        self.taps: Tuple[Tuple[PartyId, PartyId], ...] = () if edge is None else (edge,)
         # Two-bit guesses at the message, one per relayed pair, for attacks that read it.
-        self._guesses: List[Optional[Tuple[int, int]]] = []
-
-    def quantum_taps(self) -> List[Tuple[PartyId, PartyId]]:
-        return [] if self.edge is None else [self.edge]
+        self.guesses: List[Tuple[int, int]] = []
 
     def on_quantum_in_flight(
-        self, net: Network, edge: Tuple[PartyId, PartyId], msg: QuantumMessage
-    ) -> QuantumMessage:
-        return msg
+        self, net: Network, edge: Tuple[PartyId, PartyId], qubits: Tuple
+    ) -> Tuple:
+        """Act on the qubits crossing a tapped edge; returns the qubits that travel on."""
+        return qubits
 
-    def on_classical_observed(self, net: Network, msg: ClassicalMessage) -> None:
+    def on_classical_observed(
+        self, net: Network, edge: Tuple[PartyId, PartyId], payload: object
+    ) -> None:
         pass
 
     @property
@@ -166,12 +172,6 @@ class Adversary:
     ) -> None:
         pass
 
-    def guessed_bits(self) -> Optional[List[Optional[Tuple[int, int]]]]:
-        return self._guesses or None
-
-    def trojan_leak(self) -> bool:
-        return False
-
 
 class InterceptResend(Adversary):
     """Measure every in-flight qubit in a random basis and resend what was seen."""
@@ -179,14 +179,14 @@ class InterceptResend(Adversary):
     def __init__(self, spec: AttackSpec):
         super().__init__(spec.actor, spec.edge)
 
-    def on_quantum_in_flight(self, net, edge, msg):
+    def on_quantum_in_flight(self, net, edge, qubits):
         reg, rng = net.register, net.rng
         fakes = []
-        for q in msg.qubits:
+        for q in qubits:
             basis = BASIS_BY_BIT[draw_below(rng, 2)]
             out = reg.measure(q, basis, rng)
             fakes.append(reg.prepare_single(eigenstate_label(basis, out.bit)))
-        return QuantumMessage(msg.sender, msg.receiver, tuple(fakes))
+        return tuple(fakes)
 
 
 class EntangleMeasure(Adversary):
@@ -202,11 +202,11 @@ class EntangleMeasure(Adversary):
         self.unitary = _check_unitary(spec.unitary, 4)
         self._rows = self.unitary.tolist()
 
-    def on_quantum_in_flight(self, net, edge, msg):
+    def on_quantum_in_flight(self, net, edge, qubits):
         reg = net.register
-        for q in msg.qubits:
+        for q in qubits:
             reg.apply_two_qubit_rows(self._rows, q, reg.prepare_single("0"))
-        return msg
+        return qubits
 
 
 class EntanglementSwapSource(Adversary):
@@ -224,13 +224,11 @@ class EntanglementSwapSource(Adversary):
 
     def __init__(self, spec: AttackSpec):
         super().__init__(spec.actor)
+        self.taps += (_STEP5_LEG,)
         self.retained: List[Tuple] = []
         # Each half sent to Alice -> its retained partner.
         self._sent_to_alice: Dict = {}
         self._acted = False
-
-    def quantum_taps(self):
-        return [(ALICE, TP2)]
 
     def make_payload_group(self, net: Network, parties: int):
         if parties != 2:
@@ -242,13 +240,12 @@ class EntanglementSwapSource(Adversary):
         self.retained.append((keep_a, keep_b))
         return (to_alice, to_bob)
 
-    def on_classical_observed(self, net, msg):
-        payload = msg.payload
+    def on_classical_observed(self, net, edge, payload):
         if (
             not self._acted
             and isinstance(payload, PositionsBases)
             and payload.stage == STAGE_PAIR_CHECK
-            and msg.sender == TP2
+            and edge[0] == TP2
         ):
             # Measure the retained halves before any holder responds; the
             # outcome is not needed, only the steering.
@@ -257,13 +254,13 @@ class EntanglementSwapSource(Adversary):
                 net.register.bell_measure(keep_a, keep_b, net.rng)
             self._acted = True
 
-    def on_quantum_in_flight(self, net, edge, msg):
-        for q in msg.qubits:
+    def on_quantum_in_flight(self, net, edge, qubits):
+        for q in qubits:
             keep_a = self._sent_to_alice.get(q)
             if keep_a is not None:
                 outcome = net.register.bell_measure(q, keep_a, net.rng)
-                self._guesses.append(outcome.bits)
-        return msg
+                self.guesses.append(outcome.bits)
+        return qubits
 
 
 class CorrelationElicitation(Adversary):
@@ -281,21 +278,20 @@ class CorrelationElicitation(Adversary):
         self._slot_probes: List = []
         self._bob_decoy_positions: Optional[Tuple[int, ...]] = None
 
-    def on_quantum_in_flight(self, net, edge, msg):
+    def on_quantum_in_flight(self, net, edge, qubits):
         reg = net.register
-        for q in msg.qubits:
+        for q in qubits:
             probe = reg.prepare_single("0")
             reg.apply_cnot(q, probe)
             self._slot_probes.append(probe)
-        return msg
+        return qubits
 
-    def on_classical_observed(self, net, msg):
-        payload = msg.payload
+    def on_classical_observed(self, net, edge, payload):
         if (
             self._bob_decoy_positions is None
             and isinstance(payload, PositionsBases)
             and payload.stage == STAGE_DECOY
-            and msg.receiver == BOB
+            and edge[1] == BOB
         ):
             self._bob_decoy_positions = payload.positions
 
@@ -308,10 +304,10 @@ class CorrelationElicitation(Adversary):
         for q, idx in zip(payload, surviving_indices):
             probe = pair_probes[idx]
             reg.apply_cnot(q, probe)
-            bit = reg.measure(probe, Basis.Z, rng).bit
+            bit = reg.measure(probe, _BASIS_Z, rng).bit
             reg.discard(probe)
             # The probe only ever learns flip-or-not; the phase bit is a coin toss.
-            self._guesses.append((bit, draw_below(rng, 2)))
+            self.guesses.append((bit, draw_below(rng, 2)))
 
 
 class DenseCodingSubstitution(Adversary):
@@ -324,26 +320,24 @@ class DenseCodingSubstitution(Adversary):
 
     def __init__(self, spec: AttackSpec):
         super().__init__(spec.actor, spec.edge)
+        self.taps += (_STEP5_LEG,)
         self._partner: Dict = {}
 
-    def quantum_taps(self):
-        return [(TP1, ALICE), (ALICE, TP2)]
-
-    def on_quantum_in_flight(self, net, edge, msg):
+    def on_quantum_in_flight(self, net, edge, qubits):
         reg, rng = net.register, net.rng
-        if edge == (TP1, ALICE):
+        if edge == self.edge:
             fakes = []
-            for q in msg.qubits:
+            for q in qubits:
                 mine, kept = reg.prepare_epr_pair()
                 self._partner[mine] = kept
                 fakes.append(mine)
-            return QuantumMessage(msg.sender, msg.receiver, tuple(fakes))
-        for q in msg.qubits:
+            return tuple(fakes)
+        for q in qubits:
             kept = self._partner.get(q)
             if kept is not None:
                 outcome = reg.bell_measure(q, kept, rng)
-                self._guesses.append(outcome.bits)
-        return msg
+                self.guesses.append(outcome.bits)
+        return qubits
 
 
 class Modification(Adversary):
@@ -356,15 +350,15 @@ class Modification(Adversary):
     def _random_pauli(self, rng) -> PauliCode:
         return _PAULI_BY_CODE[draw_below(rng, 4)]
 
-    def on_quantum_in_flight(self, net, edge, msg):
+    def on_quantum_in_flight(self, net, edge, qubits):
         reg, rng = net.register, net.rng
         if self.strategy == "all_slots":
-            for q in msg.qubits:
+            for q in qubits:
                 reg.apply_pauli(q, self._random_pauli(rng))
         else:
-            slot = int(rng.integers(len(msg.qubits)))
-            reg.apply_pauli(msg.qubits[slot], self._random_pauli(rng))
-        return msg
+            slot = int(rng.integers(len(qubits)))
+            reg.apply_pauli(qubits[slot], self._random_pauli(rng))
+        return qubits
 
     def on_relay_payload(self, net, payload, surviving_indices):
         if self.strategy != "tp2_decoy_aware":
@@ -380,24 +374,19 @@ class TrojanHorse(Adversary):
 
     def __init__(self, spec: AttackSpec):
         super().__init__(spec.actor, spec.edge)
-        self.kind = spec.trojan
-        self._leak = False
+        self.taps += (_STEP5_LEG,)
+        # True once planted probes come back out on the step-5 leg.
+        self.leaked = False
 
-    def quantum_taps(self):
-        return [self.edge, (ALICE, TP2)]
-
-    def on_quantum_in_flight(self, net, edge, msg):
+    def on_quantum_in_flight(self, net, edge, qubits):
         if edge == self.edge:
-            for q in msg.qubits:
-                net.plant_tag(q, TrojanTag(self.kind, self.actor))
-        elif net.tags_on(msg.qubits):
+            for q in qubits:
+                net.plant_tag(q)
+        elif net.tags_on(qubits):
             # The probes survived the receiver's (missing) filter and are now
             # coming back out with the encoded sequence.
-            self._leak = True
-        return msg
-
-    def trojan_leak(self):
-        return self._leak
+            self.leaked = True
+        return qubits
 
 
 # --- detection oracles ---------------------------------------------------------

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -79,21 +79,6 @@ def end_party_tuple(k: int) -> Tuple[PartyId, ...]:
 class TrojanKind(Enum):
     INVISIBLE_PHOTON = "invisible_photon"
     DELAY_PHOTON = "delay_photon"
-
-
-@dataclass(frozen=True)
-class TrojanTag:
-    """Marker for a probe hidden in a transmission slot."""
-
-    kind: TrojanKind
-    planted_by: PartyId
-
-
-@dataclass(frozen=True)
-class QuantumMessage:
-    sender: PartyId
-    receiver: PartyId
-    qubits: Tuple[QubitRef, ...]
 
 
 # --- classical payloads -----------------------------------------------------
@@ -188,15 +173,6 @@ class MacTag:
 
     def summary(self) -> str:
         return "mac tag"
-
-
-@dataclass(frozen=True)
-class ClassicalMessage:
-    """A classical send as interceptors observe it; built only when one is registered."""
-
-    sender: PartyId
-    receiver: PartyId
-    payload: object
 
 
 # --- transcript --------------------------------------------------------------
@@ -346,7 +322,8 @@ class Network:
         # wavelength); scanning without a filter sees nothing.  A fresh set per
         # network, since a run may switch its filters off.
         self.filtered_parties: set = {TP1, TP2, *topology.parties}
-        self._tags: Dict[QubitRef, TrojanTag] = {}
+        # The slots carrying a hidden probe photon.
+        self._tags: Set[QubitRef] = set()
 
     def add_interceptor(self, adversary: object) -> None:
         """Register an ``Adversary``; its hooks run in registration order."""
@@ -356,17 +333,18 @@ class Network:
 
     # -- trojan bookkeeping -------------------------------------------------
 
-    def plant_tag(self, qubit: QubitRef, tag: TrojanTag) -> None:
-        self._tags[qubit] = tag
+    def plant_tag(self, qubit: QubitRef) -> None:
+        self._tags.add(qubit)
 
-    def tags_on(self, qubits: Sequence[QubitRef]) -> List[TrojanTag]:
-        return [self._tags[q] for q in qubits if q in self._tags]
+    def tags_on(self, qubits: Sequence[QubitRef]) -> List[QubitRef]:
+        """The tagged qubits of a sequence, in sequence order."""
+        return [q for q in qubits if q in self._tags]
 
-    def scan_trojan(self, receiver: PartyId, msg: QuantumMessage) -> List[TrojanTag]:
-        """Ideal probe detector; returns every tag riding on the message."""
+    def scan_trojan(self, receiver: PartyId, qubits: Sequence[QubitRef]) -> List[QubitRef]:
+        """Ideal probe detector; returns every tagged qubit of the delivered sequence."""
         if not self._tags or receiver not in self.filtered_parties:
             return []
-        found = self.tags_on(msg.qubits)
+        found = self.tags_on(qubits)
         if found:
             self.transcript.log("trojan_detected", receiver, receiver, f"{len(found)} probe tag(s)")
         return found
@@ -375,32 +353,31 @@ class Network:
 
     def send_quantum(
         self, sender: PartyId, receiver: PartyId, qubits: Sequence[QubitRef]
-    ) -> QuantumMessage:
+    ) -> Tuple[QubitRef, ...]:
         """Ship a whole qubit sequence across one quantum link.
 
-        Registered interceptors see (and may transform) the in-flight message
-        in registration order; whatever comes out the far end is delivered.
+        Each registered interceptor that taps the link gets the sequence in
+        flight, in registration order, and returns the sequence that travels
+        on; the last one returned is delivered, and returned here.
         """
         if not self.topology.linked(sender, receiver):
             raise TopologyError(f"no quantum channel between {sender} and {receiver}")
-        msg = QuantumMessage(sender, receiver, tuple(qubits))
-        self.transcript.log("quantum_send", sender, receiver, _qubits_summary(len(msg.qubits)))
+        qubits = tuple(qubits)
+        self.transcript.log("quantum_send", sender, receiver, _qubits_summary(len(qubits)))
+        edge = (sender, receiver)
         for adv in self.interceptors:
-            if (sender, receiver) not in adv.quantum_taps():
-                continue
-            out = adv.on_quantum_in_flight(self, (sender, receiver), msg)
-            if out is not None:
-                msg = out
-        self.transcript.log("quantum_deliver", sender, receiver, _qubits_summary(len(msg.qubits)))
-        return msg
+            if edge in adv.taps:
+                qubits = adv.on_quantum_in_flight(self, edge, qubits)
+        self.transcript.log("quantum_deliver", sender, receiver, _qubits_summary(len(qubits)))
+        return qubits
 
     def send_classical(self, sender: PartyId, receiver: PartyId, payload: object) -> None:
         """Deliver an authenticated classical payload verbatim.
 
         The content is public: every registered interceptor that overrides
-        ``on_classical_observed`` observes it, but none can alter it (payloads
-        are immutable values).  The send is one transcript event; a
-        ``ClassicalMessage`` is built only for such observers.
+        ``on_classical_observed`` gets the edge and the payload itself, but
+        none can alter it (payloads are immutable values).  The send is one
+        transcript event.
         """
         if not self.topology.linked(sender, receiver):
             raise TopologyError(f"no classical channel between {sender} and {receiver}")
@@ -409,6 +386,6 @@ class Network:
             raise ChannelContractError("classical payload outside the protocol vocabulary")
         self.transcript.log(kind, sender, receiver, payload)
         if self.observers:
-            msg = ClassicalMessage(sender, receiver, payload)
+            edge = (sender, receiver)
             for adv in self.observers:
-                adv.on_classical_observed(self, msg)
+                adv.on_classical_observed(self, edge, payload)

@@ -272,10 +272,10 @@ def _distribute(
     for j, p in enumerate(session.parties):
         halves = [g[j] for g in groups]
         sequence, record = session.build_decoyed_sequence(halves)
-        msg = session.net.send_quantum(TP1, p, sequence)
-        if session.net.scan_trojan(p, msg):
+        held = session.net.send_quantum(TP1, p, sequence)
+        if session.net.scan_trojan(p, held):
             _abort(session, _ABORTED_STEP2, p, "probe photons found in incoming sequence")
-        holder_seqs[p] = msg.qubits
+        holder_seqs[p] = held
         records[p] = record
     return holder_seqs, records
 

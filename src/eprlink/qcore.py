@@ -545,13 +545,13 @@ class QuantumRegister:
         sv = self._where.get(q)
         if sv is None:
             raise self._dead(q)
+        if draw is None:
+            draw = rng.random()
         x_basis = basis is _BASIS_X
         if type(sv) is tuple:
             # A lone qubit.  A fresh one still holds its label's shared tuple and
             # is read from _FRESH_READS, by identity: tuple equality would also
             # match a pair that has -0.0 where the label has 0.0.
-            if draw is None:
-                draw = rng.random()
             fresh = _FRESH_READS.get(id(sv))
             if fresh is None:
                 _, bit, self._where[q] = _lone_read(sv, x_basis, draw)
@@ -574,8 +574,6 @@ class QuantumRegister:
             p1 = (y0.real * y0.real + y0.imag * y0.imag) + (y1.real * y1.real + y1.imag * y1.imag)
             if x_basis:
                 p1 *= 0.5
-            if draw is None:
-                draw = rng.random()
             bit = 1 if draw < p1 else 0
             scale = 1.0 / math.sqrt(p1 if bit else 1.0 - p1)
             if x_basis:
@@ -603,8 +601,6 @@ class QuantumRegister:
             p1 += y.real * y.real + y.imag * y.imag
         if x_basis:
             p1 *= 0.5
-        if draw is None:
-            draw = rng.random()
         bit = 1 if draw < p1 else 0
         scale = 1.0 / math.sqrt(p1 if bit else 1.0 - p1)
         if x_basis:

@@ -137,8 +137,9 @@ def encode_message(register: QuantumRegister, held: Sequence[QubitRef], message:
             f"message carries {len(message)} bits but {len(held)} pairs hold {2 * len(held)}"
         )
     bits = message.bits
+    apply_pauli, from_bits = register.apply_pauli, PauliCode.from_bits
     for q, first, second in zip(held, bits[0::2], bits[1::2]):
-        register.apply_pauli(q, PauliCode.from_bits(first, second))
+        apply_pauli(q, from_bits(first, second))
 
 
 def decode_pairs(
@@ -241,16 +242,16 @@ def _relay_leg(
     """
     net, stage = session.net, status.stage
     sequence, record = session.build_decoyed_sequence(payload)
-    msg = net.send_quantum(sender, receiver, sequence)
-    if net.scan_trojan(receiver, msg):
+    held = net.send_quantum(sender, receiver, sequence)
+    if net.scan_trojan(receiver, held):
         net.send_classical(receiver, sender, AbortNotice(stage, "probe photons found"))
         raise Aborted(status, f"probe photons found at {receiver}", receiver)
-    bad = session.run_decoy_discussion(sender, receiver, stage, msg.qubits, record)
+    bad = session.run_decoy_discussion(sender, receiver, stage, held, record)
     if bad is not None:
         detail = f"decoy mismatch at slot {bad}"
         net.send_classical(sender, mismatch_to, AbortNotice(stage, detail))
         raise Aborted(status, detail, sender)
-    return strip_decoys(msg.qubits, record)
+    return strip_decoys(held, record)
 
 
 def _finish_leak(
@@ -260,10 +261,8 @@ def _finish_leak(
     pairs: int,
 ) -> QsdcOutcome:
     """Score the adversary's message guesses on a run that reached decode."""
-    guesses = adversary.guessed_bits() if adversary is not None else None
-    for i, guess in enumerate((guesses or [])[:pairs]):
-        if guess is None:
-            continue
+    guesses = adversary.guesses[:pairs] if adversary is not None else ()
+    for i, guess in enumerate(guesses):
         actual = (message.bits[2 * i], message.bits[2 * i + 1])
         outcome.leak_pairs += 1
         outcome.leak_bits_total += 2

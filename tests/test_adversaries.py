@@ -179,6 +179,24 @@ def test_only_swap_supplies_the_source():
     assert not build_adversary(AttackSpec(kind=AttackKind.INTERCEPT_RESEND)).supplies_source
 
 
+def test_taps_are_the_spec_edge_then_the_step5_leg():
+    """Each built adversary taps its spec's edge, then the step-5 leg if it reads the message there."""
+    step5_leg = RunStatus.ABORTED_STEP5.edges[0]
+    specs = [attack_from_name(name) for name in ATTACK_NAMES]
+    for kind in AttackKind:
+        for edge in [(TP1, ALICE), (TP1, BOB), (ALICE, TP2), (TP2, BOB)]:
+            try:
+                specs.append(AttackSpec(kind=kind, actor=EVE, edge=edge))
+            except ValueError:
+                continue
+    reads_step5 = {AttackKind.ENTANGLEMENT_SWAP, AttackKind.DENSE_CODING, AttackKind.TROJAN_HORSE}
+    for spec in specs:
+        taps = build_adversary(spec).taps
+        own = () if spec.edge is None else (spec.edge,)
+        assert type(taps) is tuple
+        assert taps == own + ((step5_leg,) if spec.kind in reads_step5 else ()), spec
+
+
 # --- closed-form detection oracles -------------------------------------------------
 
 
@@ -502,11 +520,11 @@ def test_trojan_probes_leak_only_without_filters():
         adv = build_adversary(spec)
         out = run_qsdc(cfg, attack=adv, rng=np.random.default_rng(seed), filters_enabled=False)
         assert out.status is RunStatus.DELIVERED
-        assert adv.trojan_leak()
+        assert adv.leaked
         assert out.decoded == out.message.bits
     adv = build_adversary(spec)
     out = run_qsdc(cfg, attack=adv, rng=np.random.default_rng(99), filters_enabled=True)
-    assert not adv.trojan_leak()
+    assert not adv.leaked
 
 
 def test_relay_aborts_name_who_caught_them():

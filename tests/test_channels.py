@@ -6,7 +6,6 @@ import json
 import numpy as np
 import pytest
 
-from eprlink import channels
 from eprlink.adversaries import Adversary, AttackKind, AttackSpec, attack_from_name, build_adversary
 from eprlink.channels import (
     ACK,
@@ -18,7 +17,6 @@ from eprlink.channels import (
     AbortNotice,
     Ack,
     ChannelContractError,
-    ClassicalMessage,
     Event,
     MacTag,
     MeasurementResults,
@@ -30,8 +28,6 @@ from eprlink.channels import (
     Topology,
     TopologyError,
     Transcript,
-    TrojanKind,
-    TrojanTag,
     end_party_tuple,
     participant,
 )
@@ -207,7 +203,7 @@ def _eager_jsonl(rows):
 def test_lazy_transcript_serializes_like_eager_summaries():
     net = _net()
     q = net.register.prepare_single("+")
-    net.plant_tag(q, TrojanTag(TrojanKind.DELAY_PHOTON, EVE))
+    net.plant_tag(q)
     net.scan_trojan(ALICE, net.send_quantum(TP1, ALICE, [q]))
     rows = [
         ("quantum_send", "TP1", "Alice", "1 qubits"),
@@ -340,22 +336,19 @@ def test_the_game_view_is_every_event_but_the_result_strings(monkeypatch, discus
 class _Recorder(Adversary):
     """Minimal interceptor with configurable taps."""
 
-    def __init__(self, name, taps=None):
+    def __init__(self, name, taps=()):
         super().__init__(EVE)
         self.name = name
-        self.taps = taps
+        self.taps = tuple(taps)
         self.saw_quantum = []
         self.saw_classical = []
 
-    def quantum_taps(self):
-        return self.taps if self.taps is not None else []
-
-    def on_quantum_in_flight(self, net, edge, msg):
+    def on_quantum_in_flight(self, net, edge, qubits):
         self.saw_quantum.append((self.name, edge))
-        return msg
+        return qubits
 
-    def on_classical_observed(self, net, msg):
-        self.saw_classical.append(msg.payload.KIND)
+    def on_classical_observed(self, net, edge, payload):
+        self.saw_classical.append(payload.KIND)
 
 
 def test_interceptors_run_in_registration_order():
@@ -363,9 +356,9 @@ def test_interceptors_run_in_registration_order():
     order = []
 
     class Tagger(_Recorder):
-        def on_quantum_in_flight(self, n, edge, msg):
+        def on_quantum_in_flight(self, n, edge, qubits):
             order.append(self.name)
-            return msg
+            return qubits
 
     first = Tagger("first", taps=[(TP1, ALICE)])
     second = Tagger("second", taps=[(TP1, ALICE)])
@@ -387,6 +380,30 @@ def test_taps_limit_which_edges_an_interceptor_sees():
     assert [edge for _name, edge in tapper.saw_quantum] == [(TP1, BOB)]
 
 
+class _Swapper(_Recorder):
+    """Sends fresh |0> qubits on in place of all but the first in-flight qubit."""
+
+    def on_quantum_in_flight(self, net, edge, qubits):
+        self.got = qubits
+        self.sent_on = tuple(net.register.prepare_single("0") for _ in qubits[1:])
+        return self.sent_on
+
+
+def test_the_tuple_an_interceptor_returns_is_what_travels_on():
+    net = _net()
+    first = _Swapper("first", taps=[(TP1, ALICE)])
+    second = _Swapper("second", taps=[(TP1, ALICE)])
+    net.add_interceptor(first)
+    net.add_interceptor(second)
+    sent = [net.register.prepare_single("+") for _ in range(4)]
+    held = net.send_quantum(TP1, ALICE, sent)
+    assert first.got == tuple(sent)
+    assert second.got is first.sent_on
+    assert held is second.sent_on and len(held) == 2
+    send, deliver = net.transcript.events
+    assert (send.payload_summary, deliver.payload_summary) == ("4 qubits", "2 qubits")
+
+
 def test_all_interceptors_hear_public_traffic():
     net = _net()
     tapper = _Recorder("eve", taps=[])  # taps nothing on the quantum side
@@ -403,17 +420,17 @@ class _Listener(Adversary):
         super().__init__(EVE)
         self.heard = []
 
-    def on_classical_observed(self, net, msg):
-        self.heard.append(msg)
+    def on_classical_observed(self, net, edge, payload):
+        self.heard.append((edge, payload))
 
 
 def _assert_heard_every_classical_event_in_order(heard, transcript):
+    """``heard`` holds one (edge, payload) per observed send: the logged payload object itself."""
     logged = [e for e in transcript if not isinstance(e.payload, str)]
     assert len(logged) == len(heard) > 0
-    for event, msg in zip(logged, heard):
-        assert isinstance(msg, ClassicalMessage)
-        assert (msg.sender.name, msg.receiver.name) == (event.frm, event.to)
-        assert msg.payload is event.payload and event.kind == msg.payload.KIND
+    for event, (edge, payload) in zip(logged, heard):
+        assert type(edge) is tuple and edge == (PartyId(event.frm), PartyId(event.to))
+        assert payload is event.payload and event.kind == payload.KIND
 
 
 def test_interceptors_observe_each_classical_event_once_in_order():
@@ -426,44 +443,34 @@ def test_interceptors_observe_each_classical_event_once_in_order():
 
 
 def test_send_classical_returns_nothing_and_builds_no_message_without_listeners(monkeypatch):
-    built = []
-
-    def counted(*args):
-        built.append(ClassicalMessage(*args))
-        return built[-1]
-
-    monkeypatch.setattr(channels, "ClassicalMessage", counted)
     assert _net().send_classical(TP1, ALICE, Ack()) is None
     out = run_qsdc(EstablishmentConfig(m_pairs=4, n_decoys=2), rng=np.random.default_rng(3))
-    assert out.delivered and built == []
+    assert out.delivered and out.session.net.observers == []
 
     listened = _net()
-    listened.add_interceptor(_Recorder("eve"))
+    recorder = _Recorder("eve")
+    listened.add_interceptor(recorder)
     assert listened.send_classical(TP1, ALICE, Ack()) is None
-    assert len(built) == 1 and built[0].payload == Ack()
+    assert recorder.saw_classical == ["ack"]
 
-    # An attack that keeps the base classical hook is no observer: it costs no message.
+    # An attack that keeps the base classical hook is no observer.
     cfg = EstablishmentConfig(m_pairs=4, n_decoys=2, check_fraction=0.5)
-    built.clear()
     intercept = build_adversary(attack_from_name("intercept_resend"))
     out = run_establishment(cfg, intercept, np.random.default_rng(3))
     net = out.session.net
-    assert net.interceptors == [intercept] and net.observers == [] and built == []
+    assert net.interceptors == [intercept] and net.observers == []
     assert any(not isinstance(e.payload, str) for e in net.transcript)
 
     # Every class that overrides the hook still hears every classical event, in order.
     recorder = _Recorder("eve")
-    built.clear()
     out = run_qsdc(cfg, None, recorder, np.random.default_rng(3))
     assert out.session.net.observers == [recorder]
-    _assert_heard_every_classical_event_in_order(built, out.session.net.transcript)
-    assert recorder.saw_classical == [m.payload.KIND for m in built]
+    logged = [e for e in out.session.net.transcript if not isinstance(e.payload, str)]
+    assert recorder.saw_classical == [e.kind for e in logged]
     listener = _Listener()
-    built.clear()
     out = run_qsdc(cfg, None, listener, np.random.default_rng(3))
     assert out.session.net.observers == [listener]
     _assert_heard_every_classical_event_in_order(listener.heard, out.session.net.transcript)
-    assert list(map(id, listener.heard)) == list(map(id, built))
     for name, run in (
         ("entanglement_swap", lambda adv: run_establishment(cfg, adv, np.random.default_rng(3))),
         ("correlation_elicitation", lambda adv: run_qsdc(cfg, None, adv, np.random.default_rng(3))),
@@ -472,16 +479,14 @@ def test_send_classical_returns_nothing_and_builds_no_message_without_listeners(
         heard = []
         hook = type(attack).on_classical_observed
 
-        def recording(self, net, msg, _hook=hook, _heard=heard):
-            _heard.append(msg)
-            _hook(self, net, msg)
+        def recording(self, net, edge, payload, _hook=hook, _heard=heard):
+            _heard.append((edge, payload))
+            _hook(self, net, edge, payload)
 
         monkeypatch.setattr(type(attack), "on_classical_observed", recording)
-        built.clear()
         out = run(attack)
         assert out.session.net.observers == [attack]
         _assert_heard_every_classical_event_in_order(heard, out.session.net.transcript)
-        assert list(map(id, heard)) == list(map(id, built))
 
 
 # --- probe-photon filters ----------------------------------------------------------
@@ -490,12 +495,9 @@ def test_send_classical_returns_nothing_and_builds_no_message_without_listeners(
 def test_trojan_scan_finds_planted_tags():
     net = _net()
     q = net.register.prepare_single("0")
-    net.plant_tag(q, TrojanTag(TrojanKind.INVISIBLE_PHOTON, EVE))
-    msg = net.send_quantum(TP1, ALICE, [q])
-    found = net.scan_trojan(ALICE, msg)
-    assert len(found) == 1
-    assert found[0].kind is TrojanKind.INVISIBLE_PHOTON
-    assert found[0].planted_by == EVE
+    net.plant_tag(q)
+    held = net.send_quantum(TP1, ALICE, [q])
+    assert net.scan_trojan(ALICE, held) == [q]
     # the scan event is on the record
     assert any(e.kind == "trojan_detected" for e in net.transcript)
 
@@ -503,8 +505,25 @@ def test_trojan_scan_finds_planted_tags():
 def test_trojan_scan_clean_when_nothing_planted():
     net = _net()
     q = net.register.prepare_single("0")
-    msg = net.send_quantum(TP1, ALICE, [q])
-    assert net.scan_trojan(ALICE, msg) == []
+    held = net.send_quantum(TP1, ALICE, [q])
+    assert net.scan_trojan(ALICE, held) == []
+
+
+def test_trojan_scan_returns_the_tagged_slots_in_sequence_order():
+    net = _net()
+    made = [net.register.prepare_single("0") for _ in range(5)]
+    for q in (made[3], made[0], made[2]):
+        net.plant_tag(q)
+    qubits = [made[i] for i in (2, 4, 0, 1, 3)]  # sequence order is neither made nor planted order
+    held = net.send_quantum(TP1, ALICE, qubits)
+    want = [made[2], made[0], made[3]]
+    assert net.tags_on(held) == want
+    assert net.scan_trojan(ALICE, held) == want
+    assert net.transcript.events[-1].payload_summary == "3 probe tag(s)"
+    net.filtered_parties.discard(BOB)
+    steps = len(net.transcript)
+    assert net.scan_trojan(BOB, net.send_quantum(TP1, BOB, qubits)) == []
+    assert len(net.transcript) == steps + 2  # the send and the delivery, no scan event
 
 
 def test_filtered_parties_is_a_fresh_set_per_network():
@@ -524,6 +543,6 @@ def test_unfiltered_receiver_sees_nothing():
     net = _net()
     net.filtered_parties = set()
     q = net.register.prepare_single("0")
-    net.plant_tag(q, TrojanTag(TrojanKind.DELAY_PHOTON, EVE))
-    msg = net.send_quantum(TP1, ALICE, [q])
-    assert net.scan_trojan(ALICE, msg) == []
+    net.plant_tag(q)
+    held = net.send_quantum(TP1, ALICE, [q])
+    assert net.scan_trojan(ALICE, held) == []

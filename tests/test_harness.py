@@ -558,7 +558,7 @@ def test_loading_a_config_leaves_numpy_random_unimported(tmp_path):
 
 
 class _JammedProbe(Adversary):
-    def on_quantum_in_flight(self, net, edge, msg):
+    def on_quantum_in_flight(self, net, edge, qubits):
         raise RuntimeError("probe jammed")
 
 

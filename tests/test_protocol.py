@@ -325,7 +325,7 @@ def test_run_status_names_the_failed_check():
     assert RunStatus.MAC_REJECTED.stage is None
     # Every edge an attack can tap, by its spec or through its hooks, is guarded by one check.
     tapped = {spec.edge for spec in specs if spec.edge is not None}
-    tapped |= {edge for spec in specs for edge in build_adversary(spec).quantum_taps()}
+    tapped |= {edge for spec in specs for edge in build_adversary(spec).taps}
     assert tapped == set(_QUANTUM_EDGES)
     for edge in tapped:
         assert [status for status in RunStatus if edge in status.edges] == [
@@ -378,10 +378,10 @@ class _FlipEverything(Adversary):
     def __init__(self, edge):
         super().__init__(EVE, edge)
 
-    def on_quantum_in_flight(self, net, edge, msg):
-        for q in msg.qubits:
+    def on_quantum_in_flight(self, net, edge, qubits):
+        for q in qubits:
             net.register.apply_pauli(q, PauliCode.IY)
-        return msg
+        return qubits
 
 
 @pytest.mark.parametrize("edge,holder", [((TP1, ALICE), ALICE), ((TP1, BOB), BOB)])
@@ -400,8 +400,8 @@ def test_flipped_channel_always_aborts_step2(edge, holder):
 
 def test_attack_must_be_a_spec_or_an_adversary():
     class _DuckTyped:
-        def on_quantum_in_flight(self, net, edge, msg):
-            return msg
+        def on_quantum_in_flight(self, net, edge, qubits):
+            return qubits
 
     with pytest.raises(TypeError):
         run_establishment(EstablishmentConfig(m_pairs=3, n_decoys=2), _DuckTyped())

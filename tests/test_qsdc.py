@@ -232,10 +232,10 @@ class _FlipLeg(Adversary):
     def __init__(self, edge):
         super().__init__(EVE, edge)
 
-    def on_quantum_in_flight(self, net, edge, msg):
-        for q in msg.qubits:
+    def on_quantum_in_flight(self, net, edge, qubits):
+        for q in qubits:
             net.register.apply_pauli(q, PauliCode.IY)
-        return msg
+        return qubits
 
 
 def test_establishment_failure_maps_to_step2_status():

@@ -4,7 +4,8 @@ import json
 import re
 from pathlib import Path
 
-from eprlink.adversaries import ATTACK_NAMES, AttackKind
+from eprlink.adversaries import ATTACK_NAMES, Adversary, AttackKind
+from eprlink.channels import EVE
 from eprlink.harness import CONFIG_KEYS
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -32,3 +33,18 @@ def test_readme_config_list_is_the_config_table():
         assert item.startswith(head), (item, head)
         for word in (*(f"`{c}`" for c in key.choices), key.flag or ""):
             assert word in item, (item, word)
+
+
+def test_readme_interceptor_paragraph_names_the_adversary_seam():
+    """Each backticked lower-case name (an attribute or a hook signature) exists on a
+    built adversary, and every public name the base class defines is named.
+
+    The class and its constructor call are the paragraph's only other backticked
+    names.
+    """
+    paragraph = README.split("A custom interceptor subclasses", 1)[1].split("\n\n", 1)[0]
+    named = re.findall(r"`([a-z_][a-z0-9_]*)(?:\([^`]*\))?`", paragraph)
+    adversary = Adversary(EVE)
+    assert [name for name in named if not hasattr(adversary, name)] == []
+    public = {name for name in vars(Adversary) if not name.startswith("_")}
+    assert public and public <= set(named)

@@ -151,7 +151,7 @@ def test_unfiltered_trojan_probes_ride_out_unseen_and_leak():
     for rng in trial_rngs(31, RUNS):
         adversary = build_adversary(spec)
         out = run_qsdc(CFG, None, adversary, rng, filters_enabled=False)
-        assert adversary.trojan_leak()
+        assert adversary.leaked
         est = out.establishment
         transcripts.append(out.session.net.transcript.to_jsonl())
         outcomes.append(
