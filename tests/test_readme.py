@@ -39,8 +39,8 @@ def test_readme_interceptor_paragraph_names_the_adversary_seam():
     """Each backticked lower-case name (an attribute or a hook signature) exists on a
     built adversary, and every public name the base class defines is named.
 
-    The class and its constructor call are the paragraph's only other backticked
-    names.
+    The class, its constructor call and the edge's ``(sender, receiver)`` form are
+    the paragraph's only other backticked spans.
     """
     paragraph = README.split("A custom interceptor subclasses", 1)[1].split("\n\n", 1)[0]
     named = re.findall(r"`([a-z_][a-z0-9_]*)(?:\([^`]*\))?`", paragraph)
