@@ -74,9 +74,6 @@ _EDGE_CHECK = {edge: status for status in RunStatus for edge in status.edges}
 # Alice -> TP2, the leg that carries the encoded sequence out (step 5).
 _STEP5_LEG = RunStatus.ABORTED_STEP5.edges[0]
 
-# The probe readout basis, bound once: a load from its enum class costs ten times a global's.
-_BASIS_Z = Basis.Z
-
 
 @dataclass(frozen=True)
 class AttackSpec:
@@ -304,7 +301,7 @@ class CorrelationElicitation(Adversary):
         for q, idx in zip(payload, surviving_indices):
             probe = pair_probes[idx]
             reg.apply_cnot(q, probe)
-            bit = reg.measure(probe, _BASIS_Z, rng).bit
+            bit = reg.measure(probe, Basis.Z, rng).bit
             reg.discard(probe)
             # The probe only ever learns flip-or-not; the phase bit is a coin toss.
             self.guesses.append((bit, draw_below(rng, 2)))

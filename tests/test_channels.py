@@ -404,6 +404,20 @@ def test_the_tuple_an_interceptor_returns_is_what_travels_on():
     assert (send.payload_summary, deliver.payload_summary) == ("4 qubits", "2 qubits")
 
 
+
+def test_an_interceptor_that_returns_nothing_fails_the_send():
+    """A hook must return the tuple that travels on; a bare ``return`` is not a pass-through."""
+
+    class Silent(_Recorder):
+        def on_quantum_in_flight(self, net, edge, qubits):
+            super().on_quantum_in_flight(net, edge, qubits)
+
+    net = _net()
+    net.add_interceptor(Silent("eve", taps=[(TP1, ALICE)]))
+    with pytest.raises(TypeError):
+        net.send_quantum(TP1, ALICE, [net.register.prepare_single("0")])
+    assert [event.kind for event in net.transcript.events] == ["quantum_send"]
+
 def test_all_interceptors_hear_public_traffic():
     net = _net()
     tapper = _Recorder("eve", taps=[])  # taps nothing on the quantum side
