@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,6 +56,8 @@ from .seeding import draw_below
 
 
 class AttackKind(Enum):
+    """The attacks the library implements, one row of the attack table each."""
+
     INTERCEPT_RESEND = "intercept_resend"
     ENTANGLE_MEASURE = "entangle_measure"
     ENTANGLEMENT_SWAP = "entanglement_swap"
@@ -134,11 +136,10 @@ class Adversary:
     hook directly, so an attack overrides only the hooks it acts through.  The
     network hands the qubits on an edge in ``taps`` to
     :meth:`on_quantum_in_flight`, and public traffic only to an adversary
-    whose class overrides :meth:`on_classical_observed`.
+    whose class overrides :meth:`on_classical_observed`.  Likewise the
+    protocol takes the payload groups from an adversary, not TP1, only when
+    its class overrides :meth:`make_payload_group`.
     """
-
-    # True when the adversary, not TP1, makes every payload group.
-    supplies_source = False
 
     def __init__(self, actor: PartyId, edge: Optional[Tuple[PartyId, PartyId]] = None):
         self.actor = actor
@@ -163,6 +164,16 @@ class Adversary:
     def observes_classical(self) -> bool:
         """Whether the class overrides :meth:`on_classical_observed`; read once at registration."""
         return type(self).on_classical_observed is not Adversary.on_classical_observed
+
+    def make_payload_group(self, net: Network, parties: int) -> Sequence:
+        """One payload group, a qubit per end party: here TP1's honest shared state."""
+        return net.register.prepare_ghz(parties)
+
+    @property
+    def supplies_source(self) -> bool:
+        """Whether the class overrides :meth:`make_payload_group`, so the adversary, not
+        TP1, makes every payload group; read once per distribution."""
+        return type(self).make_payload_group is not Adversary.make_payload_group
 
     def on_relay_payload(
         self, net: Network, payload: Sequence, surviving_indices: Sequence[int]
@@ -216,8 +227,6 @@ class EntanglementSwapSource(Adversary):
     Later, if the run survives, TP1 lifts the message by joint-measuring the
     encoded qubit in transit with its retained partner.
     """
-
-    supplies_source = True
 
     def __init__(self, spec: AttackSpec):
         super().__init__(spec.actor)
@@ -501,8 +510,7 @@ def probe_decoy_detection(unitary: np.ndarray, n_decoys: int) -> float:
 # --- the attack table: the one place an attack kind is defined -----------------
 
 
-@dataclass(frozen=True)
-class AttackRow:
+class AttackRow(NamedTuple):
     """Everything the package knows about one attack kind.
 
     ``rate(s, n, c, m, f)`` is the detection probability at the catch point of
@@ -558,8 +566,8 @@ _ATTACKS: Dict[AttackKind, AttackRow] = {
 }
 
 # TP2 scrambling only message slots inside the relay, caught by the integrity tag.
-_DECOY_AWARE = replace(
-    _ATTACKS[AttackKind.MODIFICATION], actor=TP2, edge=None, site=RunStatus.MAC_REJECTED,
+_DECOY_AWARE = _ATTACKS[AttackKind.MODIFICATION]._replace(
+    actor=TP2, edge=None, site=RunStatus.MAC_REJECTED,
     pinned="the decoy-aware variant is TP2 tampering inside the relay, not on an edge",
 )
 

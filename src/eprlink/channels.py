@@ -11,7 +11,6 @@ a replayable transcript.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Dict, Iterator, List, NamedTuple, Sequence, Set, Tuple
@@ -77,6 +76,8 @@ def end_party_tuple(k: int) -> Tuple[PartyId, ...]:
 
 
 class TrojanKind(Enum):
+    """The kind of hidden probe photon a trojan-horse attack plants."""
+
     INVISIBLE_PHOTON = "invisible_photon"
     DELAY_PHOTON = "delay_photon"
 
@@ -84,8 +85,9 @@ class TrojanKind(Enum):
 # --- classical payloads -----------------------------------------------------
 #
 # The payload vocabulary is deliberately tiny; a transcript audit checks that
-# honest runs never send anything outside it.  Stage labels say which
-# discussion a positions/results message belongs to.
+# honest runs never send anything outside it.  Each payload is an immutable
+# named tuple whose class ``KIND`` names it in the transcript.  Stage labels say
+# which discussion a positions/results message belongs to.
 
 STAGE_DECOY = "decoy_check"  # sender-chosen decoys verified after distribution
 STAGE_PAIR_CHECK = "pair_check"  # correlation spot check on payload pairs
@@ -120,8 +122,9 @@ class RunStatus(Enum):
     MAC_REJECTED = ("mac_rejected",)
 
 
-@dataclass(frozen=True)
-class Ack:
+class Ack(NamedTuple):
+    """Acknowledgement of a received sequence, with an optional note."""
+
     KIND = "ack"
     note: str = ""
 
@@ -129,12 +132,11 @@ class Ack:
         return "ack" if not self.note else f"ack ({self.note})"
 
 
-# The plain acknowledgement.  Payloads are frozen, so one instance serves every send.
+# The plain acknowledgement.  Payloads are immutable, so one instance serves every send.
 ACK = Ack()
 
 
-@dataclass(frozen=True)
-class PositionsBases:
+class PositionsBases(NamedTuple):
     """Announcement of which slots to measure and in which bases."""
 
     KIND = "positions_bases"
@@ -146,8 +148,9 @@ class PositionsBases:
         return f"{self.stage}: {len(self.positions)} positions+bases"
 
 
-@dataclass(frozen=True)
-class MeasurementResults:
+class MeasurementResults(NamedTuple):
+    """A holder's report of the bits it read at the announced positions."""
+
     KIND = "measurement_results"
     stage: str
     bits: Tuple[int, ...]
@@ -156,8 +159,9 @@ class MeasurementResults:
         return f"{self.stage}: {len(self.bits)} result bits"
 
 
-@dataclass(frozen=True)
-class AbortNotice:
+class AbortNotice(NamedTuple):
+    """Word that a check failed, passed on until every participant has it."""
+
     KIND = "abort"
     stage: str
     reason: str
@@ -166,8 +170,9 @@ class AbortNotice:
         return f"abort at {self.stage}: {self.reason}"
 
 
-@dataclass(frozen=True)
-class MacTag:
+class MacTag(NamedTuple):
+    """The integrity tag over the message bits, sent ahead of the relay."""
+
     KIND = "mac_tag"
     digest: str
 
@@ -191,7 +196,7 @@ class Event(NamedTuple):
     def payload_summary(self) -> str:
         """The payload's one-line summary, formatted when read.
 
-        Payloads are frozen values, so the text is the same whenever it is read.
+        Payloads are immutable values, so the text is the same whenever it is read.
         """
         payload = self.payload
         return payload if isinstance(payload, str) else payload.summary()

@@ -18,7 +18,6 @@ forgery reduces to cloning.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -628,6 +627,8 @@ _STRATEGIES: Dict[str, Callable] = {
 
 @dataclass
 class GameResult:
+    """One distinguishing game's tally: valid instances, successes and the advantage."""
+
     discussion: str
     strategy: str
     instances: int
@@ -703,6 +704,8 @@ def emit_report(
         if any(games) and not all(games):
             raise ValueError("cannot mix run reports and game reports in one CSV")
         columns = GAME_CSV_COLUMNS if all(games) else CSV_COLUMNS
+        import csv  # loaded by the first CSV report only
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)

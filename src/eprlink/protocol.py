@@ -111,8 +111,7 @@ class EstablishmentConfig:
         return math.ceil(round(self.check_fraction * self.m_pairs, 9))
 
 
-@dataclass(frozen=True)
-class CheckEntry:
+class CheckEntry(NamedTuple):
     """One spot-checked payload position and how the outcomes compared."""
 
     position: int
@@ -131,6 +130,8 @@ class CheckEntry:
 
 @dataclass
 class EstablishmentOutcome:
+    """How one establishment run ended, and the shared groups it left when it succeeded."""
+
     status: RunStatus
     detected_by: Optional[PartyId]
     shared_pairs: Dict[PartyId, List[QubitRef]]
@@ -261,12 +262,10 @@ def _distribute(
     cfg, reg = session.cfg, session.register
     k = len(session.parties)
     adversary = session.adversary
-    groups: List[List[QubitRef]] = []
-    for _ in range(cfg.m_pairs):
-        if adversary is not None and adversary.supplies_source:
-            groups.append(list(adversary.make_payload_group(session.net, k)))
-        else:
-            groups.append(reg.prepare_ghz(k))
+    if adversary is not None and adversary.supplies_source:
+        groups = [adversary.make_payload_group(session.net, k) for _ in range(cfg.m_pairs)]
+    else:
+        groups = [reg.prepare_ghz(k) for _ in range(cfg.m_pairs)]
     holder_seqs: Dict[PartyId, Sequence[QubitRef]] = {}
     records: Dict[PartyId, DecoyRecord] = {}
     for j, p in enumerate(session.parties):

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -183,6 +182,8 @@ class QubitRef(int):
 
 
 class MeasurementOutcome(NamedTuple):
+    """The basis a qubit was read in and the bit it gave."""
+
     basis: Basis
     bit: int
 
@@ -194,8 +195,7 @@ _OUTCOMES = (
 )
 
 
-@dataclass(frozen=True)
-class BellPairCheck:
+class BellPairCheck(NamedTuple):
     """Diagnostic result of :func:`is_bell_product`."""
 
     passed: bool

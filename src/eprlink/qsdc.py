@@ -11,9 +11,9 @@ integrity tag over the decoded bits (step 7).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -60,7 +60,7 @@ class Message:
     bits: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(b not in (0, 1) for b in self.bits):
+        if not _are_bits(self.bits):
             raise ValueError("message bits must be 0 or 1")
         if len(self.bits) % 2 != 0:
             raise ValueError("message length must be even")
@@ -76,6 +76,22 @@ class Message:
         return cls(tuple(draw_below(rng, 2, length)))
 
 
+_BIT_VALUES = frozenset((0, 1))
+
+
+def _are_bits(bits: Sequence) -> bool:
+    """True when every entry is the integer 0 or 1, a Python or numpy integer but not a bool.
+
+    ``True in (0, 1)`` and ``1.0 in (0, 1)`` both hold, so the types are checked
+    first; all Python ints, as ``Message.random`` draws them, take the short way.
+    """
+    if not {int}.issuperset(map(type, bits)) and not all(
+        type(b) is not bool and isinstance(b, numbers.Integral) for b in bits
+    ):
+        return False
+    return _BIT_VALUES.issuperset(bits)
+
+
 def bits_to_hex(bits: Sequence[int]) -> str:
     if not bits:
         return ""
@@ -85,6 +101,8 @@ def bits_to_hex(bits: Sequence[int]) -> str:
 
 def mac_protect(bits: Sequence[int]) -> str:
     """Integrity tag over a bit string (idealized: collision-free in practice)."""
+    import hashlib  # loaded at the first tag, not when the package is imported
+
     packed = bytes([len(bits) % 256]) + bytes(bits)
     return hashlib.sha256(packed).hexdigest()
 
@@ -95,6 +113,8 @@ def mac_verify(bits: Sequence[int], tag: str) -> bool:
 
 @dataclass
 class QsdcOutcome:
+    """How one messaging run ended, what Bob decoded, and what the adversary guessed right."""
+
     status: RunStatus
     decoded: Optional[Tuple[int, ...]]
     leak_bits_correct: int = 0
@@ -202,7 +222,7 @@ def _deliver(session: Session, est: EstablishmentOutcome, message: Message) -> Q
     bob_held = est.shared_pairs[BOB]
 
     tag = mac_protect(message.bits)
-    mac = MacTag(tag)  # one frozen payload serves both hops
+    mac = MacTag(tag)  # one immutable payload serves both hops
     net.send_classical(ALICE, TP2, mac)
     encode_message(reg, alice_held, message)
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from eprlink.channels import ALICE, BOB, EVE, TP1, TP2, TrojanKind
-from eprlink.protocol import EstablishmentConfig, RunStatus, run_establishment
+from eprlink.protocol import EstablishmentConfig, RunStatus, run_establishment, run_multiparty
 from eprlink.qcore import (
     Basis,
     BellOutcome,
@@ -21,6 +21,7 @@ from eprlink.qcore import (
 from eprlink.qsdc import Message, run_qsdc
 from eprlink.adversaries import (
     ATTACK_NAMES,
+    Adversary,
     AttackKind,
     AttackSpec,
     CorrelationElicitation,
@@ -177,6 +178,33 @@ def test_build_adversary_custom_probe_unitary():
 def test_only_swap_supplies_the_source():
     assert build_adversary(AttackSpec(kind=AttackKind.ENTANGLEMENT_SWAP)).supplies_source
     assert not build_adversary(AttackSpec(kind=AttackKind.INTERCEPT_RESEND)).supplies_source
+
+
+def test_overriding_make_payload_group_is_what_supplies_the_source():
+    """A subclass that defines only ``make_payload_group`` makes every payload group; a
+    plain subclass leaves them to TP1.  The base method is TP1's honest source, so both
+    runs repeat the honest run's bytes."""
+
+    class Source(Adversary):
+        def __init__(self, actor):
+            super().__init__(actor)
+            self.asked = []
+
+        def make_payload_group(self, net, parties):
+            self.asked.append(parties)
+            return super().make_payload_group(net, parties)
+
+    class Plain(Adversary):
+        pass
+
+    cfg = EstablishmentConfig(m_pairs=5, n_decoys=2, parties=3)
+    honest = run_multiparty(cfg, rng=np.random.default_rng(41)).to_json()
+    source, plain = Source(TP1), Plain(TP1)
+    assert source.supplies_source and not plain.supplies_source
+    assert not Adversary(TP1).supplies_source
+    assert run_multiparty(cfg, source, rng=np.random.default_rng(41)).to_json() == honest
+    assert source.asked == [3] * cfg.m_pairs
+    assert run_multiparty(cfg, plain, rng=np.random.default_rng(41)).to_json() == honest
 
 
 def test_taps_are_the_spec_edge_then_the_step5_leg():

@@ -147,15 +147,31 @@ def test_unknown_payload_rejected():
     net = _net()
     with pytest.raises(ChannelContractError):
         net.send_classical(TP1, ALICE, {"free-form": "dict"})
+    # A plain tuple shaped like an announcement has no KIND, so it is no payload.
+    with pytest.raises(ChannelContractError):
+        net.send_classical(TP1, ALICE, (STAGE_DECOY, (0, 1), (Basis.Z, Basis.X)))
+    assert len(net.transcript) == 0
 
 
 def test_payloads_are_immutable():
-    msg = PositionsBases(STAGE_DECOY, (0, 1), (Basis.Z, Basis.X))
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        msg.positions = (5,)
-    ack = Ack()
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        ack.note = "changed"
+    # Every field of every payload kind refuses a new value, and no new attribute sticks.
+    payloads = [
+        Ack("note"),
+        PositionsBases(STAGE_DECOY, (0, 1), (Basis.Z, Basis.X)),
+        MeasurementResults(STAGE_DECOY, (0, 1)),
+        AbortNotice(STAGE_DECOY, "mismatch"),
+        MacTag("00ff"),
+    ]
+    kinds = {p.KIND for p in payloads}
+    assert kinds == {"ack", "positions_bases", "measurement_results", "abort", "mac_tag"}
+    for payload in payloads:
+        fields = type(payload).__annotations__
+        assert fields
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(payload, name, "changed")
+        with pytest.raises(AttributeError):
+            payload.extra = "changed"
 
 
 # --- transcript -----------------------------------------------------------------

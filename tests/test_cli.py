@@ -541,21 +541,38 @@ def test_a_closed_stdout_still_gets_the_report_file_written(tmp_path):
     assert json.loads(out.read_text())["trials"] == 3
 
 
-def test_the_setup_path_imports_neither_argparse_nor_the_cli():
-    """Loading a config, as library callers do, must not pay for the command line."""
-    probe = (
-        "import sys\n"
-        "import eprlink\n"
-        "from eprlink.harness import load_config\n"
-        "print(sorted(m for m in ('argparse', 'eprlink.cli') if m in sys.modules))\n"
-    )
+def _fresh_modules(probe: str, names) -> list:
+    """Which of ``names`` are in ``sys.modules`` after ``probe`` runs in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    code = f"import json, sys\n{probe}\nprint(json.dumps([m for m in {names!r} if m in sys.modules]))"
     proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return json.loads(proc.stdout)
+
+
+def test_the_setup_path_imports_neither_argparse_nor_the_cli():
+    """Loading a config, as library callers do, must not pay for the command line."""
+    probe = "import eprlink\nfrom eprlink.harness import load_config"
+    assert _fresh_modules(probe, ["argparse", "eprlink.cli"]) == []
+
+
+def test_a_multiparty_setup_loads_neither_hashlib_nor_csv(tmp_path):
+    """Only a qsdc run's integrity tag needs ``hashlib`` (OpenSSL) and only a CSV report
+    ``csv``: importing the package and loading a multiparty config leave both unloaded,
+    unless an interpreter that imports only numpy and json already has them.
+
+    (``numpy.random`` loads ``hashlib`` through ``secrets`` once a trial draws, so the
+    setup, not the run, is what this pins.)
+    """
+    config = tmp_path / "multiparty.json"
+    config.write_text(json.dumps({"scenario": "multiparty", "cfg": {"parties": 3}}))
+    names = ["_hashlib", "hashlib", "csv"]
+    baseline = _fresh_modules("import numpy, json", names)
+    probe = f"import eprlink\nfrom eprlink.harness import load_config\nload_config({str(config)!r})"
+    assert [m for m in _fresh_modules(probe, names) if m not in baseline] == []
 
 
 def test_the_parser_is_built_once_and_reused():

@@ -37,9 +37,20 @@ def test_message_validation():
         Message((0, 1, 1))  # odd length
     with pytest.raises(ValueError):
         Message((0, 2))
+    # True == 1 and 1.0 == 1, but neither is a bit: each would break to_hex or the tag.
+    with pytest.raises(ValueError, match="must be 0 or 1"):
+        Message((True, False))
+    with pytest.raises(ValueError, match="must be 0 or 1"):
+        Message((1.0, 0.0))
+    with pytest.raises(ValueError, match="must be 0 or 1"):
+        Message(tuple(np.array([True, False])))
     msg = Message((1, 0, 1, 1))
     assert len(msg) == 4
     assert msg.to_hex() == "b"
+    # Python and numpy integers are bits, and tag alike.
+    from_numpy = Message(tuple(np.array([1, 0, 1, 1], dtype=np.int64)))
+    assert from_numpy.to_hex() == "b"
+    assert mac_protect(from_numpy.bits) == mac_protect(msg.bits)
 
 
 @pytest.mark.parametrize(
