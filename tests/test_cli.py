@@ -560,7 +560,7 @@ def test_the_setup_path_imports_neither_argparse_nor_the_cli():
 
 
 def test_a_multiparty_setup_loads_neither_hashlib_nor_csv(tmp_path):
-    """Only a qsdc run's integrity tag needs ``hashlib`` (OpenSSL) and only a CSV report
+    """In the package only a qsdc integrity tag needs ``hashlib`` (OpenSSL) and only a CSV report
     ``csv``: importing the package and loading a multiparty config leave both unloaded,
     unless an interpreter that imports only numpy and json already has them.
 
