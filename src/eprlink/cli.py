@@ -90,7 +90,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         reports = [run_experiment(ec)]
 
     # The report file is written first: a reader may close stdout early.
-    text = emit_report(reports if len(reports) > 1 else reports[0], ec.output_format, ec.output_path)
+    text = emit_report(reports, ec.output_format, ec.output_path)
     lines = [report.summary_line() + "\n" for report in reports]
     lines.append(f"wrote {ec.output_path}\n" if ec.output_path is not None else text)
     _write_stdout(lines)

@@ -24,7 +24,7 @@ import math
 import numbers
 import os
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Collection, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -124,10 +124,34 @@ _LEAK_COUNTS = tuple(name for name in _SUMMED_COUNTS if name.startswith("leak_")
 _BEFORE_ESTABLISHMENT = frozenset(s.value for s in RunStatus if s.before_establishment)
 
 
+# The JSON keys that differ from their field names.
+_JSON_KEYS = {
+    "n_decoys": "n",
+    "checked_positions": "c",
+    "m_pairs": "m",
+    "detected_at_site": "detected",
+    "passed": "pass",
+}
+
+
+def _json_record(report: Report) -> dict:
+    """A report's JSON object: its fields in declaration order, renamed through
+    ``_JSON_KEYS``, without the per-trial reports."""
+    return {
+        _JSON_KEYS.get(f.name, f.name): getattr(report, f.name)
+        for f in fields(report)
+        if f.name != "trial_reports"
+    }
+
+
 @dataclass
 class AggregateReport:
     """Batch statistics plus what gates `passed`: no failed trial, the rate within
-    3 sigma of the oracle, and no delivered message with wrong bits."""
+    3 sigma of the oracle, and no delivered message with wrong bits.
+
+    The fields are declared in the JSON report's key order; the four rates
+    derived from other fields are set once, when the report is built.
+    """
 
     scenario: str
     attack: str
@@ -136,14 +160,14 @@ class AggregateReport:
     m_pairs: int
     parties: int
     trials: int
-    seed: int
     completed: int
     errors: int
     site: Optional[str]
     detected_at_site: int
     detected_any: int
     detection_rate: float
-    oracle_rate: Optional[float]
+    analytic_rate: Optional[float] = field(init=False)  # the oracle, if a closed form
+    oracle_rate: float
     oracle_source: str
     sigma3: Optional[float]
     passed: bool
@@ -155,94 +179,42 @@ class AggregateReport:
     min_pair_fidelity: Optional[float]
     decoys_checked: int
     decoy_mismatches: int
+    per_decoy_mismatch_rate: Optional[float] = field(init=False)
     positions_checked: int
     position_failures: int
+    per_position_failure_rate: Optional[float] = field(init=False)
     leak_bits_correct: int
     leak_bits_total: int
     leak_first_correct: int
     leak_second_correct: int
     leak_pairs: int
-    filters_enabled: bool = True
+    leakage_rate: Optional[float] = field(init=False)
+    filters_enabled: bool
+    seed: int
     trial_reports: List[TrialReport] = field(default_factory=list, repr=False)
 
-    @property
-    def leakage_rate(self) -> Optional[float]:
-        if self.leak_bits_total == 0:
-            return None
-        return self.leak_bits_correct / self.leak_bits_total
+    def __post_init__(self) -> None:
+        self.analytic_rate = self.oracle_rate if self.oracle_source == "closed_form" else None
+        self.per_decoy_mismatch_rate = (
+            self.decoy_mismatches / self.decoys_checked if self.decoys_checked else None
+        )
+        self.per_position_failure_rate = (
+            self.position_failures / self.positions_checked if self.positions_checked else None
+        )
+        self.leakage_rate = (
+            self.leak_bits_correct / self.leak_bits_total if self.leak_bits_total else None
+        )
 
-    @property
-    def analytic_rate(self) -> Optional[float]:
-        """The prediction as printed in tabular reports (closed forms only)."""
-        if self.oracle_source == "closed_form":
-            return self.oracle_rate
-        return None
-
-    @property
-    def per_decoy_mismatch_rate(self) -> Optional[float]:
-        if self.decoys_checked == 0:
-            return None
-        return self.decoy_mismatches / self.decoys_checked
-
-    @property
-    def per_position_failure_rate(self) -> Optional[float]:
-        if self.positions_checked == 0:
-            return None
-        return self.position_failures / self.positions_checked
-
-    def to_json_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "attack": self.attack,
-            "n": self.n_decoys,
-            "c": self.checked_positions,
-            "m": self.m_pairs,
-            "parties": self.parties,
-            "trials": self.trials,
-            "completed": self.completed,
-            "errors": self.errors,
-            "site": self.site,
-            "detected": self.detected_at_site,
-            "detected_any": self.detected_any,
-            "detection_rate": self.detection_rate,
-            "analytic_rate": self.analytic_rate,
-            "oracle_rate": self.oracle_rate,
-            "oracle_source": self.oracle_source,
-            "sigma3": self.sigma3,
-            "pass": self.passed,
-            "status_counts": dict(sorted(self.status_counts.items())),
-            "site_counts": dict(sorted(self.site_counts.items())),
-            "established": self.established,
-            "delivered": self.delivered,
-            "delivered_wrong": self.delivered_wrong,
-            "min_pair_fidelity": self.min_pair_fidelity,
-            "decoys_checked": self.decoys_checked,
-            "decoy_mismatches": self.decoy_mismatches,
-            "per_decoy_mismatch_rate": self.per_decoy_mismatch_rate,
-            "positions_checked": self.positions_checked,
-            "position_failures": self.position_failures,
-            "per_position_failure_rate": self.per_position_failure_rate,
-            "leak_bits_correct": self.leak_bits_correct,
-            "leak_bits_total": self.leak_bits_total,
-            "leak_first_correct": self.leak_first_correct,
-            "leak_second_correct": self.leak_second_correct,
-            "leak_pairs": self.leak_pairs,
-            "leakage_rate": self.leakage_rate,
-            "filters_enabled": self.filters_enabled,
-            "seed": self.seed,
-        }
+    to_json_dict = _json_record
 
     def summary_line(self) -> str:
-        rate = _fmt(self.detection_rate)
-        if self.oracle_rate is None:
-            expect = "expected=?"
-        else:
-            expect = f"expected={_fmt(self.oracle_rate)}±{_fmt(self.sigma3)}"
+        band = "" if self.sigma3 is None else f"±{_fmt(self.sigma3)}"
         leak = "" if self.leakage_rate is None else f" leak={_fmt(self.leakage_rate)}"
         label = self.attack or "honest"
         line = (
             f"{self.scenario} {label} n={self.n_decoys} c={self.checked_positions} "
-            f"trials={self.trials} detected={rate} {expect}{leak} "
+            f"trials={self.trials} detected={_fmt(self.detection_rate)} "
+            f"expected={_fmt(self.oracle_rate)}{band}{leak} "
             f"pass={'true' if self.passed else 'false'}"
         )
         if self.errors:
@@ -360,11 +332,9 @@ def _aggregate(ec: ExperimentConfig, reports: List[TrialReport]) -> AggregateRep
     ok = [r for r in reports if r.error is None]
     errors = len(reports) - len(ok)
     site = ec.attack.detection_site if ec.attack is not None else None
-    detected_any = sum(1 for r in ok if r.detected_at is not None)
-    if site is None:
-        detected_site = detected_any
-    else:
-        detected_site = sum(1 for r in ok if r.detected_at == site)
+    sites = [r.detected_at for r in ok if r.detected_at is not None]
+    detected_any = len(sites)
+    detected_site = detected_any if site is None else sites.count(site)
     completed = len(ok)
     detection_rate = detected_site / completed if completed else 0.0
 
@@ -386,7 +356,6 @@ def _aggregate(ec: ExperimentConfig, reports: List[TrialReport]) -> AggregateRep
         m_pairs=ec.cfg.m_pairs,
         parties=ec.cfg.parties,
         trials=len(reports),
-        seed=ec.seed,
         completed=completed,
         errors=errors,
         site=site,
@@ -397,13 +366,14 @@ def _aggregate(ec: ExperimentConfig, reports: List[TrialReport]) -> AggregateRep
         oracle_source=source,
         sigma3=sigma3,
         passed=passed,
-        status_counts=dict(Counter(r.status for r in ok)),
-        site_counts=dict(Counter(r.detected_at for r in ok if r.detected_at is not None)),
+        status_counts=dict(sorted(Counter(r.status for r in ok).items())),
+        site_counts=dict(sorted(Counter(sites).items())),
         established=sum(1 for r in ok if r.status not in _BEFORE_ESTABLISHMENT),
         delivered=sum(1 for r in ok if r.delivered),
         delivered_wrong=delivered_wrong,
         min_pair_fidelity=float(min(fids)) if fids else None,
         filters_enabled=ec.filters_enabled,
+        seed=ec.seed,
         trial_reports=reports,
         **{name: sum(getattr(r, name) for r in ok) for name in _SUMMED_COUNTS},
     )
@@ -627,8 +597,12 @@ _STRATEGIES: Dict[str, Callable] = {
 
 @dataclass
 class GameResult:
-    """One distinguishing game's tally: valid instances, successes and the advantage."""
+    """One distinguishing game's tally: valid instances, successes and the advantage.
 
+    The fields are declared in the JSON report's key order.
+    """
+
+    scenario: str = field(init=False, default="game")
     discussion: str
     strategy: str
     instances: int
@@ -637,8 +611,7 @@ class GameResult:
     advantage: float
     seed: int
 
-    def to_json_dict(self) -> dict:
-        return {"scenario": "game", **asdict(self)}  # the fields are in JSON key order
+    to_json_dict = _json_record
 
     def summary_line(self) -> str:
         return (
@@ -1044,7 +1017,8 @@ def _check_output_path(path) -> None:
 
 
 def _read_json_config(fh) -> object:
-    """``json.load``, except that a key given twice in one object is a ValueError.
+    """``json.load``, except that a key given twice in one object is a ValueError,
+    and so is nesting too deep for the parser.
 
     The error names the key and the section it sits in (``config`` for the top
     level).  Objects are built innermost first, so a section's repeat is held
@@ -1063,7 +1037,10 @@ def _read_json_config(fh) -> object:
             obj[key] = value
         return obj
 
-    data = json.load(fh, object_pairs_hook=build)
+    try:
+        data = json.load(fh, object_pairs_hook=build)
+    except RecursionError:
+        raise ValueError("config nests too deeply") from None
     if held:
         _, key = next(iter(held.values()))
         raise ValueError(f"repeated key {key!r} in config")

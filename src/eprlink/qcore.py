@@ -817,7 +817,8 @@ class QuantumRegister:
         if fidelity is None:
             if len(_FIDELITY_CACHE) >= FIDELITY_CACHE_SIZE:
                 _FIDELITY_CACHE.clear()
-            rho = _factor_density(sv, perm)
+            arr = sv.tensor().transpose(perm).reshape(-1, 1)
+            rho = arr @ arr.conj().T
             fidelity = _FIDELITY_CACHE[key] = float((target.conj() @ rho @ target).real)
         return fidelity
 
@@ -839,24 +840,6 @@ class QuantumRegister:
             return sv, tuple(order.index(q) for q in qubits)
         return None
 
-    def _density(self, qubits: Sequence[QubitRef]) -> np.ndarray:
-        """:meth:`reduced_density`, built directly when the qubits are exactly one factor.
-
-        The whole factor's block is the same outer product of the same values
-        in the same order, so the matrix is bit-identical; any other qubit set
-        goes through :meth:`reduced_density`.
-        """
-        whole = self._whole_factor(qubits)
-        if whole is None:
-            return self.reduced_density(qubits)
-        return _factor_density(*whole)
-
-
-def _factor_density(sv: StateVector, perm: Tuple[int, ...]) -> np.ndarray:
-    """The density matrix of a whole factor, its axes in ``perm`` order."""
-    arr = sv.tensor().transpose(perm).reshape(-1, 1)
-    return arr @ arr.conj().T
-
 
 def is_bell_product(register: QuantumRegister, q1: QubitRef, q2: QubitRef) -> BellPairCheck:
     """Check that (q1, q2) form a pure phi+ pair decoupled from the rest.
@@ -865,7 +848,7 @@ def is_bell_product(register: QuantumRegister, q1: QubitRef, q2: QubitRef) -> Be
     (no residual entanglement with anything else) and overlap with the phi+
     state of at least 1 - 1e-9.
     """
-    rho = register._density([q1, q2])
+    rho = register.reduced_density([q1, q2])
     purity = float(np.trace(rho @ rho).real)
     target = bell_vector(BellOutcome.PHI_PLUS)
     fidelity = float((target.conj() @ rho @ target).real)

@@ -252,6 +252,16 @@ def test_a_repeated_config_key_is_an_error(tmp_path, capsys, text, message):
     assert err == f"error: {message}\n"
 
 
+def test_a_config_nested_too_deeply_is_a_config_error(tmp_path, capsys):
+    depth = 100_000
+    path = tmp_path / "config.json"
+    path.write_text('{"trials": ' + "[" * depth + "]" * depth + "}")
+    assert main(["establish", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: config nests too deeply\n"
+
+
 def test_config_accepts_json_booleans_and_integers(tmp_path, capsys):
     path = tmp_path / "config.json"
     data = {
@@ -600,6 +610,21 @@ def test_a_failing_trial_is_named_in_the_summary_line(monkeypatch, capsys):
     summary = out.splitlines()[0]
     assert summary.endswith(" pass=false first_error=#3 RuntimeError: stub failure")
     assert json.loads(out.split("\n", 1)[1])["errors"] == 1
+
+
+def test_a_batch_where_every_trial_raised_prints_no_band(monkeypatch, capsys):
+    def broken(ec, cfg, rng, index):
+        raise RuntimeError("stub failure")
+
+    monkeypatch.setattr(harness, "_trial_establish", broken)
+    args = ["--trials", "2", "--pairs", "4", "--decoys", "2", "--attack", "intercept_resend"]
+    code = main(["establish", *args])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    assert out.splitlines()[0] == (
+        "establish intercept_resend n=2 c=2 trials=2 detected=0 expected=0.4375 "
+        "pass=false first_error=#0 RuntimeError: stub failure"
+    )
 
 
 @pytest.mark.parametrize("bit_errors, code", [(0, 0), (1, 1)])

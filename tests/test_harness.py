@@ -724,6 +724,14 @@ def test_json_emission_shapes():
     assert isinstance(many, list) and len(many) == 2
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_one_report_list_is_written_as_that_report(fmt):
+    agg = _small_aggregate()
+    game = run_distinguishing_game(GameSpec(), instances=5, seed=17)
+    for report in (agg, game):
+        assert emit_report([report], fmt=fmt) == emit_report(report, fmt=fmt)
+
+
 def test_emit_report_writes_the_same_bytes_to_disk(tmp_path):
     agg = _small_aggregate()
     path = tmp_path / "report.json"

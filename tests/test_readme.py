@@ -6,7 +6,8 @@ from pathlib import Path
 
 from eprlink.adversaries import ATTACK_NAMES, Adversary, AttackKind
 from eprlink.channels import EVE
-from eprlink.harness import CONFIG_KEYS
+from eprlink.harness import CONFIG_KEYS, ExperimentConfig, run_experiment
+from eprlink.protocol import EstablishmentConfig
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -33,6 +34,16 @@ def test_readme_config_list_is_the_config_table():
         assert item.startswith(head), (item, head)
         for word in (*(f"`{c}`" for c in key.choices), key.flag or ""):
             assert word in item, (item, word)
+
+
+def test_readme_report_keys_are_the_json_keys_in_order():
+    paragraph = README.split("JSON report keys, in order.", 1)[1].split("\n\n", 1)[0]
+    run_part, game_part = paragraph.split("A game report:")
+    game_part = game_part.split("One report", 1)[0]
+    run = run_experiment(ExperimentConfig(trials=3, cfg=EstablishmentConfig(m_pairs=4, n_decoys=2)))
+    game = run_experiment(ExperimentConfig(scenario="game", trials=3))
+    assert re.findall(r"`([a-z0-9_]+)`", run_part) == list(run.to_json_dict())
+    assert re.findall(r"`([a-z0-9_]+)`", game_part) == list(game.to_json_dict())
 
 
 def test_readme_interceptor_paragraph_names_the_adversary_seam():
