@@ -25,7 +25,7 @@ import numbers
 import os
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Collection, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -407,7 +407,7 @@ def _sweep_point_cfg(ec: ExperimentConfig, value) -> EstablishmentConfig:
     else:
         kind, wanted = "integers", numbers.Integral
     if isinstance(value, bool) or not isinstance(value, wanted):
-        raise ValueError(f"{ec.sweep_param} sweep values must be {kind}, got {value!r}")
+        raise ValueError(f"{ec.sweep_param} sweep values must be {kind}, got {_shown(value)}")
     if ec.sweep_param == "n_decoys":
         return replace(ec.cfg, n_decoys=int(value))
     if ec.sweep_param == "check_fraction":
@@ -436,12 +436,11 @@ def run_sweep(ec: ExperimentConfig) -> List[AggregateReport]:
 # --- transcript-distinguishing game -------------------------------------------------
 
 
-GAME_QUERIES = ("execute", "send", "reveal", "corrupt", "test")
 DISCUSSIONS = ("decoy", "pair_check")
 
 
 class GameError(RuntimeError):
-    """A strategy used a query it was not granted, or broke query rules."""
+    """A strategy broke the query rules: a second challenge, or cloning off the decoy discussion."""
 
 
 class GameInstance:
@@ -453,20 +452,12 @@ class GameInstance:
     result string or a uniformly random one, with equal probability.
     `reveal` and `corrupt` hand over session respectively source secrets but
     mark the instance stale, excluding it from the advantage tally — the
-    standard freshness bookkeeping.  ``allowed`` holds the granted query names
-    in lower case, as ``GameSpec.queries`` does.
+    standard freshness bookkeeping.  Every query is open to every strategy.
     """
 
-    def __init__(
-        self,
-        discussion: str,
-        challenge_len: int,
-        rng: np.random.Generator,
-        allowed: Collection[str] = GAME_QUERIES,
-    ) -> None:
+    def __init__(self, discussion: str, challenge_len: int, rng: np.random.Generator) -> None:
         self.discussion = discussion
         self._rng = rng
-        self._allowed = allowed
         self.fresh = True
         self._tested = False
         self._b: Optional[int] = None
@@ -517,35 +508,26 @@ class GameInstance:
 
     # -- queries ---------------------------------------------------------------
 
-    def _use(self, name: str) -> None:
-        if name not in self._allowed:
-            raise GameError(f"the {name!r} query was not granted in this game")
-
     def execute(self):
         """The adversary's view: all public traffic minus the result string."""
-        self._use("execute")
         return self._view
 
     def send_clone_request(self) -> Tuple[str, ...]:
         """By-fiat perfect copies of the in-flight qubits (not physical!)."""
-        self._use("send")
         return self._secret
 
     def reveal(self) -> Tuple[int, ...]:
         """Hand over the session outcome string; the instance goes stale."""
-        self._use("reveal")
         self.fresh = False
         return self._results
 
     def corrupt(self) -> Tuple[str, ...]:
         """Hand over the preparer's secrets; the instance goes stale."""
-        self._use("corrupt")
         self.fresh = False
         return self._secret
 
     def test(self) -> Tuple[int, ...]:
         """Issue the challenge (once): real outcome string or uniform noise."""
-        self._use("test")
         if self._tested:
             raise GameError("the challenge for this instance was already issued")
         self._tested = True
@@ -621,32 +603,26 @@ class GameResult:
         )
 
 
-def run_distinguishing_game(
-    spec: GameSpec,
-    instances: int,
-    seed: int = 0,
-    strategy: Optional[Callable] = None,
-) -> GameResult:
-    """Play many independent instances and report the distinguishing advantage.
+def run_distinguishing_game(spec: GameSpec, instances: int, seed: int = 0) -> GameResult:
+    """Play many independent instances of the named strategy and report the
+    distinguishing advantage.
 
     Instances whose freshness was voided (by reveal/corrupt) are excluded from
     the tally, as are instances the strategy never brought to challenge.
     """
-    fn = strategy if strategy is not None else _STRATEGIES[spec.strategy]
-    granted = frozenset(spec.queries)
+    fn = _STRATEGIES[spec.strategy]
 
     def play(rng, index: int) -> Optional[bool]:
-        inst = GameInstance(spec.discussion, spec.challenge_len, rng, granted)
+        inst = GameInstance(spec.discussion, spec.challenge_len, rng)
         challenge = inst.test()
         return inst.judge(fn(inst, challenge, rng))
 
     verdicts = [v for v in _trials(seed, instances, play) if v is not None]
     valid, successes = len(verdicts), sum(verdicts)
     advantage = abs(2.0 * successes / valid - 1.0) if valid else 0.0
-    label = spec.strategy if strategy is None else getattr(strategy, "__name__", "custom")
     return GameResult(
         discussion=spec.discussion,
-        strategy=label,
+        strategy=spec.strategy,
         instances=instances,
         valid=valid,
         successes=successes,
@@ -697,6 +673,13 @@ def emit_report(
 # --- experiment configuration ---------------------------------------------------------
 
 
+def _shown(value, limit: int = 100) -> str:
+    """``repr(value)`` as a config error echoes it: cut to ``limit`` characters,
+    ending in "...", once longer."""
+    text = repr(value)
+    return text if len(text) <= limit else text[: limit - 3] + "..."
+
+
 _PARTY_NAMES = {p.name.lower(): p for p in (ALICE, BOB, TP1, TP2, EVE)}
 
 
@@ -704,15 +687,15 @@ def _parse_party(name: str) -> PartyId:
     try:
         return _PARTY_NAMES[str(name).lower()]
     except KeyError:
-        raise ValueError(f"unknown party {name!r}") from None
+        raise ValueError(f"unknown party {_shown(name)}") from None
 
 
 def _check_keys(mapping: dict, allowed: Sequence[str], where: str) -> None:
     if not isinstance(mapping, dict):
-        raise ValueError(f"{where} must be a JSON object, got {mapping!r}")
+        raise ValueError(f"{where} must be a JSON object, got {_shown(mapping)}")
     unknown = set(mapping) - set(allowed)
     if unknown:
-        raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
+        raise ValueError(f"unknown {where} keys: {_shown(sorted(unknown))}")
 
 
 def _parse_matrix(rows) -> tuple:
@@ -724,13 +707,15 @@ def _parse_matrix(rows) -> tuple:
 
     def number(x) -> float:
         if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ValueError(f"unitary entries must be numbers or [re, im] pairs, got {x!r}")
+            raise ValueError(
+                f"unitary entries must be numbers or [re, im] pairs, got {_shown(x)}"
+            )
         try:
             value = float(x)
         except OverflowError:
             value = math.inf
         if not math.isfinite(value):
-            raise ValueError(f"unitary entries must be finite, got {x!r}")
+            raise ValueError(f"unitary entries must be finite, got {_shown(x)}")
         return value
 
     def cell(x) -> complex:
@@ -739,13 +724,21 @@ def _parse_matrix(rows) -> tuple:
         return complex(number(x))
 
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-        raise ValueError(f"unitary must be a list of rows, got {rows!r}")
+        raise ValueError(f"unitary must be a list of rows, got {_shown(rows)}")
     lengths = sorted({len(row) for row in rows})
     if len(lengths) > 1:
         raise ValueError(
-            f"unitary must be a list of rows of equal length, got row lengths {lengths}"
+            f"unitary must be a list of rows of equal length, got row lengths {_shown(lengths)}"
         )
     return tuple(tuple(cell(x) for x in row) for row in rows)
+
+
+def _member(enum, value):
+    """``enum(value)``, whose error echoes the value through :func:`_shown`."""
+    try:
+        return enum(value)
+    except ValueError:
+        raise ValueError(f"{_shown(value)} is not a valid {enum.__name__}") from None
 
 
 def parse_attack(data: dict) -> AttackSpec:
@@ -753,15 +746,17 @@ def parse_attack(data: dict) -> AttackSpec:
     _check_keys(data, ("kind", "actor", "edge", "strategy", "trojan", "unitary"), "attack")
     if "kind" not in data:
         raise ValueError("attack needs a 'kind'")
-    kind = AttackKind(data["kind"])
+    kind = _member(AttackKind, data["kind"])
     actor = _parse_party(data["actor"]) if data.get("actor") is not None else None
     edge = None
     if data.get("edge") is not None:
         raw = data["edge"]
         if not isinstance(raw, list) or len(raw) != 2 or not all(isinstance(p, str) for p in raw):
-            raise ValueError(f"edge must be a JSON list naming exactly two parties, got {raw!r}")
+            raise ValueError(
+                f"edge must be a JSON list naming exactly two parties, got {_shown(raw)}"
+            )
         edge = (_parse_party(raw[0]), _parse_party(raw[1]))
-    trojan = TrojanKind(data["trojan"]) if data.get("trojan") is not None else None
+    trojan = _member(TrojanKind, data["trojan"]) if data.get("trojan") is not None else None
     unitary = _parse_matrix(data["unitary"]) if data.get("unitary") is not None else None
     return AttackSpec(
         kind=kind,
@@ -781,11 +776,6 @@ _RULES: Dict[str, Tuple[Callable[[object], bool], str, Optional[Callable]]] = {
     "number": (lambda v: type(v) in (int, float), "a number", float),
     "boolean": (lambda v: isinstance(v, bool), "true or false", None),
     "string": (lambda v: isinstance(v, str), "a string", None),
-    "list of strings": (
-        lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
-        "a JSON list of strings",
-        tuple,
-    ),
     "list": (lambda v: isinstance(v, list), "a JSON list", tuple),
     "attack object": (lambda v: isinstance(v, dict), "a JSON object", parse_attack),
 }
@@ -826,7 +816,8 @@ class ConfigKey(NamedTuple):
         if value not in self.choices:
             *rest, last = map(repr, self.choices)
             raise ValueError(
-                f"{self.field} must be {', '.join(rest)} or {last}; unknown {self.field} {value!r}"
+                f"{self.field} must be {', '.join(rest)} or {last}; "
+                f"unknown {self.field} {_shown(value)}"
             )
 
     def read(self, value):
@@ -835,7 +826,7 @@ class ConfigKey(NamedTuple):
             return None
         test, kind, keep = _RULES[self.rule]
         if not test(value):
-            raise ValueError(f"{' '.join(self.name)} must be {kind}, got {value!r}")
+            raise ValueError(f"{' '.join(self.name)} must be {kind}, got {_shown(value)}")
         return value if keep is None else keep(value)
 
 
@@ -879,8 +870,6 @@ CONFIG_KEYS = (
               choices=DISCUSSIONS),
     ConfigKey(("game", "strategy"), "string", "passive", _GAME, "--strategy", _GAME,
               choices=tuple(_STRATEGIES)),
-    ConfigKey(("game", "queries"), "list of strings", ("execute", "send", "test"), _GAME,
-              choices=GAME_QUERIES),
     ConfigKey(("game", "challenge_len"), "integer", 8, _GAME, "--challenge-len", _GAME),
     ConfigKey(("filters_enabled",), "boolean", True, RUN_SCENARIOS),
     ConfigKey(("measure_fidelity",), "boolean", True, ("establish", "multiparty")),
@@ -919,7 +908,6 @@ class GameSpec:
 
     discussion: str = _key("game", "discussion").default
     strategy: str = _key("game", "strategy").default
-    queries: Tuple[str, ...] = _key("game", "queries").default
     challenge_len: int = _key("game", "challenge_len").default
 
     def __post_init__(self) -> None:
@@ -930,15 +918,6 @@ class GameSpec:
                 "discussion must be 'decoy' for the fiat_clone strategy: "
                 "the cloning reduction is demonstrated on the decoy discussion"
             )
-        self.queries = tuple(q.lower() for q in self.queries)
-        bad = set(self.queries) - set(GAME_QUERIES)
-        if bad:
-            raise ValueError(f"unknown game queries: {sorted(bad)}")
-        for required in ("execute", "test"):
-            if required not in self.queries:
-                raise ValueError(f"every game needs the {required!r} query granted")
-        if self.strategy == "fiat_clone" and "send" not in self.queries:
-            raise ValueError("the by-fiat cloner needs the 'send' query granted")
         if self.challenge_len < 1:
             raise ValueError("challenge_len must be >= 1")
 
@@ -1008,12 +987,12 @@ class ExperimentConfig:
 def _check_output_path(path) -> None:
     """Reject a report path that cannot be written, before any trial runs."""
     if not isinstance(path, str) or not path:
-        raise ValueError(f"output path must be a file name, got {path!r}")
+        raise ValueError(f"output path must be a file name, got {_shown(path)}")
     if os.path.isdir(path):
-        raise ValueError(f"output path {path!r} is a directory")
+        raise ValueError(f"output path {_shown(path)} is a directory")
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
-        raise ValueError(f"output directory {parent!r} does not exist")
+        raise ValueError(f"output directory {_shown(parent)} does not exist")
 
 
 def _read_json_config(fh) -> object:
@@ -1031,7 +1010,7 @@ def _read_json_config(fh) -> object:
         for key, value in pairs:
             inner = held.pop(id(value), None)
             if inner is not None and id(obj) not in held:  # else obj's own repeat came first
-                raise ValueError(f"repeated key {inner[1]!r} in {key}")
+                raise ValueError(f"repeated key {_shown(inner[1])} in {key}")
             if key in obj and id(obj) not in held:
                 held[id(obj)] = (obj, key)
             obj[key] = value
@@ -1043,7 +1022,7 @@ def _read_json_config(fh) -> object:
         raise ValueError("config nests too deeply") from None
     if held:
         _, key = next(iter(held.values()))
-        raise ValueError(f"repeated key {key!r} in config")
+        raise ValueError(f"repeated key {_shown(key)} in config")
     return data
 
 
@@ -1078,7 +1057,7 @@ def load_config(
     named = values.get(("scenario",), scenario)
     if scenario is not None and named != scenario:
         raise ValueError(
-            f"scenario must be {scenario!r} under the {scenario} command, got {named!r}"
+            f"scenario must be {scenario!r} under the {scenario} command, got {_shown(named)}"
         )
     values.update(flags)
     run = values.setdefault(("scenario",), scenario or _key("scenario").default)

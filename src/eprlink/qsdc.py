@@ -38,6 +38,7 @@ from .protocol import (
     EstablishmentConfig,
     EstablishmentOutcome,
     Session,
+    _abort,
     _coerce_adversary,
     _run,
     strip_decoys,
@@ -227,12 +228,12 @@ def _deliver(session: Session, est: EstablishmentOutcome, message: Message) -> Q
     encode_message(reg, alice_held, message)
 
     # Step 5: Alice -> TP2, protected by decoys of Alice's own choosing.
-    relay_payload = _relay_leg(session, ALICE, TP2, alice_held, TP2, _ABORTED_STEP5)
+    relay_payload = _relay_leg(session, ALICE, TP2, alice_held, _ABORTED_STEP5)
     if adversary is not None:
         adversary.on_relay_payload(net, relay_payload, list(est.surviving_indices))
 
     # Step 6: TP2 -> Bob behind fresh decoys chosen by TP2.
-    delivered = _relay_leg(session, TP2, BOB, relay_payload, ALICE, _ABORTED_STEP7)
+    delivered = _relay_leg(session, TP2, BOB, relay_payload, _ABORTED_STEP7)
 
     # Step 7: Bob reads the pairs and checks the integrity tag.
     net.send_classical(TP2, BOB, mac)
@@ -250,27 +251,23 @@ def _relay_leg(
     sender: PartyId,
     receiver: PartyId,
     payload: Sequence[QubitRef],
-    mismatch_to: PartyId,
     status: RunStatus,
 ) -> List[QubitRef]:
     """Carry ``payload`` across one relay leg behind the sender's fresh decoys.
 
     Returns the payload as the receiver holds it.  Raises :class:`Aborted`
     with ``status``, the leg's check, when the receiver's probe filter fires
-    (it tells the sender) or the public decoy discussion finds a mismatch (the
-    sender tells ``mismatch_to``).
+    or the public decoy discussion finds a mismatch; either way the party
+    that detected it floods the abort notice to every participant.
     """
-    net, stage = session.net, status.stage
+    net = session.net
     sequence, record = session.build_decoyed_sequence(payload)
     held = net.send_quantum(sender, receiver, sequence)
     if net.scan_trojan(receiver, held):
-        net.send_classical(receiver, sender, AbortNotice(stage, "probe photons found"))
-        raise Aborted(status, f"probe photons found at {receiver}", receiver)
-    bad = session.run_decoy_discussion(sender, receiver, stage, held, record)
+        _abort(session, status, receiver, f"probe photons found at {receiver}")
+    bad = session.run_decoy_discussion(sender, receiver, status.stage, held, record)
     if bad is not None:
-        detail = f"decoy mismatch at slot {bad}"
-        net.send_classical(sender, mismatch_to, AbortNotice(stage, detail))
-        raise Aborted(status, detail, sender)
+        _abort(session, status, sender, f"decoy mismatch at slot {bad}")
     return strip_decoys(held, record)
 
 

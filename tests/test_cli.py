@@ -103,6 +103,17 @@ def test_config_rejects_a_seed_inside_cfg(tmp_path, capsys):
     assert err.strip() == "error: unknown cfg keys: ['seed']"
 
 
+def test_config_rejects_game_queries(tmp_path, capsys):
+    """The game plays its named strategies with every query; a grant list is not read."""
+    path = tmp_path / "config.json"
+    config = {"scenario": "game", "trials": 1, "game": {"queries": ["execute", "test"]}}
+    path.write_text(json.dumps(config))
+    assert main(["game", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: unknown game keys: ['queries']\n"
+
+
 def _cnot_with(entry):
     """The CNOT matrix as JSON rows, with one of its ones replaced by ``entry``."""
     return [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, entry], [0, 0, 1, 0]]
@@ -161,9 +172,9 @@ _STRING_CNOT = [["1", 0, 0, 0], [0, "1", 0, 0], [0, 0, 0, "1"], [0, 0, "1", 0]]
         ({"attack": {"kind": "intercept_resend", "edge": "ab"}}, "edge"),
         ({"attack": {"kind": "intercept_resend", "edge": ["tp1", 2]}}, "edge"),
         ({"attack": {"kind": "intercept_resend", "edge": {"tp1": "alice"}}}, "edge"),
-        ({"scenario": "game", "game": {"queries": 5}}, "queries"),
-        ({"scenario": "game", "game": {"queries": [1]}}, "queries"),
-        ({"scenario": "game", "game": {"queries": "execute"}}, "queries"),
+        ({"scenario": "game", "game": {"discussion": 5}}, "discussion"),
+        ({"scenario": "game", "game": {"challenge_len": True}}, "challenge_len"),
+        ({"scenario": "game", "game": {"strategy": None}}, "strategy"),
         ({"scenario": "game", "game": {"strategy": ["passive"]}}, "strategy"),
         (
             {
@@ -260,6 +271,28 @@ def test_a_config_nested_too_deeply_is_a_config_error(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: config nests too deeply\n"
+
+
+@pytest.mark.parametrize(
+    "config,key",
+    [
+        ({"trials": [0] * 100_000}, "trials"),
+        ({"scenario": "game", "game": {"discussion": "x" * 50_000}}, "discussion"),
+        ({"cfg": {"m_pairs": "7" * 50_000}}, "m_pairs"),
+        ({"attack": {"kind": "entangle_measure", "unitary": _cnot_with("1" * 50_000)}}, "unitary"),
+        ({"attack": {"kind": "k" * 50_000}}, "AttackKind"),
+        ({"attack": {"kind": "trojan_horse", "trojan": "t" * 50_000}}, "TrojanKind"),
+    ],
+)
+def test_a_config_error_echoes_a_long_value_cut_short(tmp_path, capsys, config, key):
+    data = {"scenario": "establish", "trials": 1, **config}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert main([data["scenario"], "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and key in err and err.count("\n") == 1
+    assert len(err.encode()) <= 200 and "Traceback" not in err
 
 
 def test_config_accepts_json_booleans_and_integers(tmp_path, capsys):

@@ -307,7 +307,9 @@ def test_relay_transcript_trojan_abort_at_tp2():
         _RELAY_IN_HEAD
         + [
             ("trojan_detected", "TP2", "TP2", "7 probe tag(s)"),
-            ("abort", "TP2", "Alice", "abort at relay_in_check: probe photons found"),
+            ("abort", "TP2", "Alice", "abort at relay_in_check: probe photons found at TP2"),
+            ("abort", "TP2", "Bob", "abort at relay_in_check: probe photons found at TP2"),
+            ("abort", "Alice", "TP1", "abort at relay_in_check: probe photons found at TP2"),
         ],
     )
 
@@ -322,7 +324,9 @@ def test_relay_transcript_trojan_abort_at_bob():
         + _RELAY_OUT_HEAD
         + [
             ("trojan_detected", "Bob", "Bob", "7 probe tag(s)"),
-            ("abort", "Bob", "TP2", "abort at relay_out_check: probe photons found"),
+            ("abort", "Bob", "TP1", "abort at relay_out_check: probe photons found at Bob"),
+            ("abort", "Bob", "TP2", "abort at relay_out_check: probe photons found at Bob"),
+            ("abort", "TP1", "Alice", "abort at relay_out_check: probe photons found at Bob"),
         ],
     )
 
@@ -333,12 +337,16 @@ def test_relay_transcript_decoy_mismatch_on_first_leg():
         "decoy mismatch at slot 0",
         _RELAY_IN_HEAD
         + _RELAY_IN_CHECK
-        + [("abort", "Alice", "TP2", "abort at relay_in_check: decoy mismatch at slot 0")],
+        + [
+            ("abort", "Alice", "TP1", "abort at relay_in_check: decoy mismatch at slot 0"),
+            ("abort", "Alice", "TP2", "abort at relay_in_check: decoy mismatch at slot 0"),
+            ("abort", "TP1", "Bob", "abort at relay_in_check: decoy mismatch at slot 0"),
+        ],
     )
 
 
 def test_relay_transcript_decoy_mismatch_on_second_leg():
-    # TP2 tells Alice, not Bob, that the second leg failed.
+    # TP2 floods the notice, so Bob, who ran the failed discussion, hears it too.
     assert _relay_events(_FlipLeg((TP2, BOB))) == (
         RunStatus.ABORTED_STEP7,
         "decoy mismatch at slot 0",
@@ -346,7 +354,11 @@ def test_relay_transcript_decoy_mismatch_on_second_leg():
         + _RELAY_IN_CHECK
         + _RELAY_OUT_HEAD
         + _RELAY_OUT_CHECK
-        + [("abort", "TP2", "Alice", "abort at relay_out_check: decoy mismatch at slot 0")],
+        + [
+            ("abort", "TP2", "Alice", "abort at relay_out_check: decoy mismatch at slot 0"),
+            ("abort", "TP2", "Bob", "abort at relay_out_check: decoy mismatch at slot 0"),
+            ("abort", "Alice", "TP1", "abort at relay_out_check: decoy mismatch at slot 0"),
+        ],
     )
 
 

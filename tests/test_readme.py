@@ -6,7 +6,7 @@ from pathlib import Path
 
 from eprlink.adversaries import ATTACK_NAMES, Adversary, AttackKind
 from eprlink.channels import EVE
-from eprlink.harness import CONFIG_KEYS, ExperimentConfig, run_experiment
+from eprlink.harness import CONFIG_KEYS, ExperimentConfig, GameInstance, run_experiment
 from eprlink.protocol import EstablishmentConfig
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -59,3 +59,10 @@ def test_readme_interceptor_paragraph_names_the_adversary_seam():
     assert [name for name in named if not hasattr(adversary, name)] == []
     public = {name for name in vars(Adversary) if not name.startswith("_")}
     assert public and public <= set(named)
+
+
+def test_readme_game_paragraph_names_only_game_queries():
+    """Each backticked name in the game paragraph is a query method of a game instance."""
+    paragraph = README.split("The harness also plays a transcript-distinguishing game", 1)[1]
+    named = re.findall(r"`([^`]*)`", paragraph.split("\n\n", 1)[0])
+    assert named and [name for name in named if not callable(getattr(GameInstance, name, None))] == []

@@ -45,7 +45,7 @@ QSDC_CASES = {
     "entanglement_swap": "0a25b00503c8bf44ceb7aa6ad50d04bf560fa0da35b76515eb9778cba893c4c0",
     "entangle_measure": "ab48363d7126b030b6aa1babd63293f228fb3f518f6236af691f02127fd17cfe",
     "correlation_elicitation": "c0167ff7eb8b64f960cb074dd955af00327e9e540d78fd016deb58992fc99072",
-    "modification_all_slots": "b35f7a79a2e0c725380b5532fe3f964dd8d9506d0b8ce01bc030370c42d34b3b",
+    "modification_all_slots": "27728fb68ce7b5d7c797c3904031597a7940c3d8f107dc2d92fb4ffb5894da12",
     "modification_single_slot": "4d68a82286a34c7576b2a0bd460d38b02aaceeaa5dfc8b28d013982f1f87c917",
     "modification_tp2_decoy_aware": "4d68a82286a34c7576b2a0bd460d38b02aaceeaa5dfc8b28d013982f1f87c917",
     "trojan_invisible_photon": "dbd363b6f7fa2f00123b0d4d309fe3a2d435464483a5d8213dba1372260d5c41",
